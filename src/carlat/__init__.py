@@ -1,7 +1,6 @@
 """Discrete Schrodinger operators, Carleman-conjugated operators, and
 desk-scale verification of propagation-of-smallness inequalities on lattices."""
 
-from ._kernels import BACKEND as kernel_backend
 from .conjugate import (
     CarlemanRatio,
     CommutatorCoeffs,
@@ -78,3 +77,6 @@ from .weight import (
 )
 
 __version__ = "0.1.0"
+
+# The stencil kernels have one implementation, in NumPy.
+kernel_backend = "python"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,7 @@ from .lattice import (
     l2_norm,
     laplacian,
     coarsen,
-    shift_values,
     stretch,
-    unit_offset,
 )
 from .reports import ExperimentReport, FittedConstant, linear_fit
 from .solver import (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import apply_stencil_const, apply_stencil_var
+from ._kernels import apply_stencil_const, apply_stencil_var, overlap_slices
 
 
 @dataclass(frozen=True)
@@ -212,18 +212,10 @@ def _check_direction(spec: LatticeSpec, j: int):
 def shift_values(values: np.ndarray, off) -> np.ndarray:
     """values(n + off) with zero extension."""
     out = np.zeros_like(values)
-    dst, src = [], []
-    for o, size in zip(off, values.shape):
-        o = int(o)
-        if abs(o) >= size:
-            return out
-        if o >= 0:
-            dst.append(slice(0, size - o))
-            src.append(slice(o, size))
-        else:
-            dst.append(slice(-o, size))
-            src.append(slice(0, size + o))
-    out[tuple(dst)] = values[tuple(src)]
+    pair = overlap_slices(values.shape, off)
+    if pair is not None:
+        dst, src = pair
+        out[dst] = values[src]
     return out
 
 

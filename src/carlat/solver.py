@@ -110,14 +110,13 @@ def _stencil_coefficients(p: DirichletProblem):
     return offs, coeffs
 
 
-def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10,
-                    max_iter: int | None = None) -> LatticeFunction:
+def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10) -> LatticeFunction:
     """Solve P_h u = 0 inside, u = boundary data on the boundary ring.
 
-    The system is solved by direct sparse LU; ``max_iter`` is accepted for
-    interface stability but unused.  The result carries the boundary data
-    exactly and zero outside interior and boundary; a residual above
-    tol * max(1, sup|g|) raises SolverError with the residual attached.
+    The system is solved by direct sparse LU.  The result carries the
+    boundary data exactly and zero outside interior and boundary; a
+    residual above tol * max(1, sup|g|) raises SolverError with the
+    residual attached.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")

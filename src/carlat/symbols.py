@@ -32,6 +32,9 @@ import numpy as np
 from .weight import WeightParams, phi_eval
 
 FREQUENCY_AXES_MIN = 8
+# default search of empirical_c1 for the high-frequency region split
+C1_CANDIDATES = tuple(range(1, 41))
+C1_FLOOR = 1.0 / 256.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,25 +202,35 @@ class MarginScan:
     regions: dict
 
 
-def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float):
-    """Flattened per-frequency table used by the CSV emitter and the scans."""
+def _margin_terms(fp: FrozenPoint, grid: SymbolGrid, c0: float) -> dict:
+    """Mesh, p_r, p_r^2, p_i, q and the margin, each evaluated once per grid."""
     xi = grid.mesh()
     pr = symbol_pr(xi, fp)
     pi = symbol_pi(xi, fp)
     q = symbol_q(xi, fp)
-    margin = (pr ** 2 + pi ** 2 + c0 * fp.tau * q) / margin_denominator(xi, fp)
+    pr2 = pr ** 2
+    margin = (pr2 + pi ** 2 + c0 * fp.tau * q) / margin_denominator(xi, fp)
+    return {"xi": xi, "p_r": pr, "p_r2": pr2, "p_i": pi, "q": q, "margin": margin}
+
+
+def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float):
+    """Flattened per-frequency table used by the CSV emitter.
+
+    The values are those ``lower_bound_margin`` minimizes.
+    """
+    t = _margin_terms(fp, grid, c0)
     return {
-        "xi": xi.reshape(fp.d, -1),
-        "p_r": pr.ravel(),
-        "p_i": pi.ravel(),
-        "q": q.ravel(),
-        "margin": margin.ravel(),
+        "xi": t["xi"].reshape(fp.d, -1),
+        "p_r": t["p_r"].ravel(),
+        "p_i": t["p_i"].ravel(),
+        "q": t["q"].ravel(),
+        "margin": t["margin"].ravel(),
     }
 
 
 def empirical_c1(fp: FrozenPoint, grid: SymbolGrid,
-                 candidates=tuple(range(1, 41)),
-                 floor: float = 1.0 / 256.0) -> float | None:
+                 candidates=C1_CANDIDATES,
+                 floor: float = C1_FLOOR) -> float | None:
     """Smallest region-split constant with p_r^2 >= floor * |xi|^4 beyond C1*tau.
 
     The floor keeps headroom for absorbing the commutator term; bare
@@ -225,10 +238,14 @@ def empirical_c1(fp: FrozenPoint, grid: SymbolGrid,
     Returns None when no candidate achieves it on a nonempty region.
     """
     xi = grid.mesh()
-    norm = np.sqrt((xi ** 2).sum(axis=0))
-    pr2 = symbol_pr(xi, fp) ** 2
+    return _c1_split(symbol_pr(xi, fp) ** 2, np.sqrt((xi ** 2).sum(axis=0)),
+                     fp.tau, candidates, floor)
+
+
+def _c1_split(pr2, norm, tau, candidates, floor):
+    """``empirical_c1`` on precomputed p_r^2 and |xi| arrays."""
     for c1 in candidates:
-        mask = norm >= c1 * fp.tau
+        mask = norm >= c1 * tau
         if not mask.any():
             return None
         if float((pr2[mask] / norm[mask] ** 4).min()) >= floor:
@@ -254,18 +271,18 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     continuum threshold; the h-corrections of the discrete symbols shift
     it (upward, by about 1.65x at tau = 20, h = 1/128, c_ps = 0.01).
     """
-    xi = grid.mesh()
-    pr = symbol_pr(xi, fp)
-    pi = symbol_pi(xi, fp)
-    q = symbol_q(xi, fp)
-    margin = (pr ** 2 + pi ** 2 + c0 * fp.tau * q) / margin_denominator(xi, fp)
+    t = _margin_terms(fp, grid, c0)
+    xi, pr2, margin = t["xi"], t["p_r2"], t["margin"]
+    # free p_r, p_i, q (and p_r^2 below): 128 MB each at 4096^2
+    del t
 
     flat = np.argmin(margin.ravel())
     argmin = tuple(float(v) for v in xi.reshape(fp.d, -1)[:, flat])
 
-    if c1_split is None:
-        c1_split = empirical_c1(fp, grid)
     norm = np.sqrt((xi ** 2).sum(axis=0))
+    if c1_split is None:
+        c1_split = _c1_split(pr2, norm, fp.tau, C1_CANDIDATES, C1_FLOOR)
+    del pr2
     try:
         dist = char_set_distance(xi, fp)
     except ValueError:
