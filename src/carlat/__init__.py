@@ -1,6 +1,7 @@
 """Discrete Schrodinger operators, Carleman-conjugated operators, and
 desk-scale verification of propagation-of-smallness inequalities on lattices."""
 
+from ._kernels import kernel_backend
 from .conjugate import (
     CarlemanRatio,
     CommutatorCoeffs,
@@ -77,6 +78,3 @@ from .weight import (
 )
 
 __version__ = "0.1.0"
-
-# The stencil kernels have one implementation, in NumPy.
-kernel_backend = "python"

@@ -12,6 +12,9 @@ Both, and ``lattice.shift_values``, read f(n + off) through ``overlap_slices``.
 
 import numpy as np
 
+# The stencil kernels have one implementation, in NumPy.
+kernel_backend = "python"
+
 
 def overlap_slices(shape, off):
     """Slice pair (dst, src) so that out[dst] reads f[src] = f(n + off).

@@ -304,12 +304,13 @@ def cmd_symbol_scan(args) -> int:
     report = ExperimentReport("symbol_scan", {
         **_manifest(args, "symbol-scan"), "x_bar": list(x_bar),
     })
+    # every grid is checked against the size guard before any scan runs
+    grids = [SymbolGrid(args.d, args.h, res) for res in args.resolution]
     scans = []
-    for res in args.resolution:
-        scan = lower_bound_margin(fp, args.c0, SymbolGrid(args.d, args.h, res),
-                                  gamma0=args.gamma0)
+    for grid in grids:
+        scan = lower_bound_margin(fp, args.c0, grid, gamma0=args.gamma0)
         scans.append(scan)
-        row = {"resolution": res, "min_margin": scan.min_margin,
+        row = {"resolution": grid.resolution, "min_margin": scan.min_margin,
                "c1_split": scan.c1_split}
         for key, stat in scan.regions.items():
             row[f"min_{key}"] = stat.min_margin
@@ -324,7 +325,7 @@ def cmd_symbol_scan(args) -> int:
         report.passed = bool(agree and scans[-1].min_margin > 0)
     extra = []
     if args.grid_csv:
-        table = scan_table(fp, SymbolGrid(args.d, args.h, args.resolution[0]), args.c0)
+        table = scan_table(fp, grids[0], args.c0)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"symbol_scan_{report.config_hash}_grid.csv"

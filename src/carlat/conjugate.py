@@ -88,6 +88,12 @@ class ConjugationContext:
 
     # -- lazy table bundles -------------------------------------------------
 
+    def build_tables(self, *names):
+        """Fill the named tables now.  ``_cache`` is filled without a lock, so
+        a context shared by threads must be built before they start."""
+        for name in names:
+            self._table(name)
+
     def _table(self, name):
         cache = self._cache
         if name in cache:
@@ -326,6 +332,10 @@ class CarlemanRatio:
     term_l2: float
     term_d1: float
     term_d2: float
+
+
+# the context tables carleman_ratio reads
+RATIO_TABLES = ("exp",)
 
 
 def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,

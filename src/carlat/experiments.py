@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugationContext, carleman_ratio
+from .conjugate import RATIO_TABLES, ConjugationContext, carleman_ratio
 from .lattice import (
     AnnularRegion,
     BallRegion,
@@ -295,6 +295,8 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
         return cell, r
 
     if jobs > 1 and len(cells) > 1:
+        for ctx in contexts.values():
+            ctx.build_tables(*RATIO_TABLES)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_cell, cells))
     else:

@@ -1,9 +1,9 @@
 """Structured experiment reports with deterministic JSON/CSV serialization.
 
-Data files carry no timestamps; run metadata (wall-clock time, versions)
-goes into a ``.meta.json`` sidecar so identical configurations produce
-byte-identical data files.  File basenames embed a hash of the resolved
-configuration.
+Data files carry no timestamps; run metadata (wall-clock time, numpy and
+scipy versions, the stencil kernel path) goes into a ``.meta.json`` sidecar
+so identical configurations produce byte-identical data files.  File
+basenames embed a hash of the resolved configuration.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
+
+from ._kernels import kernel_backend
 
 REPORT_SCHEMA = "carlat-report/1"
 
@@ -126,6 +129,8 @@ class ExperimentReport:
         meta_path.write_text(json.dumps({
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "kernel_backend": kernel_backend,
         }, sort_keys=True, indent=2) + "\n")
         return json_path, csv_path, meta_path
 

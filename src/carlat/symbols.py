@@ -20,7 +20,9 @@ with H = hess phi(x_bar).  The scan of
 
 over the frequency torus measures how much ellipticity plus commutator
 positivity survive; its minimum sits near the joint characteristic set
-{|xi| = |g|, g . xi = 0}.
+{|xi| = |g|, g . xi = 0}.  Each term is a sum of per-axis factors, so the
+scans evaluate the trig on the 1-D frequency axis and broadcast; the
+pointwise functions below are their reference.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ import numpy as np
 from .weight import WeightParams, phi_eval
 
 FREQUENCY_AXES_MIN = 8
+# Largest grid a SymbolGrid accepts: 4096^2 and 256^3 pass, 512^3 does not.
+MAX_GRID_POINTS = 2 ** 25
+# A margin scan holds five float64 grids at its peak (measured at 4096^2).
+SCAN_BYTES_PER_POINT = 40
 # default search of empirical_c1 for the high-frequency region split
 C1_CANDIDATES = tuple(range(1, 41))
 C1_FLOOR = 1.0 / 256.0
@@ -87,6 +93,12 @@ class SymbolGrid:
     def __post_init__(self):
         if self.resolution < FREQUENCY_AXES_MIN:
             raise ValueError(f"resolution must be at least {FREQUENCY_AXES_MIN}")
+        points = self.resolution ** self.d
+        if points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"frequency grid {self.resolution}^{self.d} has {points} points, above "
+                f"MAX_GRID_POINTS = {MAX_GRID_POINTS}; a margin scan on it would need "
+                f"about {points * SCAN_BYTES_PER_POINT} bytes")
 
     def axis(self) -> np.ndarray:
         step = 2 * np.pi / (self.h * self.resolution)
@@ -202,15 +214,75 @@ class MarginScan:
     regions: dict
 
 
+def _along(v, j: int, d: int) -> np.ndarray:
+    """Per-axis vector v laid along axis j of a d-dimensional grid."""
+    return v.reshape((1,) * j + (-1,) + (1,) * (d - 1 - j))
+
+
+def _outer_sum(vectors, start=0.0, out=None) -> np.ndarray:
+    """start + sum_j v_j(xi_j) on the grid, summed in axis order like a mesh.
+
+    Only the last addition spans the whole grid; it goes into ``out``.
+    """
+    d = len(vectors)
+    head = start
+    for j in range(d - 1):
+        head = head + _along(vectors[j], j, d)
+    return np.add(head, _along(vectors[-1], d - 1, d), out=out)
+
+
+def _axis_trig(fp: FrozenPoint, grid: SymbolGrid):
+    """Axis, sin(theta), cos(theta) and sin^2(theta/2) on the 1-D axis."""
+    ax = grid.axis()
+    th = fp.h * ax
+    return ax, np.sin(th), np.cos(th), np.sin(th / 2) ** 2
+
+
+def _grid_pr(fp: FrozenPoint, trig) -> np.ndarray:
+    """``symbol_pr`` on the grid, with the same per-point arithmetic."""
+    _, _, c, w = trig
+    return _outer_sum([-4.0 / fp.h ** 2 * w + gj ** 2 * c for gj in fp.grad_phi])
+
+
+def _grid_norm(ax: np.ndarray, d: int) -> np.ndarray:
+    norm = _outer_sum([ax ** 2] * d)
+    return np.sqrt(norm, out=norm)
+
+
 def _margin_terms(fp: FrozenPoint, grid: SymbolGrid, c0: float) -> dict:
-    """Mesh, p_r, p_r^2, p_i, q and the margin, each evaluated once per grid."""
-    xi = grid.mesh()
-    pr = symbol_pr(xi, fp)
-    pi = symbol_pi(xi, fp)
-    q = symbol_q(xi, fp)
-    pr2 = pr ** 2
-    margin = (pr2 + pi ** 2 + c0 * fp.tau * q) / margin_denominator(xi, fp)
-    return {"xi": xi, "p_r": pr, "p_r2": pr2, "p_i": pi, "q": q, "margin": margin}
+    """p_r, p_i, q and the margin on the grid, from trig on the 1-D axis.
+
+    p_r, p_i and the denominator are outer sums of per-axis vectors.  With
+    cos(a -+ b) = cos a cos b +- sin a sin b, the diagonal of q is the outer
+    sum of H_jj (4 h^-2 s_j^2 + 4 g_j^2) and each off-diagonal pair, both
+    orders together, adds the rank-2 product
+    2 H_jk [(4 h^-2 + 2 (g_j^2 + g_k^2)) s_j s_k + 4 g_j g_k c_j c_k].
+    """
+    d, h, tau = fp.d, fp.h, fp.tau
+    g, hess = fp.grad_phi, fp.hess_phi
+    trig = _axis_trig(fp, grid)
+    ax, s, c, _ = trig
+    pr = _grid_pr(fp, trig)
+    pi = _outer_sum([2.0 * gj / h * s for gj in g])
+    q = _outer_sum([hess[j, j] * (4.0 / h ** 2 * s ** 2 + 4.0 * g[j] ** 2)
+                    for j in range(d)])
+    for j in range(d):
+        for k in range(j + 1, d):
+            a = 2.0 * hess[j, k] * (4.0 / h ** 2 + 2.0 * (g[j] ** 2 + g[k] ** 2))
+            b = 8.0 * hess[j, k] * g[j] * g[k]
+            pair = np.stack([a * s, b * c], axis=1) @ np.stack([s, c])
+            q += pair.reshape([grid.resolution if i in (j, k) else 1 for i in range(d)])
+            del pair  # a full grid at d = 2
+    margin = np.multiply(pr, pr)
+    tmp = np.multiply(pi, pi)
+    margin += tmp
+    margin += np.multiply(q, c0 * tau, out=tmp)
+    s2 = s ** 2
+    den = _outer_sum([tau ** 2 / h ** 2 * s2 + s2 ** 2 / h ** 4] * d,
+                     start=tau ** 4, out=tmp)
+    margin /= den
+    return {"axis": ax, "p_r": pr, "p_i": pi, "q": q, "denominator": den,
+            "margin": margin}
 
 
 def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float):
@@ -220,7 +292,7 @@ def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float):
     """
     t = _margin_terms(fp, grid, c0)
     return {
-        "xi": t["xi"].reshape(fp.d, -1),
+        "xi": grid.mesh().reshape(fp.d, -1),
         "p_r": t["p_r"].ravel(),
         "p_i": t["p_i"].ravel(),
         "q": t["q"].ravel(),
@@ -237,20 +309,40 @@ def empirical_c1(fp: FrozenPoint, grid: SymbolGrid,
     positivity right at the sign change would be useless for the split.
     Returns None when no candidate achieves it on a nonempty region.
     """
-    xi = grid.mesh()
-    return _c1_split(symbol_pr(xi, fp) ** 2, np.sqrt((xi ** 2).sum(axis=0)),
+    trig = _axis_trig(fp, grid)
+    return _c1_split(_grid_pr(fp, trig), _grid_norm(trig[0], fp.d),
                      fp.tau, candidates, floor)
 
 
-def _c1_split(pr2, norm, tau, candidates, floor):
-    """``empirical_c1`` on precomputed p_r^2 and |xi| arrays."""
+def _c1_split(pr, norm, tau, candidates, floor):
+    """``empirical_c1`` on precomputed p_r and |xi| grids.
+
+    A candidate's region {|xi| >= c1 tau} passes when it holds no point with
+    p_r^2 < floor |xi|^4 (or a NaN ratio), i.e. when c1 tau exceeds the
+    largest |xi| among those points.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = ~(pr ** 2 / norm ** 4 >= floor)
+    worst = float(norm[bad].max()) if bad.any() else -np.inf
+    top = float(norm.max())
     for c1 in candidates:
-        mask = norm >= c1 * tau
-        if not mask.any():
+        if not c1 * tau <= top:
             return None
-        if float((pr2[mask] / norm[mask] ** 4).min()) >= floor:
+        if c1 * tau > worst:
             return float(c1)
     return None
+
+
+def _grid_char_distance(fp: FrozenPoint, ax: np.ndarray) -> np.ndarray:
+    """``char_set_distance`` on the grid over ``ax``, with the same arithmetic."""
+    rho = float(np.linalg.norm(fp.grad_phi))
+    ghat = fp.grad_phi / rho
+    par = _outer_sum([ax * gj for gj in ghat])
+    # the vector residual, as in char_set_distance: no cancellation blowup
+    perp = np.zeros(par.shape)
+    for j, gj in enumerate(ghat):
+        perp += (_along(ax, j, fp.d) - par * gj) ** 2
+    return np.hypot(par, np.sqrt(perp) - rho)
 
 
 def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
@@ -272,24 +364,30 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     it (upward, by about 1.65x at tau = 20, h = 1/128, c_ps = 0.01).
     """
     t = _margin_terms(fp, grid, c0)
-    xi, pr2, margin = t["xi"], t["p_r2"], t["margin"]
-    # free p_r, p_i, q (and p_r^2 below): 128 MB each at 4096^2
+    ax, pr, margin = t["axis"], t["p_r"], t["margin"]
+    # free p_i, q and the denominator (p_r below): 128 MB each at 4096^2
     del t
 
-    flat = np.argmin(margin.ravel())
-    argmin = tuple(float(v) for v in xi.reshape(fp.d, -1)[:, flat])
+    def point(flat):
+        return tuple(float(ax[i]) for i in np.unravel_index(flat, margin.shape))
 
-    norm = np.sqrt((xi ** 2).sum(axis=0))
+    flat = np.argmin(margin.ravel())
+    norm = _grid_norm(ax, fp.d)
     if c1_split is None:
-        c1_split = _c1_split(pr2, norm, fp.tau, C1_CANDIDATES, C1_FLOOR)
-    del pr2
-    try:
-        dist = char_set_distance(xi, fp)
-    except ValueError:
-        dist = np.full(margin.shape, np.inf)
+        c1_split = _c1_split(pr, norm, fp.tau, C1_CANDIDATES, C1_FLOOR)
+    del pr
     high = (norm >= c1_split * fp.tau) if c1_split is not None else np.zeros(margin.shape, bool)
-    near = (dist <= gamma0 * fp.tau) & ~high
-    low = ~high & ~near
+    del norm
+    near = np.zeros(margin.shape, bool)
+    rho = float(np.linalg.norm(fp.grad_phi))
+    if fp.d > 1 and rho > 0.0:
+        # |xi| <= rho + distance: the neighborhood lies in this box, and one
+        # more grid step absorbs rounding
+        idx = np.flatnonzero(np.abs(ax) <= rho + gamma0 * fp.tau + (ax[1] - ax[0]))
+        if idx.size:
+            box = (slice(idx[0], idx[-1] + 1),) * fp.d
+            near[box] = (_grid_char_distance(fp, ax[idx]) <= gamma0 * fp.tau) & ~high[box]
+    low = ~(high | near)
 
     regions = {}
     for name, mask in (("high_frequency", high),
@@ -298,14 +396,11 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
         if mask.any():
             vals = np.where(mask, margin, np.inf)
             j = np.argmin(vals.ravel())
-            regions[name] = RegionStat(
-                float(vals.ravel()[j]),
-                tuple(float(v) for v in xi.reshape(fp.d, -1)[:, j]),
-                int(mask.sum()))
+            regions[name] = RegionStat(float(vals.ravel()[j]), point(j), int(mask.sum()))
         else:
             regions[name] = RegionStat(None, None, 0)
 
-    return MarginScan(float(margin.ravel()[flat]), argmin, grid.resolution,
+    return MarginScan(float(margin.ravel()[flat]), point(flat), grid.resolution,
                       c0, gamma0, c1_split, regions)
 
 

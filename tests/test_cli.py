@@ -1,11 +1,15 @@
 """CLI behavior: subcommands, config files, determinism, exit codes."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
+import scipy
 
+import carlat
 from carlat.cli import main, parse_number
+from carlat.symbols import MAX_GRID_POINTS, SCAN_BYTES_PER_POINT
 
 
 def run(args):
@@ -89,6 +93,26 @@ class TestDeterminism:
         for pa, pb in zip(files_a, files_b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_meta_sidecar_records_versions_outside_the_data_files(self, tmp_path):
+        # criterion 9's symbol-scan manifest
+        argv = ["symbol-scan", "--h", "1/64", "--tau", "10", "--c0", "0.0025",
+                "--resolution", "64,128"]
+        assert run(argv + ["--out", str(tmp_path / "a")]) == 0
+        assert run(argv + ["--out", str(tmp_path / "b")]) == 0
+        files_a = data_files(tmp_path / "a")
+        files_b = data_files(tmp_path / "b")
+        assert [p.name for p in files_a] == [p.name for p in files_b]
+        for pa, pb in zip(files_a, files_b):
+            assert pa.read_bytes() == pb.read_bytes()
+        for data in files_a:
+            assert "scipy" not in data.read_text()
+        metas = sorted((tmp_path / "a").glob("*.meta.json"))
+        assert len(metas) == 1
+        meta = json.loads(metas[0].read_text())
+        assert meta["scipy"] == scipy.__version__
+        assert meta["kernel_backend"] == carlat.kernel_backend == "python"
+        assert {"numpy", "written_at"} <= set(meta)
+
     def test_carleman_sweep_deterministic_across_jobs(self, tmp_path):
         argv = ["carleman-sweep", "--h", "1/16,1/32", "--tau-fraction", "0.5",
                 "--tau0", "1.0", "--samples", "3", "--seed", "3"]
@@ -148,6 +172,23 @@ class TestSubcommands:
     def test_singular_potential_runs(self, tmp_path):
         assert run(["singular-potential", "--h", "1/8,1/16", "--mu0", "0.02",
                     "--tau0", "0.2", "--delta0", "0.5", "--out", str(tmp_path)]) == 0
+
+    def test_symbol_scan_refuses_an_oversized_grid_up_front(self, tmp_path, capsys):
+        points = 512 ** 3
+        assert points > MAX_GRID_POINTS
+        tracemalloc.start()
+        try:
+            code = run(["symbol-scan", "--d", "3", "--resolution", "512",
+                        "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{points} points" in err
+        assert f"{points * SCAN_BYTES_PER_POINT} bytes" in err
+        assert peak < 8 << 20  # one 512^3 float64 grid alone is 1 GiB
+        assert not (tmp_path / "out").exists()
 
     def test_inadmissible_weight_exits_one(self, tmp_path, capsys):
         # c_ps large enough to break monotonicity fails the startup check

@@ -1,5 +1,7 @@
 """Experiment harness behavior at small desk scale."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,22 @@ class TestCarlemanSweep:
         ratios = [r["ratio"] for r in a.rows if r["ratio"] is not None]
         assert ratios and all(np.isfinite(v) and v > 0 for v in ratios)
         assert a.passed is not None
+
+    def test_parallel_sweep_builds_tables_before_the_threads(self, monkeypatch):
+        # _cache is filled without a lock: no worker thread may fill it
+        builders = []
+        table = ConjugationContext._table
+
+        def recording(ctx, name):
+            if name not in ctx._cache:
+                builders.append(threading.current_thread() is threading.main_thread())
+            return table(ctx, name)
+
+        monkeypatch.setattr(ConjugationContext, "_table", recording)
+        cfg = SweepConfig(d=2, h_grid=(1 / 16, 1 / 32), tau_rule="fraction",
+                          tau_fraction=0.5, tau0=1.0, delta0=0.1, n_samples=3, seed=5)
+        carleman_sweep(cfg, jobs=3)
+        assert builders and all(builders)
 
 
 class TestLocalization:

@@ -1,7 +1,11 @@
 """Symbols of the frozen operators: Parseval cross-checks and margin scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlat import (
     FrozenPoint,
@@ -14,7 +18,16 @@ from carlat import (
     symbol_pr,
     symbol_q,
 )
-from carlat.symbols import empirical_c1, margin_denominator, symbol_q_taylor
+from carlat.symbols import (
+    C1_CANDIDATES,
+    C1_FLOOR,
+    MAX_GRID_POINTS,
+    SCAN_BYTES_PER_POINT,
+    _margin_terms,
+    empirical_c1,
+    margin_denominator,
+    symbol_q_taylor,
+)
 
 
 def frozen(d=2, tau=20.0, h=1 / 128, c_ps=0.01, x_bar=None):
@@ -272,6 +285,127 @@ class TestMarginScan:
         b = lower_bound_margin(fp, 0.0025, grid)
         assert a.min_margin == b.min_margin
         assert a.argmin_xi == b.argmin_xi
+
+
+# -- axis-separable grid path against the pointwise symbols on the mesh ------
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), tau=st.floats(2.0, 40.0), inv_h=st.integers(8, 256),
+       c0=st.floats(0.0, 0.1), radius=st.floats(0.6, 1.9),
+       direction=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
+       signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=3, max_size=3),
+       resolution=st.integers(8, 20))
+def test_separable_terms_match_pointwise_symbols(d, tau, inv_h, c0, radius, direction,
+                                                 signs, resolution):
+    x = np.array(direction[:d]) * np.array(signs[:d])
+    fp = frozen(d=d, tau=tau, h=1.0 / inv_h, x_bar=tuple(radius * x / np.linalg.norm(x)))
+    if d > 1:
+        assert np.count_nonzero(fp.hess_phi - np.diag(np.diag(fp.hess_phi))) > 0
+    grid = SymbolGrid(d, fp.h, resolution)
+    xi = grid.mesh()
+    want = {"p_r": symbol_pr(xi, fp), "p_i": symbol_pi(xi, fp), "q": symbol_q(xi, fp),
+            "denominator": margin_denominator(xi, fp)}
+    squares = want["p_r"] ** 2 + want["p_i"] ** 2
+    coupling = c0 * fp.tau
+    want["margin"] = (squares + coupling * want["q"]) / want["denominator"]
+    scale = {key: np.abs(value).max() for key, value in want.items()}
+    scale["margin"] = ((squares + coupling * np.abs(want["q"])) / want["denominator"]).max()
+    got = _margin_terms(fp, grid, c0)
+    for key, value in want.items():
+        assert got[key].shape == value.shape
+        np.testing.assert_allclose(got[key], value, rtol=0, atol=1e-12 * scale[key],
+                                   err_msg=key)
+
+
+def mesh_scan(fp, c0, grid, gamma0=0.05, c1_split=None):
+    """The margin scan written on the stacked (d,)+R^d mesh with the pointwise symbols."""
+    d, tau = fp.d, fp.tau
+    xi = grid.mesh()
+    pr = symbol_pr(xi, fp)
+    margin = ((pr ** 2 + symbol_pi(xi, fp) ** 2 + c0 * tau * symbol_q(xi, fp))
+              / margin_denominator(xi, fp))
+    norm = np.sqrt((xi ** 2).sum(axis=0))
+    if c1_split is None:
+        for c1 in C1_CANDIDATES:
+            mask = norm >= c1 * tau
+            if not mask.any():
+                break
+            if (pr[mask] ** 2 / norm[mask] ** 4).min() >= C1_FLOOR:
+                c1_split = float(c1)
+                break
+    high = norm >= c1_split * tau if c1_split is not None else np.zeros(margin.shape, bool)
+    dist = char_set_distance(xi, fp)
+    near = (dist <= gamma0 * tau) & ~high
+    low = ~high & ~near
+    points = xi.reshape(d, -1)
+
+    def at(values):
+        j = np.argmin(values.ravel())
+        return float(values.ravel()[j]), tuple(float(v) for v in points[:, j])
+
+    regions = {}
+    for name, mask in (("high_frequency", high), ("characteristic_neighborhood", near),
+                       ("low_frequency", low)):
+        regions[name] = (*at(np.where(mask, margin, np.inf)), int(mask.sum()))
+    return (*at(margin), c1_split, regions, margin)
+
+
+@pytest.mark.parametrize("d, x_bar, tau, h, c0, resolution, gamma0, c1_split", [
+    (2, (1.0, 0.0), 20.0, 1 / 128, 0.0025, 512, 0.05, None),
+    (2, (0.6, 0.5), 20.0, 1 / 128, 0.0025, 256, 0.05, None),
+    (2, (-0.3, 1.2), 15.0, 1 / 64, 0.05, 128, 0.2, 3.0),
+    (3, (0.8, 0.4, -0.2), 10.0, 1 / 64, 0.002, 40, 0.1, None),
+    (1, (1.0,), 20.0, 1 / 128, 0.0025, 256, 0.05, None),
+])
+def test_scan_matches_the_dense_mesh_scan(d, x_bar, tau, h, c0, resolution, gamma0,
+                                          c1_split):
+    fp = frozen(d=d, tau=tau, h=h, x_bar=x_bar)
+    grid = SymbolGrid(d, h, resolution)
+    scan = lower_bound_margin(fp, c0, grid, gamma0=gamma0, c1_split=c1_split)
+    want_min, want_argmin, want_c1, want_regions, margin = mesh_scan(
+        fp, c0, grid, gamma0, c1_split)
+    assert scan.argmin_xi == want_argmin
+    assert scan.min_margin == pytest.approx(want_min, rel=1e-12)
+    assert scan.c1_split == want_c1
+    for name, (value, argmin, count) in want_regions.items():
+        stat = scan.regions[name]
+        assert stat.count == count
+        if count:
+            assert stat.argmin_xi == argmin
+            assert stat.min_margin == pytest.approx(value, rel=1e-12)
+        else:
+            assert stat.min_margin is None and stat.argmin_xi is None
+    assert sum(stat.count for stat in scan.regions.values()) == resolution ** d
+    if x_bar == (1.0, 0.0):
+        # g along e_1 and a diagonal Hessian: the margin is even in xi_2, and
+        # the C-order argmin is the first of the tied pair, at xi_2 < 0
+        i, j = np.unravel_index(np.argmin(margin), margin.shape)
+        assert margin[i, resolution - 2 - j] == margin[i, j]
+        assert scan.argmin_xi[1] < 0
+
+
+class TestGridGuard:
+    def test_largest_scanned_grids_pass(self):
+        assert SymbolGrid(2, 1 / 128, 4096).resolution ** 2 <= MAX_GRID_POINTS
+        assert SymbolGrid(3, 1 / 128, 256).resolution ** 3 <= MAX_GRID_POINTS
+
+    def test_oversized_grid_refused_before_allocating(self):
+        points = 512 ** 3
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                SymbolGrid(3, 1 / 128, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        message = str(info.value)
+        assert f"{points} points" in message
+        assert f"{points * SCAN_BYTES_PER_POINT} bytes" in message
+        assert peak < 1 << 20
+
+    def test_refinement_cannot_pass_the_guard(self):
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            SymbolGrid(2, 1 / 128, 4096).refined()
 
 
 class TestFrozenPoint:
