@@ -29,7 +29,7 @@ from .experiments import (
     three_balls_experiment,
 )
 from .lattice import AnnularRegion, LatticeSpec, inner_product, l2_norm
-from .reports import ExperimentReport, FittedConstant
+from .reports import ExperimentReport, FittedConstant, csv_blocks
 from .solver import (
     DirichletProblem,
     SolverError,
@@ -46,7 +46,10 @@ def parse_number(text: str) -> float:
     """Float or exact rational like '1/64'."""
     text = text.strip()
     if "/" in text:
-        return float(Fraction(text))
+        try:
+            return float(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return float(text)
 
 
@@ -194,7 +197,7 @@ def load_config(path: str, sub: str) -> dict:
         kind = specs[key][0]
         try:
             values[key.replace("-", "_")] = _KINDS[kind](val.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for '{raw_key}': {exc}") from exc
     return values
 
@@ -330,12 +333,9 @@ def cmd_symbol_scan(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"symbol_scan_{report.config_hash}_grid.csv"
         with open(path, "w") as fh:
-            fh.write(",".join(f"xi_{a+1}" for a in range(args.d))
-                     + ",p_r,p_i,q,margin\n")
-            cols = [table["xi"][a] for a in range(args.d)]
-            cols += [table["p_r"], table["p_i"], table["q"], table["margin"]]
-            for row in zip(*cols):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.writelines(csv_blocks(
+                [f"xi_{a+1}" for a in range(args.d)] + ["p_r", "p_i", "q", "margin"],
+                [*table["xi"], table["p_r"], table["p_i"], table["q"], table["margin"]]))
         extra.append(path)
     return _finish(report, args, extra)
 

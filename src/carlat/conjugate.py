@@ -28,6 +28,7 @@ from .lattice import (
     LatticeSpec,
     laplacian,
     diff,
+    dilate,
     inner_product,
     schrodinger_apply,
     shift_values,
@@ -158,17 +159,8 @@ class ConjugationContext:
                 raise ValueError(
                     "support too close to the box boundary "
                     f"(need a margin of {reach} sites)")
-        if self.singular.any():
-            grown = nz
-            for _ in range(reach):
-                out = grown.copy()
-                for a in range(self.spec.d):
-                    e = unit_offset(self.spec.d, a + 1)
-                    out |= shift_values(grown.astype(float), e) != 0
-                    out |= shift_values(grown.astype(float), -e) != 0
-                grown = out
-            if (grown & self.singular).any():
-                raise ValueError("weight singularity: support touches the singular site")
+        if self.singular.any() and (dilate(nz, reach) & self.singular).any():
+            raise ValueError("weight singularity: support touches the singular site")
 
 
 def _apply(values: np.ndarray, ctx: ConjugationContext, table: str) -> np.ndarray:

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import RATIO_TABLES, ConjugationContext, carleman_ratio
+from .conjugate import (
+    RATIO_TABLES,
+    ConjugationContext,
+    antisym_apply,
+    carleman_ratio,
+    conjugate_apply,
+    sym_apply,
+)
 from .lattice import (
     AnnularRegion,
     BallRegion,
@@ -435,8 +442,6 @@ def localization_diagnostic(f: LatticeFunction, ctx: ConjugationContext,
     the ratio of the left side to the summed right side.  When the scale
     exceeds the support a single piece covers it and the sum is exact.
     """
-    from .conjugate import antisym_apply, conjugate_apply, sym_apply
-
     if ctx.params is None:
         raise ValueError("localization needs a context built from weight parameters")
     if not 0 < eps0 < 1:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import LatticeFunction, LatticeSpec
+from .reports import csv_blocks
 
 HEADER_SCHEMA = "carlat-lattice-function/1"
 
@@ -52,28 +53,37 @@ def save_lattice_function(f: LatticeFunction, base: str | Path, fmt: str = "bina
     else:
         path = base.with_suffix(".csv")
         with open(path, "w") as fh:
-            fh.write(",".join(f"n_{a+1}" for a in range(f.spec.d)) + ",value\n")
-            for row, v in zip(idx, vals):
-                fh.write(",".join(str(int(c)) for c in row) + f",{float(v)!r}\n")
+            fh.writelines(csv_blocks([f"n_{a+1}" for a in range(f.spec.d)] + ["value"],
+                                     [*idx.T, vals]))
     return path
 
 
 def load_lattice_function(base: str | Path) -> LatticeFunction:
+    """Read what save_lattice_function wrote: one row per site of the box."""
     base = Path(base)
     header = json.loads(base.with_suffix(".json").read_text())
     if header.get("schema") != HEADER_SCHEMA:
         raise ValueError("unrecognized lattice function header schema")
     spec = LatticeSpec(header["d"], header["h"], tuple(header["lo"]), tuple(header["hi"]))
     values = np.zeros(spec.shape)
-    if header["format"] == "binary":
+    fmt = header.get("format")
+    if fmt == "binary":
         rows = np.fromfile(base.with_suffix(".bin"),
                            dtype=[("n", "<i8", (spec.d,)), ("value", "<f8")])
+        if rows.size != values.size:
+            raise ValueError(f"expected {values.size} rows, read {rows.size}")
         idx = rows["n"]
         vals = rows["value"]
-    else:
+    elif fmt == "csv":
         data = np.loadtxt(base.with_suffix(".csv"), delimiter=",", skiprows=1, ndmin=2)
+        if data.shape != (values.size, spec.d + 1):
+            raise ValueError(f"expected {values.size} rows of {spec.d + 1} columns, "
+                             f"read {data.shape[0]} of {data.shape[1]}")
         idx = data[:, :spec.d].astype(np.int64)
         vals = data[:, spec.d]
-    pos = tuple(idx[:, a] - spec.lo[a] for a in range(spec.d))
-    values[pos] = vals
+    else:
+        raise ValueError(f"unknown serialization format {fmt!r}")
+    if np.any((idx < spec.lo) | (idx > spec.hi)):
+        raise ValueError("row index outside the box")
+    values[tuple((idx - spec.lo).T)] = vals
     return LatticeFunction(spec, values)

@@ -49,10 +49,6 @@ class LatticeSpec:
     def shape(self):
         return tuple(b - a + 1 for a, b in zip(self.lo, self.hi))
 
-    @property
-    def n_sites(self):
-        return int(np.prod(self.shape))
-
     def indices(self):
         """Multi-index array of shape (d,) + shape."""
         grids = np.indices(self.shape, dtype=np.int64)
@@ -108,11 +104,6 @@ class LatticeFunction:
     @classmethod
     def zeros(cls, spec: LatticeSpec) -> "LatticeFunction":
         return cls(spec, np.zeros(spec.shape))
-
-    @classmethod
-    def from_callable(cls, spec: LatticeSpec, fn) -> "LatticeFunction":
-        """Sample fn(x) with x the (d,)+shape coordinate array."""
-        return cls(spec, np.asarray(fn(spec.coords()), dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -184,14 +175,6 @@ class FieldData:
     def spec(self) -> LatticeSpec:
         return self.V.spec
 
-    @property
-    def sup_v(self) -> float:
-        return float(np.abs(self.V.values).max())
-
-    @property
-    def sup_b(self) -> float:
-        return max(float(np.abs(b.values).max()) for b in self.B)
-
     @classmethod
     def zero(cls, spec: LatticeSpec) -> "FieldData":
         z = LatticeFunction.zeros(spec)
@@ -217,6 +200,18 @@ def shift_values(values: np.ndarray, off) -> np.ndarray:
         dst, src = pair
         out[dst] = values[src]
     return out
+
+
+def dilate(mask: np.ndarray, steps: int = 1) -> np.ndarray:
+    """mask grown by ``steps`` unit-neighbour steps, clipped to the box."""
+    d = mask.ndim
+    for _ in range(steps):
+        grown = mask.copy()
+        for j in range(1, d + 1):
+            for s in (1, -1):
+                grown |= shift_values(mask, s * unit_offset(d, j))
+        mask = grown
+    return mask
 
 
 def diff(f: LatticeFunction, j: int, mode: str = "forward") -> LatticeFunction:
@@ -271,25 +266,28 @@ def _fields_on(fields: FieldData, spec: LatticeSpec):
     return fields.V.values[sl], [b.values[sl] for b in fields.B]
 
 
-def schrodinger_apply(f: LatticeFunction, fields: FieldData) -> LatticeFunction:
-    """P_h f with the h^-2 and h^-1 scalings applied here."""
-    spec = f.spec
-    h = spec.h
-    v, bs = _fields_on(fields, spec)
-    out = apply_stencil_const(
-        f.values,
-        np.stack([np.zeros(spec.d, dtype=np.int64)]
-                 + [s * unit_offset(spec.d, j)
-                    for j in range(1, spec.d + 1) for s in (1, -1)]),
-        [-2.0 * spec.d / h ** 2] + [1.0 / h ** 2] * (2 * spec.d),
-    )
-    for j in range(1, spec.d + 1):
-        b = bs[j - 1]
-        if np.any(b):
-            e = unit_offset(spec.d, j)
-            out += apply_stencil_var(f.values, np.stack([e, 0 * e]), [b / h, -b / h])
-    out += v * f.values
-    return f.with_values(out)
+def schrodinger_stencil(spec: LatticeSpec, fields: FieldData | None):
+    """Offsets and per-site coefficient arrays of P_h on the box of spec.
+
+    The order is +e_j, -e_j for j = 1..d, then the centre
+    -2d/h^2 + V - sum_j B_j/h.  ``fields=None`` stands for V = 0, B = 0;
+    given fields must cover the box.
+    """
+    d, h = spec.d, spec.h
+    v, bs = (0.0, (0.0,) * d) if fields is None else _fields_on(fields, spec)
+    center = np.full(spec.shape, -2.0 * d / h ** 2) + v
+    offsets, coeffs = [], []
+    for j in range(1, d + 1):
+        b = bs[j - 1] / h
+        center = center - b
+        offsets += [unit_offset(d, j), -unit_offset(d, j)]
+        coeffs += [np.full(spec.shape, 1.0 / h ** 2) + b, np.full(spec.shape, 1.0 / h ** 2)]
+    return np.stack(offsets + [np.zeros(d, dtype=np.int64)]), coeffs + [center]
+
+
+def schrodinger_apply(f: LatticeFunction, fields: FieldData | None) -> LatticeFunction:
+    """P_h f through ``schrodinger_stencil``; ``fields=None`` is V = 0, B = 0."""
+    return f.with_values(apply_stencil_var(f.values, *schrodinger_stencil(f.spec, fields)))
 
 
 def l2_norm(f: LatticeFunction, region: BallRegion | AnnularRegion | None = None) -> float:
@@ -354,10 +352,6 @@ def translate(f: LatticeFunction, v) -> LatticeFunction:
                     tuple(a + b for a, b in zip(spec.lo, v)),
                     tuple(a + b for a, b in zip(spec.hi, v))),
         f.values.copy())
-
-
-def support_mask(f: LatticeFunction) -> np.ndarray:
-    return f.values != 0.0
 
 
 def support_margin(f: LatticeFunction) -> int:

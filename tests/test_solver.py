@@ -15,6 +15,7 @@ from carlat import (
     laplacian,
     random_bump,
     residual,
+    schrodinger_apply,
 )
 
 
@@ -107,6 +108,18 @@ class TestDirichletSolve:
         problem = DirichletProblem.on_ball(spec, 2.0, g, fields)
         u = dirichlet_solve(problem, tol=1e-8)
         assert residual(problem, u) <= 1e-8 * max(1.0, np.abs(g.values).max())
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_residual_is_interior_sup_of_schrodinger_apply(self, d, rng_seed):
+        rng = np.random.default_rng(rng_seed + d)
+        spec = ball_spec(d, 1 / 4, radius=1.5)
+        fields = FieldData(LatticeFunction(spec, rng.uniform(-9.0, 9.0, spec.shape)),
+                           tuple(LatticeFunction(spec, rng.uniform(-3.0, 3.0, spec.shape))
+                                 for _ in range(d)))
+        problem = DirichletProblem.on_ball(spec, 1.5, lambda x: x[0], fields)
+        u = LatticeFunction(spec, rng.standard_normal(spec.shape))
+        applied = schrodinger_apply(u, fields).values
+        assert residual(problem, u) == np.abs(applied[problem.interior]).max()
 
     def test_impossible_tolerance_raises_with_residual(self):
         spec = ball_spec(2, 1 / 8)
