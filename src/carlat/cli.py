@@ -10,6 +10,7 @@ validation failure, 2 usage or config-schema error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,14 +44,19 @@ from .weight import WeightParams, admissibility_check
 
 
 def parse_number(text: str) -> float:
-    """Float or exact rational like '1/64'."""
+    """Finite float or exact rational like '1/64'."""
     text = text.strip()
     if "/" in text:
         try:
             return float(Fraction(text))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
-    return float(text)
+        except OverflowError:
+            raise ValueError(f"not a finite number: {text!r}") from None
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def parse_number_list(text: str):

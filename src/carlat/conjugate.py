@@ -114,6 +114,10 @@ class ConjugationContext:
             ep[self.singular] = 0.0
             em[self.singular] = 0.0
             val = (ep, em)
+        elif name == "annulus":
+            # the support region carleman_ratio accepts
+            val = AnnularRegion.origin(d, 0.5, 2.0).mask(self.spec)
+            val.flags.writeable = False
         elif name == "sym":
             h2 = self.spec.h ** -2
             offsets, coeffs = [np.zeros(d, dtype=np.int64)], [np.full(self.spec.shape, -2.0 * d * h2)]
@@ -327,7 +331,7 @@ class CarlemanRatio:
 
 
 # the context tables carleman_ratio reads
-RATIO_TABLES = ("exp",)
+RATIO_TABLES = ("annulus", "exp")
 
 
 def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
@@ -342,11 +346,11 @@ def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
     """
     if ctx.params is None:
         raise ValueError("carleman_ratio needs a context built from weight parameters")
-    spec = u.spec
-    annulus = AnnularRegion.origin(spec.d, 0.5, 2.0)
-    outside = u.values[~annulus.mask(spec)]
-    if np.any(outside != 0.0):
+    if u.spec != ctx.spec:
+        raise ValueError("function and context lattice specs differ")
+    if np.any(u.values[~ctx._table("annulus")] != 0.0):
         raise ValueError("support outside annulus")
+    spec = u.spec
     ctx.check_support(u, reach=2)
 
     h = spec.h

@@ -80,10 +80,18 @@ def load_lattice_function(base: str | Path) -> LatticeFunction:
             raise ValueError(f"expected {values.size} rows of {spec.d + 1} columns, "
                              f"read {data.shape[0]} of {data.shape[1]}")
         idx = data[:, :spec.d].astype(np.int64)
+        if np.any(idx != data[:, :spec.d]):
+            raise ValueError("non-integral site index")
         vals = data[:, spec.d]
     else:
         raise ValueError(f"unknown serialization format {fmt!r}")
     if np.any((idx < spec.lo) | (idx > spec.hi)):
         raise ValueError("row index outside the box")
-    values[tuple((idx - spec.lo).T)] = vals
+    site = tuple((idx - spec.lo).T)
+    seen = np.zeros(spec.shape, dtype=bool)
+    seen[site] = True
+    # as many rows as sites, so a site left out means another one named twice
+    if not seen.all():
+        raise ValueError("duplicate site index")
+    values[site] = vals
     return LatticeFunction(spec, values)

@@ -353,14 +353,3 @@ def translate(f: LatticeFunction, v) -> LatticeFunction:
                     tuple(a + b for a, b in zip(spec.hi, v))),
         f.values.copy())
 
-
-def support_margin(f: LatticeFunction) -> int:
-    """Smallest index distance from a nonzero site to the box boundary."""
-    nz = np.nonzero(f.values)
-    if nz[0].size == 0:
-        return min(f.spec.shape)
-    margin = None
-    for a, size in enumerate(f.spec.shape):
-        m = int(min(nz[a].min(), size - 1 - nz[a].max()))
-        margin = m if margin is None else min(margin, m)
-    return margin

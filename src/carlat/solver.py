@@ -8,6 +8,7 @@ residual certificate; the non-symmetric B terms need no special handling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +179,35 @@ def _smoothstep(t):
     return t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
 
 
+@functools.lru_cache(maxsize=8)
+def _bump_window(spec: LatticeSpec, region: AnnularRegion, a: float, b: float,
+                 ramp: float) -> np.ndarray:
+    """Read-only smoothstep window of ``random_bump``; it does not depend on the seed."""
+    rel = spec.coords() - np.asarray(region.outer.center).reshape((-1,) + (1,) * spec.d)
+    r = np.sqrt((rel ** 2).sum(axis=0))
+    window = _smoothstep((r - a) / ramp) * _smoothstep((b - r) / ramp)
+    window.flags.writeable = False
+    return window
+
+
+def _plane_wave_sum(spec: LatticeSpec, amps, freqs, phases) -> np.ndarray:
+    """sum_m amps[m] cos(freqs[m] . x + phases[m]) on the box, axis by axis.
+
+    Each mode is Re(amps[m] e^{i phases[m]} prod_j e^{i freqs[m, j] x_j}):
+    outer products of per-axis factors build the leading axes, and one real
+    matmul contracts the modes against the last axis.
+    """
+    x = [spec.h * np.arange(lo, hi + 1) for lo, hi in zip(spec.lo, spec.hi)]
+    lead = (amps * np.exp(1j * phases))[:, None]
+    for f, xa in zip(freqs.T[:-1], x[:-1]):
+        factor = np.exp(1j * np.outer(f, xa))
+        lead = (lead[:, :, None] * factor[:, None, :]).reshape(len(amps), -1)
+    last = np.exp(1j * np.outer(freqs[:, -1], x[-1]))
+    # Re(lead^T last) = Re lead^T Re last - Im lead^T Im last, as one real product
+    wave = np.hstack([lead.real.T, -lead.imag.T]) @ np.vstack([last.real, last.imag])
+    return wave.reshape(spec.shape)
+
+
 def random_bump(spec: LatticeSpec, region: AnnularRegion, seed: int,
                 modes: int = 6) -> LatticeFunction:
     """Seeded smooth bump supported strictly inside the annulus.
@@ -202,15 +232,8 @@ def random_bump(spec: LatticeSpec, region: AnnularRegion, seed: int,
     freqs = rng.uniform(-1.0, 1.0, size=(modes, spec.d)) * (2 * np.pi / region.width)
     phases = rng.uniform(0.0, 2 * np.pi, size=modes)
 
-    x = spec.coords()
-    center = np.asarray(region.outer.center)
-    rel = x - center.reshape((-1,) + (1,) * spec.d)
-    r = np.sqrt((rel ** 2).sum(axis=0))
-    window = _smoothstep((r - a) / ramp) * _smoothstep((b - r) / ramp)
-    wave = np.zeros(spec.shape)
-    for m in range(modes):
-        wave += amps[m] * np.cos(np.tensordot(freqs[m], x, axes=(0, 0)) + phases[m])
+    wave = _plane_wave_sum(spec, amps, freqs, phases)
     # exp keeps the modulation strictly positive: the support is exactly
     # the window's, which site-counting tests rely on
     field = np.exp(wave / np.sqrt(modes))
-    return LatticeFunction(spec, window * field)
+    return LatticeFunction(spec, _bump_window(spec, region, a, b, ramp) * field)

@@ -47,6 +47,16 @@ class TestParsing:
         assert exc.value.code == 2
         assert "1/0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_number_exits_two(self, text, capsys):
+        with pytest.raises(ValueError, match="not a finite number"):
+            parse_number(text)
+        with pytest.raises(SystemExit) as exc:
+            # the = form keeps argparse from reading "-inf" as an option
+            run(["caccioppoli", f"--h={text}"])
+        assert exc.value.code == 2
+        assert text in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

@@ -99,3 +99,25 @@ def test_unknown_header_format_rejected(tmp_path):
     base.with_suffix(".json").write_text(json.dumps(header))
     with pytest.raises(ValueError, match="format 'hdf5'"):
         load_lattice_function(base)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_duplicate_index_rejected(fmt, tmp_path):
+    def second_row_names_site_zero(rows):
+        if fmt == "csv":
+            return [rows[0], "0" + rows[1][1:]] + rows[2:]
+        rows["n"][1] = 0
+        return rows
+
+    base, path = _saved(tmp_path, fmt)
+    _rewrite_rows(path, fmt, second_row_names_site_zero)
+    with pytest.raises(ValueError, match="duplicate site index"):
+        load_lattice_function(base)
+
+
+def test_fractional_csv_index_rejected(tmp_path):
+    base, path = _saved(tmp_path, "csv")
+    # 0.7 would truncate onto site 0
+    _rewrite_rows(path, "csv", lambda rows: ["0.7" + rows[0][1:]] + rows[1:])
+    with pytest.raises(ValueError, match="non-integral site index"):
+        load_lattice_function(base)

@@ -18,7 +18,7 @@ from carlat import (
     schrodinger_apply,
     translate,
 )
-from carlat.lattice import dilate, shift_values, support_margin
+from carlat.lattice import dilate, shift_values
 from carlat.solver import harmonic_polynomial
 
 
@@ -306,12 +306,6 @@ class TestTranslate:
         g = translate(f, (3, -1))
         assert g.spec.lo == (1, -3)
         assert g.at((3, -1)) == f.at((0, 0))
-
-    def test_support_margin(self):
-        spec = LatticeSpec(1, 1.0, (0,), (9,))
-        v = np.zeros(10)
-        v[3] = 1.0
-        assert support_margin(LatticeFunction(spec, v)) == 3
 
 
 class TestValidation:

@@ -1,5 +1,8 @@
 """Dirichlet solves, closed-form harmonic polynomials, seeded bumps."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -17,10 +20,34 @@ from carlat import (
     residual,
     schrodinger_apply,
 )
+from carlat.solver import _bump_window
 
 
 def ball_spec(d, h, radius=2.0):
     return LatticeSpec.ball_box(d, h, radius, pad_sites=2)
+
+
+def full_grid_bump(spec, region, seed, modes=6):
+    """random_bump's defining formula, one cos pass per mode on the full coordinate mesh."""
+    margin = max(2 * spec.h, 0.05)
+    a, b = region.inner.radius + margin, region.outer.radius - margin
+    ramp = min(0.25 * (b - a), 0.2)
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(modes)
+    freqs = rng.uniform(-1.0, 1.0, size=(modes, spec.d)) * (2 * np.pi / region.width)
+    phases = rng.uniform(0.0, 2 * np.pi, size=modes)
+
+    def smoothstep(t):
+        t = np.clip(t, 0.0, 1.0)
+        return t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
+
+    x = spec.coords()
+    r = np.sqrt(((x - np.reshape(region.outer.center, (-1,) + (1,) * spec.d)) ** 2).sum(axis=0))
+    window = smoothstep((r - a) / ramp) * smoothstep((b - r) / ramp)
+    wave = np.zeros(spec.shape)
+    for m in range(modes):
+        wave += amps[m] * np.cos(np.tensordot(freqs[m], x, axes=(0, 0)) + phases[m])
+    return window * np.exp(wave / np.sqrt(modes))
 
 
 class TestHarmonicPolynomials:
@@ -172,6 +199,50 @@ class TestRandomBump:
                 if a < np.hypot(h * n1, h * n2) < b:
                     count += 1
         assert int((u.values != 0).sum()) == count
+
+    @pytest.mark.parametrize("d,h", [(1, 1 / 32), (1, 1 / 128), (2, 1 / 32), (2, 1 / 128),
+                                     (3, 1 / 8), (3, 1 / 16)])
+    def test_matches_full_grid_formula(self, d, h):
+        spec = LatticeSpec.ball_box(d, h, 2.0, pad_sites=4)
+        for seed in (0, 11, 2024):
+            u = random_bump(spec, self.annulus(d), seed).values
+            want = full_grid_bump(spec, self.annulus(d), seed)
+            assert np.array_equal(u != 0.0, want != 0.0)
+            assert np.abs(u - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_cached_window_is_read_only(self):
+        spec = LatticeSpec.ball_box(2, 1 / 32, 2.0, pad_sites=4)
+        # the a, b and ramp random_bump uses at h = 1/32: margin 2h, ramp 0.2
+        key = (spec, self.annulus(), 0.5625, 1.9375, 0.2)
+        random_bump(spec, self.annulus(), seed=0)
+        hits = _bump_window.cache_info().hits
+        window = _bump_window(*key)
+        assert _bump_window.cache_info().hits == hits + 1
+        assert window is _bump_window(*key)
+        with pytest.raises(ValueError, match="read-only"):
+            window[0, 0] = 1.0
+
+    def test_writing_a_bump_leaves_the_next_one_alone(self):
+        spec = LatticeSpec.ball_box(2, 1 / 32, 2.0, pad_sites=4)
+        u = random_bump(spec, self.annulus(), seed=3)
+        before = u.values.copy()
+        u.values[...] = 7.0
+        assert np.array_equal(random_bump(spec, self.annulus(), seed=3).values, before)
+
+    def test_threads_sharing_the_window_cache(self):
+        spec = LatticeSpec.ball_box(2, 1 / 32, 2.0, pad_sites=4)
+        seeds = range(16)
+        serial = [random_bump(spec, self.annulus(), s).values for s in seeds]
+        _bump_window.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(random_bump, spec, self.annulus(), s) for s in seeds]
+                threaded = [f.result(timeout=60).values for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
     def test_region_too_thin(self):
         spec = LatticeSpec.ball_box(2, 1 / 4, 2.0, pad_sites=2)
