@@ -61,7 +61,6 @@ from .symbols import (
     SymbolGrid,
     char_set_distance,
     lower_bound_margin,
-    margin_refinement,
     symbol_pi,
     symbol_pr,
     symbol_q,

@@ -100,10 +100,9 @@ _COMMON = {
 _SUBCOMMANDS = {
     "carleman-sweep": {
         "h": ("float_list", (1 / 32, 1 / 64), "spacing sweep, descending"),
-        "tau": ("float", None, "fixed tau (switches tau-rule to fixed)"),
-        "tau-rule": ("str", "fraction", "fixed | fraction | grid"),
+        "tau0": ("float", 1.0, "lower end of the admissible tau window"),
+        "tau": ("float_list", (), "taus measured at every h (default: one tau per h, from tau-fraction)"),
         "tau-fraction": ("float", 0.5, "tau = fraction * delta0 / h"),
-        "tau-grid": ("float_list", (), "tau grid for tau-rule=grid"),
         "samples": ("int", 8, "seeded bumps per (h, tau) cell"),
         "growth-cap": ("float", 2.0, "max allowed ratio growth per h step"),
         "ds-mode": ("str", "symmetric", "difference in the energy: symmetric|forward|backward"),
@@ -111,7 +110,7 @@ _SUBCOMMANDS = {
     "log-convexity": {
         "h": ("float", 1 / 64, "lattice spacing"),
         "input": ("str", "mixed_jk", "harmonic input: const|linear_j|mixed_jk|diff_squares|deg3|solve"),
-        "tau-grid": ("float_list", (), "tau grid (default: 12 points in the window)"),
+        "tau": ("float_list", (), "tau grid (default: 12 points in the window)"),
     },
     "three-balls": {
         "h": ("float_list", (1 / 32, 1 / 64), "spacing sweep, descending"),
@@ -257,12 +256,8 @@ def _harmonic_input(spec: LatticeSpec, kind: str, solve_tol: float = 1e-10):
 
 def cmd_carleman_sweep(args) -> int:
     _checked_weight(args)
-    rule = args.tau_rule
-    if args.tau is not None:
-        rule = "fixed"
-    cfg = SweepConfig(d=args.d, h_grid=args.h, tau_rule=rule,
-                      tau_value=args.tau if args.tau is not None else 8.0,
-                      tau_fraction=args.tau_fraction, tau_grid=args.tau_grid,
+    cfg = SweepConfig(d=args.d, h_grid=args.h, tau_rule="grid" if args.tau else "fraction",
+                      tau_fraction=args.tau_fraction, tau_grid=args.tau,
                       tau0=args.tau0, delta0=args.delta0, c_ps=args.c_ps,
                       seed=args.seed, n_samples=args.samples,
                       growth_cap=args.growth_cap, ds_mode=args.ds_mode)
@@ -276,7 +271,7 @@ def cmd_log_convexity(args) -> int:
     h = args.h
     spec = LatticeSpec.ball_box(args.d, h, 4.0, pad_sites=2)
     u, res = _harmonic_input(spec, args.input)
-    taus = args.tau_grid
+    taus = args.tau
     if not taus:
         lo, hi = args.tau0 * 1.01, args.delta0 / h * 0.99
         taus = tuple(np.geomspace(lo, hi, 12)) if hi > lo else (lo,)

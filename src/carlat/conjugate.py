@@ -107,13 +107,9 @@ class ConjugationContext:
             val = [self.phi - shift_values(self.phi, -unit_offset(d, j))
                    for j in range(1, d + 1)]
         elif name == "exp":
-            ep = np.exp(self.phi)
-            em = np.exp(-self.phi)
-            if not np.allclose(ep * em, 1.0, rtol=0, atol=1e-13):
-                raise AssertionError("exp(phi)*exp(-phi) deviates from 1")
-            ep[self.singular] = 0.0
-            em[self.singular] = 0.0
-            val = (ep, em)
+            # e^phi, the weight of carleman_ratio's norms; 0 at singular sites
+            val = np.exp(self.phi)
+            val[self.singular] = 0.0
         elif name == "annulus":
             # the support region carleman_ratio accepts
             val = AnnularRegion.origin(d, 0.5, 2.0).mask(self.spec)
@@ -355,7 +351,7 @@ def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
 
     h = spec.h
     tau = ctx.params.tau
-    exp_phi, _ = ctx._table("exp")
+    exp_phi = ctx._table("exp")
 
     def dop(g):
         if ds_mode == "symmetric":

@@ -37,6 +37,7 @@ from .lattice import (
 from .reports import ExperimentReport, FittedConstant, linear_fit
 from .solver import (
     DirichletProblem,
+    _smoothstep,
     dirichlet_solve,
     harmonic_polynomial,
     random_bump,
@@ -49,16 +50,16 @@ from .weight import WeightParams, weight_constants
 class SweepConfig:
     """Shared sweep parameters.
 
-    The admissible window for the large parameter is (tau0, delta0/h); under
-    the fractional rule tau = tau_fraction * delta0 / h.  The window bounds
-    are empirical knobs (reported, never asserted to match any canonical
-    value) and every report echoes them.
+    The admissible window for the large parameter is (tau0, delta0/h).  The
+    ``"fraction"`` rule measures tau = tau_fraction * delta0 / h at each h;
+    the ``"grid"`` rule measures every tau of ``tau_grid`` at each h.  The
+    window bounds are empirical knobs (reported, never asserted to match any
+    canonical value) and every report echoes them.
     """
 
     d: int = 2
     h_grid: tuple = (1 / 32, 1 / 64, 1 / 128)
     tau_rule: str = "fraction"
-    tau_value: float = 8.0
     tau_fraction: float = 0.5
     tau_grid: tuple = ()
     tau0: float = 5.0
@@ -77,18 +78,21 @@ class SweepConfig:
             raise ValueError("spacings must be positive")
         if list(hs) != sorted(hs, reverse=True):
             raise ValueError("h_grid must be strictly descending")
-        if self.tau_rule not in ("fixed", "fraction", "grid"):
+        taus = tuple(float(t) for t in self.tau_grid)
+        if self.tau_rule not in ("fraction", "grid"):
             raise ValueError(f"unknown tau rule {self.tau_rule!r}")
+        if self.tau_rule == "grid" and not taus:
+            raise ValueError("tau rule 'grid' needs a nonempty tau_grid")
+        if self.tau_rule == "fraction" and taus:
+            raise ValueError("tau_grid is only read by the 'grid' tau rule")
         if not 0 < self.tau_fraction <= 1:
             raise ValueError("tau_fraction must lie in (0, 1]")
         if not (self.delta0 > 0 and self.tau0 > 0):
             raise ValueError("delta0 and tau0 must be positive")
         object.__setattr__(self, "h_grid", hs)
-        object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
+        object.__setattr__(self, "tau_grid", taus)
 
     def taus_for(self, h: float) -> tuple:
-        if self.tau_rule == "fixed":
-            return (self.tau_value,)
         if self.tau_rule == "fraction":
             return (self.tau_fraction * self.delta0 / h,)
         return self.tau_grid
@@ -99,9 +103,8 @@ class SweepConfig:
     def echo(self) -> dict:
         return {
             "d": self.d, "h_grid": list(self.h_grid), "tau_rule": self.tau_rule,
-            "tau_value": self.tau_value, "tau_fraction": self.tau_fraction,
-            "tau_grid": list(self.tau_grid), "tau0": self.tau0,
-            "delta0": self.delta0, "c_ps": self.c_ps, "seed": self.seed,
+            "tau_fraction": self.tau_fraction, "tau_grid": list(self.tau_grid),
+            "tau0": self.tau0, "delta0": self.delta0, "c_ps": self.c_ps, "seed": self.seed,
             "n_samples": self.n_samples, "growth_cap": self.growth_cap,
             "ds_mode": self.ds_mode,
         }
@@ -274,7 +277,12 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
     to the weighted source norm is recorded for n_samples seeded bumps; the
     per-h maximum must not grow by more than growth_cap from one h to the
     next, which is the h-uniformity of the estimate's constant.
+
+    The cells run on ``jobs`` threads.  The context tables they read are
+    built on the calling thread first, because ``_cache`` has no lock.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     report = ExperimentReport("carleman_sweep", cfg.echo())
     annulus = AnnularRegion.origin(cfg.d, 0.5, 2.0)
 
@@ -301,13 +309,10 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
         r = carleman_ratio(u, ctx, ds_mode=cfg.ds_mode)
         return cell, r
 
-    if jobs > 1 and len(cells) > 1:
-        for ctx in contexts.values():
-            ctx.build_tables(*RATIO_TABLES)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
+    for ctx in contexts.values():
+        ctx.build_tables(*RATIO_TABLES)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(run_cell, cells))
 
     per_h = {}
     for (ih, h, tau, s), r in results:
@@ -343,13 +348,11 @@ class CaccioppoliRatio:
     ratio: float
 
 
-def caccioppoli_ratio(u: LatticeFunction, fields: FieldData | None,
-                      r1: float, r2: float) -> CaccioppoliRatio:
+def caccioppoli_ratio(u: LatticeFunction, r1: float, r2: float) -> CaccioppoliRatio:
     """Interior gradient energy on B_r1 against the solution norm on B_r2.
 
     lhs = sum_j |h^-1 (u(.+h e_j) - u)|^2 on B_r1, rhs = |u|^2 on B_r2.
     The radii must leave room for a cutoff: 10h < r1 and r1 + 10h < r2.
-    ``fields`` only certify the input; they do not enter the ratio.
     """
     spec = u.spec
     h = spec.h
@@ -380,7 +383,7 @@ def caccioppoli_sweep(kind: str, d: int, h_grid, r1: float = 1.0,
     for h in h_grid:
         spec = LatticeSpec.ball_box(d, float(h), r2, pad_sites=2)
         u = harmonic_polynomial(spec, kind)
-        rec = caccioppoli_ratio(u, None, r1, r2)
+        rec = caccioppoli_ratio(u, r1, r2)
         report.add_row(h=float(h), lhs=rec.lhs, rhs=rec.rhs, ratio=rec.ratio)
         ratios.append(rec.ratio)
     report.fit("ratio_max", FittedConstant(max(ratios), n=len(ratios)))
@@ -400,11 +403,7 @@ def _axis_profile(t):
     axis, and a piece is identically 1 on its plateau where all neighbors
     vanish.
     """
-    t = np.abs(np.asarray(t, dtype=np.float64))
-    s = np.clip((0.75 - t) * 2.0, 0.0, 1.0)
-    out = s ** 3 * (10.0 + s * (-15.0 + 6.0 * s))
-    out[t <= 0.25] = 1.0
-    return out
+    return _smoothstep((0.75 - np.abs(t)) * 2.0)
 
 
 def partition_pieces(f: LatticeFunction, scale: float):

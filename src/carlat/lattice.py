@@ -12,11 +12,16 @@ with Lap f(n) = sum_j f(n+h e_j) + f(n-h e_j) - 2 f(n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import apply_stencil_const, apply_stencil_var, overlap_slices
+
+# Largest box a LatticeSpec accepts, as for a SymbolGrid: one float64 table
+# on it is 256 MiB, and a context or an LU solve holds several.
+MAX_SITES = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,9 @@ class LatticeSpec:
             raise ValueError("box endpoints must have length d")
         if any(a > b for a, b in zip(lo, hi)):
             raise ValueError("box must satisfy lo <= hi componentwise")
+        sites = math.prod(b - a + 1 for a, b in zip(lo, hi))
+        if sites > MAX_SITES:
+            raise ValueError(f"lattice box has {sites} sites, above MAX_SITES = {MAX_SITES}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

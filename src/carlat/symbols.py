@@ -38,7 +38,7 @@ FREQUENCY_AXES_MIN = 8
 MAX_GRID_POINTS = 2 ** 25
 # A margin scan holds five float64 grids at its peak (measured at 4096^2).
 SCAN_BYTES_PER_POINT = 40
-# default search of empirical_c1 for the high-frequency region split
+# search of empirical_c1 for the high-frequency region split
 C1_CANDIDATES = tuple(range(1, 41))
 C1_FLOOR = 1.0 / 256.0
 
@@ -108,9 +108,6 @@ class SymbolGrid:
         """Frequency points, shape (d,) + (resolution,)*d."""
         ax = self.axis()
         return np.stack(np.meshgrid(*([ax] * self.d), indexing="ij"))
-
-    def refined(self, factor: int = 2) -> "SymbolGrid":
-        return SymbolGrid(self.d, self.h, self.resolution * factor)
 
 
 def _bc(vec, xi):
@@ -300,32 +297,30 @@ def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float):
     }
 
 
-def empirical_c1(fp: FrozenPoint, grid: SymbolGrid,
-                 candidates=C1_CANDIDATES,
-                 floor: float = C1_FLOOR) -> float | None:
-    """Smallest region-split constant with p_r^2 >= floor * |xi|^4 beyond C1*tau.
+def empirical_c1(fp: FrozenPoint, grid: SymbolGrid) -> float | None:
+    """Smallest region-split constant with p_r^2 >= C1_FLOOR * |xi|^4 beyond C1*tau.
 
     The floor keeps headroom for absorbing the commutator term; bare
     positivity right at the sign change would be useless for the split.
-    Returns None when no candidate achieves it on a nonempty region.
+    Returns None when no candidate of C1_CANDIDATES achieves it on a
+    nonempty region.
     """
     trig = _axis_trig(fp, grid)
-    return _c1_split(_grid_pr(fp, trig), _grid_norm(trig[0], fp.d),
-                     fp.tau, candidates, floor)
+    return _c1_split(_grid_pr(fp, trig), _grid_norm(trig[0], fp.d), fp.tau)
 
 
-def _c1_split(pr, norm, tau, candidates, floor):
+def _c1_split(pr, norm, tau):
     """``empirical_c1`` on precomputed p_r and |xi| grids.
 
     A candidate's region {|xi| >= c1 tau} passes when it holds no point with
-    p_r^2 < floor |xi|^4 (or a NaN ratio), i.e. when c1 tau exceeds the
+    p_r^2 < C1_FLOOR |xi|^4 (or a NaN ratio), i.e. when c1 tau exceeds the
     largest |xi| among those points.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        bad = ~(pr ** 2 / norm ** 4 >= floor)
+        bad = ~(pr ** 2 / norm ** 4 >= C1_FLOOR)
     worst = float(norm[bad].max()) if bad.any() else -np.inf
     top = float(norm.max())
-    for c1 in candidates:
+    for c1 in C1_CANDIDATES:
         if not c1 * tau <= top:
             return None
         if c1 * tau > worst:
@@ -374,7 +369,7 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     flat = np.argmin(margin.ravel())
     norm = _grid_norm(ax, fp.d)
     if c1_split is None:
-        c1_split = _c1_split(pr, norm, fp.tau, C1_CANDIDATES, C1_FLOOR)
+        c1_split = _c1_split(pr, norm, fp.tau)
     del pr
     high = (norm >= c1_split * fp.tau) if c1_split is not None else np.zeros(margin.shape, bool)
     del norm
@@ -403,19 +398,3 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     return MarginScan(float(margin.ravel()[flat]), point(flat), grid.resolution,
                       c0, gamma0, c1_split, regions)
 
-
-def margin_refinement(fp: FrozenPoint, c0: float, base: SymbolGrid,
-                      steps: int = 2, rel_tol: float = 0.05):
-    """Successive grid refinements of the margin scan.
-
-    Returns the list of scans and whether the last two minima agree within
-    rel_tol (relative to the larger magnitude).
-    """
-    scans = [lower_bound_margin(fp, c0, base)]
-    grid = base
-    for _ in range(steps):
-        grid = grid.refined()
-        scans.append(lower_bound_margin(fp, c0, grid))
-    a, b = scans[-2].min_margin, scans[-1].min_margin
-    scale = max(abs(a), abs(b), 1e-300)
-    return scans, abs(a - b) / scale <= rel_tol

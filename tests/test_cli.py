@@ -1,6 +1,8 @@
 """CLI behavior: subcommands, config files, determinism, exit codes."""
 
+import ast
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +10,9 @@ import pytest
 import scipy
 
 import carlat
+from carlat import cli
 from carlat.cli import main, parse_number
+from carlat.lattice import MAX_SITES
 from carlat.symbols import MAX_GRID_POINTS, SCAN_BYTES_PER_POINT
 
 
@@ -61,6 +65,21 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_every_subcommand_flag_is_read_by_its_handler(self):
+        # a flag no handler reads changes the config hash and nothing else
+        tree = ast.parse(Path(cli.__file__).read_text())
+        reads = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                reads[node.name] = {
+                    n.attr for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        unread = [f"{sub} --{flag}"
+                  for sub, flags in cli._SUBCOMMANDS.items() for flag in flags
+                  if flag.replace("-", "_") not in reads[cli._HANDLERS[sub].__name__]]
+        assert unread == []
 
 
 class TestConfigFile:
@@ -150,6 +169,17 @@ class TestWindowAndStrict:
                              if p.suffix == ".json"][0].read_text())
         assert report["warnings"]
 
+    def test_carleman_sweep_defaults_lie_in_the_window(self, tmp_path):
+        # tau = 0.5 * delta0 / h is 1.6 and 3.2, inside (tau0, delta0/h)
+        assert run(["carleman-sweep", "--samples", "2", "--out", str(tmp_path)]) == 0
+        report = json.loads([p for p in data_files(tmp_path)
+                             if p.suffix == ".json"][0].read_text())
+        ratios = [row["ratio"] for row in report["rows"]]
+        assert len(ratios) == 4
+        assert all(r is not None and math.isfinite(r) for r in ratios)
+        assert report["warnings"] == []
+        assert report["passed"] is not None
+
     def test_strict_turns_warning_into_failure(self, tmp_path):
         argv = ["carleman-sweep", "--h", "0.5", "--tau", "1000", "--samples", "2",
                 "--out", str(tmp_path), "--strict", "1"]
@@ -173,6 +203,23 @@ class TestSubcommands:
     def test_log_convexity_runs(self, tmp_path):
         assert run(["log-convexity", "--h", "1/32", "--d", "2",
                     "--tau0", "1.0", "--out", str(tmp_path)]) == 0
+
+    def test_log_convexity_tau_list(self, tmp_path):
+        assert run(["log-convexity", "--h", "1/32", "--tau", "6,12",
+                    "--out", str(tmp_path)]) == 0
+        report = json.loads([p for p in data_files(tmp_path)
+                             if p.suffix == ".json"][0].read_text())
+        assert [row["tau"] for row in report["rows"]] == [6.0, 12.0]
+
+    def test_carleman_sweep_tau_list(self, tmp_path):
+        assert run(["carleman-sweep", "--h", "1/16", "--tau0", "1", "--tau", "2,3",
+                    "--delta0", "0.25", "--samples", "2", "--out", str(tmp_path)]) == 0
+        report = json.loads([p for p in data_files(tmp_path)
+                             if p.suffix == ".json"][0].read_text())
+        assert report["config"]["tau_rule"] == "grid"
+        assert [row["tau"] for row in report["rows"]] == [2.0, 2.0, 3.0, 3.0]
+        assert all(row["admissible"] and math.isfinite(row["ratio"])
+                   for row in report["rows"])
 
     def test_localize_runs(self, tmp_path):
         assert run(["localize", "--h", "1/24", "--tau", "4.0", "--eps0", "0.0625",
@@ -206,6 +253,22 @@ class TestSubcommands:
         assert f"{points} points" in err
         assert f"{points * SCAN_BYTES_PER_POINT} bytes" in err
         assert peak < 8 << 20  # one 512^3 float64 grid alone is 1 GiB
+        assert not (tmp_path / "out").exists()
+
+    def test_three_balls_refuses_an_oversized_box_up_front(self, tmp_path, capsys):
+        h = 1 / 100000
+        m = int(math.floor(4.0 / h)) + 2  # LatticeSpec.ball_box(2, h, 4.0, pad_sites=2)
+        sites = (2 * m + 1) ** 2
+        assert sites > MAX_SITES
+        tracemalloc.start()
+        try:
+            code = run(["three-balls", "--h", "1/100000", "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert f"{sites} sites" in capsys.readouterr().err
+        assert peak < 8 << 20
         assert not (tmp_path / "out").exists()
 
     def test_inadmissible_weight_exits_one(self, tmp_path, capsys):

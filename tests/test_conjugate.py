@@ -256,6 +256,13 @@ class TestCarlemanRatio:
         vals = list(ratios.values())
         assert max(vals) / min(vals) < 10.0
 
+    def test_exp_table_is_the_weight_with_the_singular_site_zeroed(self):
+        ctx = ctx_for(2, tau=1.5)
+        table = ctx._table("exp")
+        assert ctx.singular.sum() == 1
+        assert table[ctx.singular] == 0.0
+        np.testing.assert_array_equal(table[~ctx.singular], np.exp(ctx.phi[~ctx.singular]))
+
     def test_requires_weight_params(self, rng_seed):
         spec, _ = ANNULUS_SPECS[2]
         ctx = ConjugationContext.from_table(spec, np.zeros(spec.shape))

@@ -145,13 +145,13 @@ class TestRescaledThreeBalls:
 class TestCaccioppoli:
     def test_constant_has_zero_gradient(self):
         u = poly_on_ball(2, 1 / 32, "const", radius=2.5)
-        rec = caccioppoli_ratio(u, None, 1.0, 2.0)
+        rec = caccioppoli_ratio(u, 1.0, 2.0)
         assert rec.lhs == 0.0 and rec.ratio == 0.0
 
     def test_linear_function_enumeration_oracle(self):
         h = 1 / 32
         u = poly_on_ball(2, h, "linear_j", radius=2.5)
-        rec = caccioppoli_ratio(u, None, 1.0, 2.0)
+        rec = caccioppoli_ratio(u, 1.0, 2.0)
         # forward difference of x_1 is exactly h: lhs = h^2 * #B_1 sites
         count_b1 = count_b2sum = 0.0
         m = int(np.ceil(2.5 / h)) + 2
@@ -168,12 +168,12 @@ class TestCaccioppoli:
     def test_gap_condition(self):
         u = poly_on_ball(2, 1 / 8, "mixed_jk", radius=2.5)
         with pytest.raises(ValueError, match="radii too close"):
-            caccioppoli_ratio(u, None, 1.0, 2.0)  # r1 + 10h = 2.25 > 2
+            caccioppoli_ratio(u, 1.0, 2.0)  # r1 + 10h = 2.25 > 2
 
     def test_box_coverage(self):
         u = poly_on_ball(2, 1 / 32, "mixed_jk", radius=1.5)
         with pytest.raises(ValueError, match="does not cover"):
-            caccioppoli_ratio(u, None, 1.0, 2.0)
+            caccioppoli_ratio(u, 1.0, 2.0)
 
     def test_sweep_ratio_stability(self):
         report = caccioppoli_sweep("mixed_jk", 2, (1 / 16, 1 / 32, 1 / 64))
@@ -181,26 +181,40 @@ class TestCaccioppoli:
 
     def test_scale_invariance(self):
         u = poly_on_ball(2, 1 / 32, "deg3", radius=2.5)
-        a = caccioppoli_ratio(u, None, 1.0, 2.0)
-        b = caccioppoli_ratio(u.with_values(-17.0 * u.values), None, 1.0, 2.0)
+        a = caccioppoli_ratio(u, 1.0, 2.0)
+        b = caccioppoli_ratio(u.with_values(-17.0 * u.values), 1.0, 2.0)
         assert a.ratio == pytest.approx(b.ratio, rel=1e-12)
 
     def test_degenerate_input_rejected(self):
         spec = LatticeSpec.ball_box(2, 1 / 32, 2.5, pad_sites=2)
         with pytest.raises(ValueError, match="degenerate"):
-            caccioppoli_ratio(LatticeFunction.zeros(spec), None, 1.0, 2.0)
+            caccioppoli_ratio(LatticeFunction.zeros(spec), 1.0, 2.0)
 
 
 class TestCarlemanSweep:
     def test_empty_sample_count(self):
-        cfg = SweepConfig(d=2, h_grid=(1 / 16,), tau_rule="fixed", tau_value=1.5,
+        cfg = SweepConfig(d=2, h_grid=(1 / 16,), tau_rule="grid", tau_grid=(1.5,),
                           tau0=1.0, n_samples=0)
         report = carleman_sweep(cfg)
         assert report.rows == []
         assert report.passed is None
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tau_rule": "fixed"}, "unknown tau rule"),
+        ({"tau_rule": "grid"}, "nonempty tau_grid"),
+        ({"tau_rule": "fraction", "tau_grid": (2.0,)}, "only read by the 'grid'"),
+    ])
+    def test_tau_rule_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**kwargs)
+
+    def test_jobs_below_one_rejected(self):
+        cfg = SweepConfig(d=2, h_grid=(1 / 16,), tau0=1.0, n_samples=1)
+        with pytest.raises(ValueError, match="jobs"):
+            carleman_sweep(cfg, jobs=0)
+
     def test_out_of_window_tau_warns(self):
-        cfg = SweepConfig(d=2, h_grid=(1 / 2,), tau_rule="fixed", tau_value=1000.0,
+        cfg = SweepConfig(d=2, h_grid=(1 / 2,), tau_rule="grid", tau_grid=(1000.0,),
                           n_samples=3)
         report = carleman_sweep(cfg)
         assert report.warnings

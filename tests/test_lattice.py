@@ -18,13 +18,20 @@ from carlat import (
     schrodinger_apply,
     translate,
 )
-from carlat.lattice import dilate, shift_values
+from carlat.lattice import MAX_SITES, dilate, shift_values
 from carlat.solver import harmonic_polynomial
 
 
 def interior(values, margin=1):
     sl = tuple(slice(margin, s - margin) for s in values.shape)
     return values[sl]
+
+
+def test_box_size_guard_bounds():
+    # no site table is allocated either way
+    assert LatticeSpec(1, 1.0, (0,), (MAX_SITES - 1,)).shape == (MAX_SITES,)
+    with pytest.raises(ValueError, match=f"{MAX_SITES + 1} sites"):
+        LatticeSpec(1, 1.0, (0,), (MAX_SITES,))
 
 
 class TestDiff:

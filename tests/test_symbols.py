@@ -13,7 +13,6 @@ from carlat import (
     WeightParams,
     char_set_distance,
     lower_bound_margin,
-    margin_refinement,
     symbol_pi,
     symbol_pr,
     symbol_q,
@@ -217,9 +216,10 @@ class TestMarginScan:
         # commutator coupling below the pseudoconvexity strength: the scan
         # stays positive and successive refinements agree
         fp = frozen()
-        scans, converged = margin_refinement(fp, 0.0025, SymbolGrid(2, fp.h, 256),
-                                             steps=2)
-        assert converged
+        scans = [lower_bound_margin(fp, 0.0025, SymbolGrid(2, fp.h, res))
+                 for res in (256, 512, 1024)]
+        a, b = scans[-2].min_margin, scans[-1].min_margin
+        assert abs(a - b) / max(abs(a), abs(b), 1e-300) <= 0.05
         assert scans[-1].min_margin > 0
 
     def test_characteristic_point_without_commutator(self):
@@ -405,7 +405,7 @@ class TestGridGuard:
 
     def test_refinement_cannot_pass_the_guard(self):
         with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
-            SymbolGrid(2, 1 / 128, 4096).refined()
+            SymbolGrid(2, 1 / 128, 8192)
 
 
 class TestFrozenPoint:
