@@ -60,11 +60,18 @@ def parse_number(text: str) -> float:
 
 
 def parse_number_list(text: str):
-    return tuple(parse_number(t) for t in text.split(",") if t.strip())
+    return _parse_list(text, parse_number)
 
 
 def parse_int_list(text: str):
-    return tuple(int(t) for t in text.split(",") if t.strip())
+    return _parse_list(text, int)
+
+
+def _parse_list(text: str, parse_item) -> tuple:
+    values = tuple(parse_item(t) for t in text.split(",") if t.strip())
+    if not values:
+        raise ValueError(f"empty list: {text!r}")
+    return values
 
 
 def parse_bool(text: str) -> bool:
@@ -85,20 +92,30 @@ _KINDS = {
     "bool": parse_bool,
 }
 
-# flag name -> (kind, default, help); shared across subcommands
+# flag name -> (kind, default, help); every subcommand takes these
 _COMMON = {
     "out": ("str", "carlat-out", "output directory for report files"),
-    "seed": ("int", 0, "root seed for all randomness"),
     "d": ("int", 2, "lattice dimension"),
+    "strict": ("bool", False, "exit 1 on warnings or failed assertions"),
+}
+
+# flags some subcommands take; each lists only those its handler reads
+_SHARED = {
+    "seed": ("int", 0, "root seed for all randomness"),
     "c-ps": ("float", 0.01, "convexification strength of the weight"),
     "tau0": ("float", 5.0, "lower end of the admissible tau window"),
     "delta0": ("float", 0.1, "tau window upper end is delta0/h"),
-    "strict": ("bool", False, "exit 1 on warnings or failed assertions"),
     "jobs": ("int", 1, "parallel sweep jobs"),
 }
 
+
+def _shared(*flags) -> dict:
+    return {flag: _SHARED[flag] for flag in flags}
+
+
 _SUBCOMMANDS = {
     "carleman-sweep": {
+        **_shared("seed", "c-ps", "delta0", "jobs"),
         "h": ("float_list", (1 / 32, 1 / 64), "spacing sweep, descending"),
         "tau0": ("float", 1.0, "lower end of the admissible tau window"),
         "tau": ("float_list", (), "taus measured at every h (default: one tau per h, from tau-fraction)"),
@@ -108,16 +125,21 @@ _SUBCOMMANDS = {
         "ds-mode": ("str", "symmetric", "difference in the energy: symmetric|forward|backward"),
     },
     "log-convexity": {
+        **_shared("c-ps", "tau0", "delta0"),
         "h": ("float", 1 / 64, "lattice spacing"),
         "input": ("str", "mixed_jk", "harmonic input: const|linear_j|mixed_jk|diff_squares|deg3|solve"),
         "tau": ("float_list", (), "tau grid (default: 12 points in the window)"),
     },
     "three-balls": {
+        **_shared("c-ps"),
         "h": ("float_list", (1 / 32, 1 / 64), "spacing sweep, descending"),
         "input": ("str", "mixed_jk", "harmonic input kind or 'solve'"),
         "bound-constant": ("float", 10.0, "bound C above which the correction fit activates"),
     },
     "symbol-scan": {
+        # no scan reads --jobs; it stays because the report_io benchmark
+        # workload passes --jobs 1, and goes when that benchmark changes
+        **_shared("c-ps", "jobs"),
         "h": ("float", 1 / 128, "lattice spacing"),
         "tau": ("float", 20.0, "large parameter"),
         "c0": ("float", 0.0025, "commutator coupling in the margin"),
@@ -127,6 +149,7 @@ _SUBCOMMANDS = {
         "grid-csv": ("bool", True, "emit the per-frequency table at the first resolution"),
     },
     "commutator-check": {
+        **_shared("seed", "c-ps"),
         "h": ("float", 1 / 32, "lattice spacing"),
         "tau": ("float", 1.5, "large parameter"),
         "samples": ("int", 5, "seeded bump inputs"),
@@ -146,11 +169,13 @@ _SUBCOMMANDS = {
         "tol": ("float", 1e-12, "relative residual tolerance"),
     },
     "localize": {
+        **_shared("seed", "c-ps"),
         "h": ("float", 1 / 32, "lattice spacing"),
         "tau": ("float", 8.0, "large parameter"),
         "eps0": ("float", 0.25, "localization scale is 1/(eps0 sqrt(tau))"),
     },
     "singular-potential": {
+        **_shared("seed", "c-ps", "tau0", "delta0"),
         "h": ("float_list", (1 / 16, 1 / 32), "spacing sweep, descending"),
         "mu0": ("float", 0.05, "field strength: |V| <= mu0 h^-3/2, |B| <= mu0 h^-1/2"),
         "tau-fraction": ("float", 0.5, "tau = fraction * delta0 / h"),
@@ -160,22 +185,19 @@ _SUBCOMMANDS = {
 
 
 def _flag_specs(sub: str) -> dict:
-    specs = dict(_COMMON)
-    specs.update(_SUBCOMMANDS[sub])
-    return specs
+    return {**_COMMON, **_SUBCOMMANDS[sub]}
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="carlat",
         description="Lattice Schrodinger operators: weighted estimates and sweeps")
-    parser.add_argument("--config", default=None, help="flat key = value config file")
     subs = parser.add_subparsers(dest="subcommand", required=True)
     subparsers = {}
-    for name, extra in _SUBCOMMANDS.items():
+    for name in _SUBCOMMANDS:
         sp = subs.add_parser(name, description=f"run the {name} experiment")
         sp.add_argument("--config", default=None, help="flat key = value config file")
-        for flag, (kind, default, help_text) in {**_COMMON, **extra}.items():
+        for flag, (kind, default, help_text) in _flag_specs(name).items():
             sp.add_argument(f"--{flag}", dest=flag.replace("-", "_"),
                             type=_KINDS[kind], default=default, help=help_text)
         subparsers[name] = sp
@@ -228,9 +250,9 @@ def _manifest(args, sub: str) -> dict:
     return resolved
 
 
-def _checked_weight(args) -> None:
-    report = admissibility_check(WeightParams(max(args.tau0, 1.0) + 1e-9, args.c_ps))
-    report.raise_if_failed()
+def _checked_weight(c_ps: float) -> None:
+    # admissibility_check reads only c_ps; tau = 2 is any valid large parameter
+    admissibility_check(WeightParams(2.0, c_ps)).raise_if_failed()
 
 
 def _finish(report: ExperimentReport, args, extra_files=()) -> int:
@@ -242,11 +264,11 @@ def _finish(report: ExperimentReport, args, extra_files=()) -> int:
     return 0
 
 
-def _harmonic_input(spec: LatticeSpec, kind: str, solve_tol: float = 1e-10):
+def _harmonic_input(spec: LatticeSpec, kind: str):
     if kind == "solve":
         data = harmonic_polynomial(spec, "deg3" if spec.d >= 2 else "linear_j")
         problem = DirichletProblem.on_ball(spec, 4.0, data)
-        u = dirichlet_solve(problem, tol=solve_tol)
+        u = dirichlet_solve(problem)
         return u, residual(problem, u)
     u = harmonic_polynomial(spec, kind)
     return u, 0.0
@@ -255,7 +277,7 @@ def _harmonic_input(spec: LatticeSpec, kind: str, solve_tol: float = 1e-10):
 # -- handlers ---------------------------------------------------------------
 
 def cmd_carleman_sweep(args) -> int:
-    _checked_weight(args)
+    _checked_weight(args.c_ps)
     cfg = SweepConfig(d=args.d, h_grid=args.h, tau_rule="grid" if args.tau else "fraction",
                       tau_fraction=args.tau_fraction, tau_grid=args.tau,
                       tau0=args.tau0, delta0=args.delta0, c_ps=args.c_ps,
@@ -267,7 +289,7 @@ def cmd_carleman_sweep(args) -> int:
 
 
 def cmd_log_convexity(args) -> int:
-    _checked_weight(args)
+    _checked_weight(args.c_ps)
     h = args.h
     spec = LatticeSpec.ball_box(args.d, h, 4.0, pad_sites=2)
     u, res = _harmonic_input(spec, args.input)
@@ -283,7 +305,7 @@ def cmd_log_convexity(args) -> int:
 
 
 def cmd_three_balls(args) -> int:
-    _checked_weight(args)
+    _checked_weight(args.c_ps)
     solutions = []
     residuals = []
     for h in args.h:
@@ -299,7 +321,7 @@ def cmd_three_balls(args) -> int:
 
 
 def cmd_symbol_scan(args) -> int:
-    _checked_weight(args)
+    _checked_weight(args.c_ps)
     x_bar = args.x_bar or ((1.0,) + (0.0,) * (args.d - 1))
     if len(x_bar) != args.d:
         raise ConfigError("x-bar must have d components")
@@ -323,10 +345,9 @@ def cmd_symbol_scan(args) -> int:
     report.fit("min_margin", FittedConstant(scans[-1].min_margin, n=len(scans)))
     if len(scans) >= 2:
         a, b = scans[-2].min_margin, scans[-1].min_margin
-        agree = abs(a - b) / max(abs(a), abs(b), 1e-300) <= 0.05
-        report.fit("refinement_agreement",
-                   FittedConstant(abs(a - b) / max(abs(a), abs(b), 1e-300), n=2))
-        report.passed = bool(agree and scans[-1].min_margin > 0)
+        gap = abs(a - b) / max(abs(a), abs(b), 1e-300)
+        report.fit("refinement_agreement", FittedConstant(gap, n=2))
+        report.passed = bool(gap <= 0.05 and b > 0)
     extra = []
     if args.grid_csv:
         table = scan_table(fp, grids[0], args.c0)
@@ -342,7 +363,7 @@ def cmd_symbol_scan(args) -> int:
 
 
 def cmd_commutator_check(args) -> int:
-    _checked_weight(args)
+    _checked_weight(args.c_ps)
     h, tau = args.h, args.tau
     spec = LatticeSpec.ball_box(args.d, h, 2.0, pad_sites=4)
     ctx = ConjugationContext.from_weight(spec, WeightParams(tau, args.c_ps))
@@ -402,7 +423,7 @@ def cmd_coarsen_check(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    _checked_weight(args)
+    _checked_weight(args.c_ps)
     spec = LatticeSpec.ball_box(args.d, args.h, 2.0, pad_sites=4)
     ctx = ConjugationContext.from_weight(spec, WeightParams(args.tau, args.c_ps))
     f = random_bump(spec, AnnularRegion.origin(args.d, 0.5, 2.0), seed=args.seed)
@@ -412,7 +433,7 @@ def cmd_localize(args) -> int:
 
 
 def cmd_singular_potential(args) -> int:
-    _checked_weight(args)
+    _checked_weight(args.c_ps)
     cfg = SweepConfig(d=args.d, h_grid=args.h, tau_rule="fraction",
                       tau_fraction=args.tau_fraction, tau0=args.tau0,
                       delta0=args.delta0, c_ps=args.c_ps, seed=args.seed)

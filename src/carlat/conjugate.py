@@ -23,14 +23,12 @@ import numpy as np
 from ._kernels import apply_stencil_var
 from .lattice import (
     AnnularRegion,
-    FieldData,
     LatticeFunction,
     LatticeSpec,
     laplacian,
     diff,
     dilate,
     inner_product,
-    schrodinger_apply,
     shift_values,
     sym_diff_sum,
     unit_offset,
@@ -79,13 +77,12 @@ class ConjugationContext:
         return cls(spec, params, phi, singular)
 
     @classmethod
-    def from_table(cls, spec: LatticeSpec, phi_values,
-                   params: WeightParams | None = None) -> "ConjugationContext":
+    def from_table(cls, spec: LatticeSpec, phi_values) -> "ConjugationContext":
         """Context with an arbitrary site-wise weight (no singular sites)."""
         phi = np.asarray(phi_values, dtype=np.float64)
         if not np.all(np.isfinite(phi)):
             raise ValueError("weight table must be finite")
-        return cls(spec, params, phi, np.zeros(spec.shape, dtype=bool))
+        return cls(spec, None, phi, np.zeros(spec.shape, dtype=bool))
 
     # -- lazy table bundles -------------------------------------------------
 
@@ -331,14 +328,13 @@ RATIO_TABLES = ("annulus", "exp")
 
 
 def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
-                   fields: FieldData | None = None,
                    ds_mode: str = "symmetric") -> CarlemanRatio:
     """Evaluate the weighted a priori inequality on one test function.
 
     lhs = tau^3 |e^phi u|^2 + tau |e^phi h^-1 D u|^2 + tau^-1 |e^phi h^-2 D^2 u|^2
-    rhs = |e^phi g|^2 with g = h^-2 Lap u (or the full Schrodinger operator
-    when fields are given).  D is the summed symmetric difference by default;
-    forward/backward variants are exposed through ``ds_mode``.
+    rhs = |e^phi g|^2 with g = h^-2 Lap u.  D is the summed symmetric
+    difference by default; forward/backward variants are exposed through
+    ``ds_mode``.
     """
     if ctx.params is None:
         raise ValueError("carleman_ratio needs a context built from weight parameters")
@@ -368,14 +364,13 @@ def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
 
     du = dop(u)
     d2u = dop(du)
-    g = (schrodinger_apply(u, fields) if fields is not None
-         else u.with_values(laplacian(u).values / h ** 2))
+    g = laplacian(u).values / h ** 2
 
     term_l2 = tau ** 3 * wnorm2(u.values)
     term_d1 = tau * wnorm2(du.values / h)
     term_d2 = tau ** -1 * wnorm2(d2u.values / h ** 2)
     lhs = term_l2 + term_d1 + term_d2
-    rhs = wnorm2(g.values)
+    rhs = wnorm2(g)
     if rhs == 0.0:
         ratio = 0.0 if lhs == 0.0 else float("inf")
     else:

@@ -76,7 +76,7 @@ class SweepConfig:
         hs = tuple(float(h) for h in self.h_grid)
         if any(h <= 0 for h in hs):
             raise ValueError("spacings must be positive")
-        if list(hs) != sorted(hs, reverse=True):
+        if any(a <= b for a, b in zip(hs, hs[1:])):
             raise ValueError("h_grid must be strictly descending")
         taus = tuple(float(t) for t in self.tau_grid)
         if self.tau_rule not in ("fraction", "grid"):
@@ -115,26 +115,26 @@ def _cell_seed(root: int, *indices: int) -> int:
     return int(mixed)
 
 
-def ball_norms(u: LatticeFunction, radii=(0.5, 1.0, 2.0), center=None) -> tuple:
+def ball_norms(u: LatticeFunction, center=None) -> tuple:
     c = (0.0,) * u.spec.d if center is None else tuple(center)
-    return tuple(l2_norm(u, BallRegion(c, r)) for r in radii)
+    return tuple(l2_norm(u, BallRegion(c, r)) for r in (0.5, 1.0, 2.0))
 
 
-def harmonic_residual(u: LatticeFunction, shrink: int = 1,
-                      radius: float | None = None) -> float:
+def harmonic_residual(u: LatticeFunction, radius: float | None = None) -> float:
     """sup of the unscaled Laplacian over interior sites.
 
-    Sites closer than ``shrink`` to the box edge are excluded; when
-    ``radius`` is given only sites with |h n| < radius are measured (for
-    inputs certified harmonic on a ball only).
+    The box's edge layer is excluded; when ``radius`` is given only sites
+    with |h n| < radius are measured (for inputs certified harmonic on a
+    ball only).  A measurement with no site raises ``ValueError``.
     """
     res = np.abs(laplacian(u).values)
     mask = np.zeros(u.spec.shape, dtype=bool)
-    sl = tuple(slice(shrink, s - shrink) for s in u.spec.shape)
-    mask[sl] = True
+    mask[tuple(slice(1, s - 1) for s in u.spec.shape)] = True
     if radius is not None:
         mask &= u.spec.radii() < radius
-    return float(res[mask].max()) if mask.any() else 0.0
+    if not mask.any():
+        raise ValueError("no interior site to measure the harmonic residual on")
+    return float(res[mask].max())
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +142,7 @@ def harmonic_residual(u: LatticeFunction, shrink: int = 1,
 # ---------------------------------------------------------------------------
 
 def log_convexity_scan(u: LatticeFunction, tau_grid, c_ps: float = 0.01,
-                       tau0: float = 5.0, delta0: float = 0.1,
-                       center=None) -> ExperimentReport:
+                       tau0: float = 5.0, delta0: float = 0.1) -> ExperimentReport:
     """Two-term convexity constants C_emp(tau) over a tau grid.
 
     C_emp(tau) = |u|_B1 / (e^{c1 tau} |u|_B1/2 + e^{-c2 tau} |u|_B2) with
@@ -152,7 +151,7 @@ def log_convexity_scan(u: LatticeFunction, tau_grid, c_ps: float = 0.01,
     """
     c1, c2, alpha = weight_constants(c_ps)
     h = u.spec.h
-    n_half, n_one, n_two = ball_norms(u, center=center)
+    n_half, n_one, n_two = ball_norms(u)
     if n_two == 0.0:
         raise ValueError("degenerate input: u vanishes on B_2")
     report = ExperimentReport("log_convexity", {
@@ -180,21 +179,6 @@ def log_convexity_scan(u: LatticeFunction, tau_grid, c_ps: float = 0.01,
 # three balls
 # ---------------------------------------------------------------------------
 
-def _three_balls_rows(report: ExperimentReport, solutions, alpha: float,
-                      bound_constant: float, center=None):
-    for u in solutions:
-        n_half, n_one, n_two = ball_norms(u, center=center)
-        if n_two == 0.0:
-            raise ValueError("degenerate input: u vanishes on B_2")
-        geom = n_half ** alpha * n_two ** (1.0 - alpha)
-        ratio = n_one / geom if geom > 0 else float("inf")
-        excess = n_one - bound_constant * geom
-        report.add_row(h=u.spec.h, norm_half=n_half, norm_one=n_one,
-                       norm_two=n_two, ratio=ratio, excess=excess,
-                       excess_rel=excess / n_two,
-                       active=bool(excess > 0.0))
-
-
 def three_balls_experiment(solutions, c_ps: float = 0.01,
                            bound_constant: float = 10.0,
                            center=None) -> ExperimentReport:
@@ -216,7 +200,17 @@ def three_balls_experiment(solutions, c_ps: float = 0.01,
         "h_grid": [u.spec.h for u in solutions],
         "d": solutions[0].spec.d,
     })
-    _three_balls_rows(report, solutions, alpha, bound_constant, center)
+    for u in solutions:
+        n_half, n_one, n_two = ball_norms(u, center=center)
+        if n_two == 0.0:
+            raise ValueError("degenerate input: u vanishes on B_2")
+        geom = n_half ** alpha * n_two ** (1.0 - alpha)
+        ratio = n_one / geom if geom > 0 else float("inf")
+        excess = n_one - bound_constant * geom
+        report.add_row(h=u.spec.h, norm_half=n_half, norm_one=n_one,
+                       norm_two=n_two, ratio=ratio, excess=excess,
+                       excess_rel=excess / n_two,
+                       active=bool(excess > 0.0))
     ratios = [row["ratio"] for row in report.rows]
     report.fit("ratio_max", FittedConstant(max(ratios), n=len(ratios)))
     active = [row for row in report.rows if row["active"]]
@@ -234,32 +228,24 @@ def three_balls_experiment(solutions, c_ps: float = 0.01,
     return report
 
 
-def rescaled_three_balls(u: LatticeFunction, m: int, c_ps: float = 0.01,
-                         bound_constant: float = 10.0,
-                         harmonic_tol: float = 1e-10,
-                         certified_radius: float | None = None,
-                         center=None) -> ExperimentReport:
+def rescaled_three_balls(u: LatticeFunction, m: int) -> ExperimentReport:
     """Three-balls ratios for u_m(x) = u(x/m) on the stretched lattice.
 
-    Requires u discrete-harmonic on its lattice and its m-coarsening
-    harmonic as well (verified here, inside ``certified_radius`` when the
-    input comes from a ball solve); the stretched function is then harmonic
-    with spacing m*h and the plain three-balls measurement applies to it,
-    which is the rescaled inequality for u on the balls of radius
+    Requires u discrete-harmonic on its whole box and its m-coarsening
+    harmonic as well (both verified here); the stretched function is then
+    harmonic with spacing m*h and the plain three-balls measurement applies
+    to it, which is the rescaled inequality for u on the balls of radius
     1/m, 1/(2m), 2/m.
     """
     if m < 1:
         raise ValueError("rescaling factor must be a positive integer")
-    h = u.spec.h
-    scale = max(1.0, float(np.abs(u.values).max()))
-    fine_r = None if certified_radius is None else certified_radius - h
-    coarse_r = None if certified_radius is None else certified_radius - (m + 1) * h
-    if harmonic_residual(u, radius=fine_r) > harmonic_tol * scale:
+    tol = 1e-10 * max(1.0, float(np.abs(u.values).max()))
+    if harmonic_residual(u) > tol:
         raise ValueError("input function is not discrete harmonic")
-    if harmonic_residual(coarsen(u, m), radius=coarse_r) > harmonic_tol * scale:
+    if harmonic_residual(coarsen(u, m)) > tol:
         raise ValueError("coarsened function is not harmonic")
     um = stretch(u, m)
-    report = three_balls_experiment([um], c_ps, bound_constant, center=center)
+    report = three_balls_experiment([um])
     report.name = "rescaled_three_balls"
     report.config["m"] = m
     report.config["h_fine"] = u.spec.h
@@ -573,7 +559,7 @@ def coarsen_check(u: LatticeFunction, factors=(2, 3, 4), tol: float = 1e-12,
     for m in factors:
         uc = coarsen(u, m)
         r_eff = None if radius is None else radius - (m + 1) * h
-        res = harmonic_residual(uc, shrink=1, radius=r_eff)
+        res = harmonic_residual(uc, radius=r_eff)
         rel = res / scale
         within = bool(rel <= tol)
         ok = ok and within

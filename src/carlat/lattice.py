@@ -189,9 +189,9 @@ class FieldData:
         return cls(z, (z,) * spec.d)
 
 
-def unit_offset(d: int, j: int, sign: int = 1) -> np.ndarray:
+def unit_offset(d: int, j: int) -> np.ndarray:
     off = np.zeros(d, dtype=np.int64)
-    off[j - 1] = sign
+    off[j - 1] = 1
     return off
 
 

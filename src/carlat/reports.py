@@ -113,11 +113,11 @@ class ExperimentReport:
         return "".join(csv_blocks(keys, [[row[k] for row in self.rows] for k in keys],
                                   _csv_cell))
 
-    def write(self, out_dir: str | Path, basename: str | None = None):
-        """Write <base>.json, <base>.csv and <base>.meta.json; returns paths."""
+    def write(self, out_dir: str | Path):
+        """Write <name>_<hash>.json, .csv and .meta.json; returns paths."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        base = basename or f"{self.name}_{self.config_hash}"
+        base = f"{self.name}_{self.config_hash}"
         json_path = out / f"{base}.json"
         csv_path = out / f"{base}.csv"
         meta_path = out / f"{base}.meta.json"

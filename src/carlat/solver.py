@@ -147,11 +147,11 @@ def residual(p: DirichletProblem, u: LatticeFunction) -> float:
 HARMONIC_KINDS = ("const", "linear_j", "mixed_jk", "diff_squares", "deg3")
 
 
-def harmonic_polynomial(spec: LatticeSpec, kind: str, j: int = 1, k: int = 2) -> LatticeFunction:
+def harmonic_polynomial(spec: LatticeSpec, kind: str) -> LatticeFunction:
     """Exactly discrete-harmonic polynomial samples on the box.
 
-    const: 1; linear_j: x_j; mixed_jk: x_j x_k (j != k);
-    diff_squares: x_j^2 - x_k^2; deg3: x_1^3 - 3 x_1 x_2^2.
+    const: 1; linear_j: x_1; mixed_jk: x_1 x_2;
+    diff_squares: x_1^2 - x_2^2; deg3: x_1^3 - 3 x_1 x_2^2.
     Each one satisfies Lap f = 0 identically (the h^2 terms cancel).
     """
     if kind not in HARMONIC_KINDS:
@@ -160,17 +160,13 @@ def harmonic_polynomial(spec: LatticeSpec, kind: str, j: int = 1, k: int = 2) ->
     if kind == "const":
         return LatticeFunction(spec, np.ones(spec.shape))
     if kind == "linear_j":
-        if not 1 <= j <= spec.d:
-            raise ValueError("direction out of range")
-        return LatticeFunction(spec, x[j - 1].copy())
+        return LatticeFunction(spec, x[0].copy())
     if spec.d < 2:
         raise ValueError(f"kind {kind!r} needs dimension >= 2")
-    if not (1 <= j <= spec.d and 1 <= k <= spec.d and j != k):
-        raise ValueError("need two distinct directions in range")
     if kind == "mixed_jk":
-        return LatticeFunction(spec, x[j - 1] * x[k - 1])
+        return LatticeFunction(spec, x[0] * x[1])
     if kind == "diff_squares":
-        return LatticeFunction(spec, x[j - 1] ** 2 - x[k - 1] ** 2)
+        return LatticeFunction(spec, x[0] ** 2 - x[1] ** 2)
     return LatticeFunction(spec, x[0] ** 3 - 3.0 * x[0] * x[1] ** 2)
 
 
@@ -208,8 +204,7 @@ def _plane_wave_sum(spec: LatticeSpec, amps, freqs, phases) -> np.ndarray:
     return wave.reshape(spec.shape)
 
 
-def random_bump(spec: LatticeSpec, region: AnnularRegion, seed: int,
-                modes: int = 6) -> LatticeFunction:
+def random_bump(spec: LatticeSpec, region: AnnularRegion, seed: int) -> LatticeFunction:
     """Seeded smooth bump supported strictly inside the annulus.
 
     The profile vanishes within max(2h, 0.05) of the annulus boundary, so
@@ -228,6 +223,7 @@ def random_bump(spec: LatticeSpec, region: AnnularRegion, seed: int,
     ramp = min(0.25 * (b - a), 0.2)
 
     rng = np.random.default_rng(seed)
+    modes = 6
     amps = rng.standard_normal(modes)
     freqs = rng.uniform(-1.0, 1.0, size=(modes, spec.d)) * (2 * np.pi / region.width)
     phases = rng.uniform(0.0, 2 * np.pi, size=modes)

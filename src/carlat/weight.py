@@ -126,13 +126,12 @@ class AdmissibilityReport:
                 "inadmissible weight parameters: " + "; ".join(self.failures))
 
 
-def admissibility_check(params: WeightParams, annulus=(0.25, 4.0),
-                        n_samples: int = 4096) -> AdmissibilityReport:
-    """Sample the annulus and verify monotonicity and margin positivity."""
+def admissibility_check(params: WeightParams, annulus=(0.25, 4.0)) -> AdmissibilityReport:
+    """Check monotonicity and margin positivity at 4096 radii of the annulus."""
     r_in, r_out = annulus
     if not 0 < r_in < r_out:
         raise ValueError("annulus must satisfy 0 < r_in < r_out")
-    rs = np.linspace(r_in, r_out, n_samples)
+    rs = np.linspace(r_in, r_out, 4096)
     slope = varphi(rs, 1, params.c_ps)
     margin = margin_closed_form(rs, params.c_ps)
     i_m = int(np.argmin(margin))
@@ -146,7 +145,7 @@ def admissibility_check(params: WeightParams, annulus=(0.25, 4.0),
         ok=not failures,
         min_margin=float(margin[i_m]), argmin_margin=float(rs[i_m]),
         max_slope=float(slope[i_s]), argmax_slope=float(rs[i_s]),
-        n_samples=n_samples, failures=tuple(failures))
+        n_samples=rs.size, failures=tuple(failures))
 
 
 def weight_constants(c_ps: float = DEFAULT_C_PS):

@@ -203,6 +203,7 @@ class TestCarlemanSweep:
         ({"tau_rule": "fixed"}, "unknown tau rule"),
         ({"tau_rule": "grid"}, "nonempty tau_grid"),
         ({"tau_rule": "fraction", "tau_grid": (2.0,)}, "only read by the 'grid'"),
+        ({"h_grid": (1 / 16, 1 / 16)}, "strictly descending"),
     ])
     def test_tau_rule_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -314,3 +315,10 @@ class TestCoarsenCheck:
         u = dirichlet_solve(problem, tol=1e-10)
         report = coarsen_check(u, factors=(2, 3, 4), radius=4.0)
         assert report.passed is True
+
+    def test_empty_measurement_rejected(self):
+        # at m = 4 no coarse site lies inside radius - (m + 1) h = -0.5
+        spec = LatticeSpec.ball_box(2, 1 / 2, 2.0, pad_sites=2)
+        noise = LatticeFunction(spec, np.random.default_rng(0).standard_normal(spec.shape))
+        with pytest.raises(ValueError, match="no interior site"):
+            coarsen_check(noise, factors=(4,), radius=2.0)
