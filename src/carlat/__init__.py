@@ -7,6 +7,8 @@ from .conjugate import (
     CommutatorCoeffs,
     ConjugationContext,
     antisym_apply,
+    carleman_annulus,
+    carleman_box,
     carleman_ratio,
     commutator_apply,
     commutator_coeffs,
@@ -23,6 +25,7 @@ from .experiments import (
     carleman_sweep,
     coarsen_check,
     harmonic_residual,
+    in_window,
     localization_diagnostic,
     log_convexity_scan,
     rescaled_three_balls,
@@ -50,6 +53,7 @@ from .reports import ExperimentReport, FittedConstant
 from .solver import (
     DirichletProblem,
     SolverError,
+    ball_input,
     dirichlet_solve,
     harmonic_polynomial,
     random_bump,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .conjugate import ConjugationContext, commutator_coeffs, commutator_form, \
-    antisym_apply, conjugate_apply, sym_apply
+    antisym_apply, carleman_annulus, carleman_box, conjugate_apply, sym_apply
 from .experiments import (
     SweepConfig,
     caccioppoli_sweep,
@@ -29,16 +29,9 @@ from .experiments import (
     singular_potential_experiment,
     three_balls_experiment,
 )
-from .lattice import AnnularRegion, LatticeSpec, inner_product, l2_norm
+from .lattice import inner_product, l2_norm
 from .reports import ExperimentReport, FittedConstant, csv_blocks
-from .solver import (
-    DirichletProblem,
-    SolverError,
-    dirichlet_solve,
-    harmonic_polynomial,
-    random_bump,
-    residual,
-)
+from .solver import SolverError, ball_input, random_bump
 from .symbols import FrozenPoint, SymbolGrid, lower_bound_margin, scan_table
 from .weight import WeightParams, admissibility_check
 
@@ -103,7 +96,7 @@ _COMMON = {
 _SHARED = {
     "seed": ("int", 0, "root seed for all randomness"),
     "c-ps": ("float", 0.01, "convexification strength of the weight"),
-    "tau0": ("float", 5.0, "lower end of the admissible tau window"),
+    "tau0": ("float", 1.0, "lower end of the admissible tau window"),
     "delta0": ("float", 0.1, "tau window upper end is delta0/h"),
     "jobs": ("int", 1, "parallel sweep jobs"),
 }
@@ -115,9 +108,8 @@ def _shared(*flags) -> dict:
 
 _SUBCOMMANDS = {
     "carleman-sweep": {
-        **_shared("seed", "c-ps", "delta0", "jobs"),
+        **_shared("seed", "c-ps", "tau0", "delta0", "jobs"),
         "h": ("float_list", (1 / 32, 1 / 64), "spacing sweep, descending"),
-        "tau0": ("float", 1.0, "lower end of the admissible tau window"),
         "tau": ("float_list", (), "taus measured at every h (default: one tau per h, from tau-fraction)"),
         "tau-fraction": ("float", 0.5, "tau = fraction * delta0 / h"),
         "samples": ("int", 8, "seeded bumps per (h, tau) cell"),
@@ -125,8 +117,9 @@ _SUBCOMMANDS = {
         "ds-mode": ("str", "symmetric", "difference in the energy: symmetric|forward|backward"),
     },
     "log-convexity": {
-        **_shared("c-ps", "tau0", "delta0"),
+        **_shared("c-ps", "delta0"),
         "h": ("float", 1 / 64, "lattice spacing"),
+        "tau0": ("float", 5.0, "lower end of the admissible tau window"),
         "input": ("str", "mixed_jk", "harmonic input: const|linear_j|mixed_jk|diff_squares|deg3|solve"),
         "tau": ("float_list", (), "tau grid (default: 12 points in the window)"),
     },
@@ -175,8 +168,9 @@ _SUBCOMMANDS = {
         "eps0": ("float", 0.25, "localization scale is 1/(eps0 sqrt(tau))"),
     },
     "singular-potential": {
-        **_shared("seed", "c-ps", "tau0", "delta0"),
+        **_shared("seed", "c-ps", "tau0"),
         "h": ("float_list", (1 / 16, 1 / 32), "spacing sweep, descending"),
+        "delta0": ("float", 0.5, "tau window upper end is delta0/h"),
         "mu0": ("float", 0.05, "field strength: |V| <= mu0 h^-3/2, |B| <= mu0 h^-1/2"),
         "tau-fraction": ("float", 0.5, "tau = fraction * delta0 / h"),
         "solve-tol": ("float", 1e-8, "Dirichlet residual tolerance"),
@@ -218,6 +212,8 @@ def load_config(path: str, sub: str) -> dict:
         raw_key = key.strip()
         key = raw_key.replace("_", "-")
         if key == "subcommand":
+            if val.strip() != sub:
+                raise ConfigError(f"{path}:{lineno}: file is for subcommand '{val.strip()}'")
             continue
         if key not in specs:
             raise ConfigError(f"{path}:{lineno}: unknown config field '{raw_key}'")
@@ -264,16 +260,6 @@ def _finish(report: ExperimentReport, args, extra_files=()) -> int:
     return 0
 
 
-def _harmonic_input(spec: LatticeSpec, kind: str):
-    if kind == "solve":
-        data = harmonic_polynomial(spec, "deg3" if spec.d >= 2 else "linear_j")
-        problem = DirichletProblem.on_ball(spec, 4.0, data)
-        u = dirichlet_solve(problem)
-        return u, residual(problem, u)
-    u = harmonic_polynomial(spec, kind)
-    return u, 0.0
-
-
 # -- handlers ---------------------------------------------------------------
 
 def cmd_carleman_sweep(args) -> int:
@@ -290,15 +276,12 @@ def cmd_carleman_sweep(args) -> int:
 
 def cmd_log_convexity(args) -> int:
     _checked_weight(args.c_ps)
-    h = args.h
-    spec = LatticeSpec.ball_box(args.d, h, 4.0, pad_sites=2)
-    u, res = _harmonic_input(spec, args.input)
+    u, res = ball_input(args.d, args.h, args.input)
     taus = args.tau
     if not taus:
-        lo, hi = args.tau0 * 1.01, args.delta0 / h * 0.99
+        lo, hi = args.tau0 * 1.01, args.delta0 / args.h * 0.99
         taus = tuple(np.geomspace(lo, hi, 12)) if hi > lo else (lo,)
-    report = log_convexity_scan(u, taus, c_ps=args.c_ps,
-                                tau0=args.tau0, delta0=args.delta0)
+    report = log_convexity_scan(u, taus, args.c_ps, args.tau0, args.delta0)
     report.config.update(_manifest(args, "log-convexity"))
     report.config["input_residual"] = res
     return _finish(report, args)
@@ -306,13 +289,7 @@ def cmd_log_convexity(args) -> int:
 
 def cmd_three_balls(args) -> int:
     _checked_weight(args.c_ps)
-    solutions = []
-    residuals = []
-    for h in args.h:
-        spec = LatticeSpec.ball_box(args.d, h, 4.0, pad_sites=2)
-        u, res = _harmonic_input(spec, args.input)
-        solutions.append(u)
-        residuals.append(res)
+    solutions, residuals = zip(*(ball_input(args.d, h, args.input) for h in args.h))
     report = three_balls_experiment(solutions, c_ps=args.c_ps,
                                     bound_constant=args.bound_constant)
     report.config.update(_manifest(args, "three-balls"))
@@ -365,9 +342,9 @@ def cmd_symbol_scan(args) -> int:
 def cmd_commutator_check(args) -> int:
     _checked_weight(args.c_ps)
     h, tau = args.h, args.tau
-    spec = LatticeSpec.ball_box(args.d, h, 2.0, pad_sites=4)
+    spec = carleman_box(args.d, h)
     ctx = ConjugationContext.from_weight(spec, WeightParams(tau, args.c_ps))
-    annulus = AnnularRegion.origin(args.d, 0.5, 2.0)
+    annulus = carleman_annulus(args.d)
     report = ExperimentReport("commutator_check", _manifest(args, "commutator-check"))
     worst = {"split": 0.0, "energy": 0.0, "two_path": 0.0}
     for s in range(args.samples):
@@ -413,8 +390,7 @@ def cmd_caccioppoli(args) -> int:
 
 
 def cmd_coarsen_check(args) -> int:
-    spec = LatticeSpec.ball_box(args.d, args.h, 4.0, pad_sites=2)
-    u, res = _harmonic_input(spec, args.input)
+    u, res = ball_input(args.d, args.h, args.input)
     radius = 4.0 if args.input == "solve" else None
     report = coarsen_check(u, factors=args.m, tol=args.tol, radius=radius)
     report.config.update(_manifest(args, "coarsen-check"))
@@ -424,9 +400,9 @@ def cmd_coarsen_check(args) -> int:
 
 def cmd_localize(args) -> int:
     _checked_weight(args.c_ps)
-    spec = LatticeSpec.ball_box(args.d, args.h, 2.0, pad_sites=4)
+    spec = carleman_box(args.d, args.h)
     ctx = ConjugationContext.from_weight(spec, WeightParams(args.tau, args.c_ps))
-    f = random_bump(spec, AnnularRegion.origin(args.d, 0.5, 2.0), seed=args.seed)
+    f = random_bump(spec, carleman_annulus(args.d), seed=args.seed)
     report = localization_diagnostic(f, ctx, args.eps0)
     report.config.update(_manifest(args, "localize"))
     return _finish(report, args)
@@ -434,10 +410,8 @@ def cmd_localize(args) -> int:
 
 def cmd_singular_potential(args) -> int:
     _checked_weight(args.c_ps)
-    cfg = SweepConfig(d=args.d, h_grid=args.h, tau_rule="fraction",
-                      tau_fraction=args.tau_fraction, tau0=args.tau0,
-                      delta0=args.delta0, c_ps=args.c_ps, seed=args.seed)
-    report = singular_potential_experiment(args.mu0, cfg, solve_tol=args.solve_tol)
+    report = singular_potential_experiment(args.mu0, args.d, args.h, args.tau_fraction, args.tau0,
+                                           args.delta0, args.c_ps, args.seed, args.solve_tol)
     report.config.update(_manifest(args, "singular-potential"))
     return _finish(report, args)
 

@@ -38,6 +38,16 @@ from .weight import WeightParams, varphi
 PHI_OVERFLOW_LIMIT = 700.0
 
 
+def carleman_annulus(d: int) -> AnnularRegion:
+    """Where Carleman test functions live: 1/2 < |x| < 2."""
+    return AnnularRegion.origin(d, 0.5, 2.0)
+
+
+def carleman_box(d: int, h: float) -> LatticeSpec:
+    """The box of the Carleman measurements: B_2 and four sites to spare."""
+    return LatticeSpec.ball_box(d, h, 2.0, pad_sites=4)
+
+
 def weight_table(spec: LatticeSpec, params: WeightParams):
     """Site table of phi = tau*varphi(|h n|); the origin site is masked."""
     r = spec.radii()
@@ -109,7 +119,7 @@ class ConjugationContext:
             val[self.singular] = 0.0
         elif name == "annulus":
             # the support region carleman_ratio accepts
-            val = AnnularRegion.origin(d, 0.5, 2.0).mask(self.spec)
+            val = carleman_annulus(d).mask(self.spec)
             val.flags.writeable = False
         elif name == "sym":
             h2 = self.spec.h ** -2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,12 +18,13 @@ from .conjugate import (
     RATIO_TABLES,
     ConjugationContext,
     antisym_apply,
+    carleman_annulus,
+    carleman_box,
     carleman_ratio,
     conjugate_apply,
     sym_apply,
 )
 from .lattice import (
-    AnnularRegion,
     BallRegion,
     FieldData,
     LatticeFunction,
@@ -35,26 +36,42 @@ from .lattice import (
     stretch,
 )
 from .reports import ExperimentReport, FittedConstant, linear_fit
-from .solver import (
-    DirichletProblem,
-    _smoothstep,
-    dirichlet_solve,
-    harmonic_polynomial,
-    random_bump,
-    residual,
-)
+from .solver import _smoothstep, ball_input, harmonic_polynomial, random_bump
 from .weight import WeightParams, weight_constants
+
+
+def in_window(tau: float, h: float, tau0: float, delta0: float) -> bool:
+    """The admissible window of the large parameter, open at both ends; every
+    tau rule and the log-convexity scan classify tau with it."""
+    return tau > 1 and tau0 < tau < delta0 / h
+
+
+def h_sweep(h_grid) -> tuple:
+    """The spacings of an h sweep as floats: positive, strictly descending."""
+    hs = tuple(float(h) for h in h_grid)
+    if any(h <= 0 for h in hs):
+        raise ValueError("spacings must be positive")
+    if any(a <= b for a, b in zip(hs, hs[1:])):
+        raise ValueError("spacings must be strictly descending")
+    return hs
+
+
+def _check_fraction_rule(tau_fraction: float, tau0: float, delta0: float) -> None:
+    if not 0 < tau_fraction <= 1:
+        raise ValueError("tau_fraction must lie in (0, 1]")
+    if not (delta0 > 0 and tau0 > 0):
+        raise ValueError("delta0 and tau0 must be positive")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Shared sweep parameters.
+    """Parameters of the Carleman sweep.
 
-    The admissible window for the large parameter is (tau0, delta0/h).  The
-    ``"fraction"`` rule measures tau = tau_fraction * delta0 / h at each h;
-    the ``"grid"`` rule measures every tau of ``tau_grid`` at each h.  The
-    window bounds are empirical knobs (reported, never asserted to match any
-    canonical value) and every report echoes them.
+    The ``"fraction"`` rule measures tau = tau_fraction * delta0 / h at each
+    h; the ``"grid"`` rule measures every tau of ``tau_grid`` at each h.
+    Only taus inside ``in_window`` are measured.  The window bounds are
+    empirical knobs (reported, never asserted to match any canonical value)
+    and every report echoes them.
     """
 
     d: int = 2
@@ -62,7 +79,7 @@ class SweepConfig:
     tau_rule: str = "fraction"
     tau_fraction: float = 0.5
     tau_grid: tuple = ()
-    tau0: float = 5.0
+    tau0: float = 1.0
     delta0: float = 0.1
     c_ps: float = 0.01
     seed: int = 0
@@ -73,11 +90,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        hs = tuple(float(h) for h in self.h_grid)
-        if any(h <= 0 for h in hs):
-            raise ValueError("spacings must be positive")
-        if any(a <= b for a, b in zip(hs, hs[1:])):
-            raise ValueError("h_grid must be strictly descending")
+        hs = h_sweep(self.h_grid)
         taus = tuple(float(t) for t in self.tau_grid)
         if self.tau_rule not in ("fraction", "grid"):
             raise ValueError(f"unknown tau rule {self.tau_rule!r}")
@@ -85,29 +98,9 @@ class SweepConfig:
             raise ValueError("tau rule 'grid' needs a nonempty tau_grid")
         if self.tau_rule == "fraction" and taus:
             raise ValueError("tau_grid is only read by the 'grid' tau rule")
-        if not 0 < self.tau_fraction <= 1:
-            raise ValueError("tau_fraction must lie in (0, 1]")
-        if not (self.delta0 > 0 and self.tau0 > 0):
-            raise ValueError("delta0 and tau0 must be positive")
+        _check_fraction_rule(self.tau_fraction, self.tau0, self.delta0)
         object.__setattr__(self, "h_grid", hs)
         object.__setattr__(self, "tau_grid", taus)
-
-    def taus_for(self, h: float) -> tuple:
-        if self.tau_rule == "fraction":
-            return (self.tau_fraction * self.delta0 / h,)
-        return self.tau_grid
-
-    def admissible(self, tau: float, h: float) -> bool:
-        return tau > 1 and self.tau0 < tau < self.delta0 / h
-
-    def echo(self) -> dict:
-        return {
-            "d": self.d, "h_grid": list(self.h_grid), "tau_rule": self.tau_rule,
-            "tau_fraction": self.tau_fraction, "tau_grid": list(self.tau_grid),
-            "tau0": self.tau0, "delta0": self.delta0, "c_ps": self.c_ps, "seed": self.seed,
-            "n_samples": self.n_samples, "growth_cap": self.growth_cap,
-            "ds_mode": self.ds_mode,
-        }
 
 
 def _cell_seed(root: int, *indices: int) -> int:
@@ -146,8 +139,8 @@ def log_convexity_scan(u: LatticeFunction, tau_grid, c_ps: float = 0.01,
     """Two-term convexity constants C_emp(tau) over a tau grid.
 
     C_emp(tau) = |u|_B1 / (e^{c1 tau} |u|_B1/2 + e^{-c2 tau} |u|_B2) with
-    c1, c2 evaluated from the weight profile.  Only admissible taus
-    contribute to the fitted maximum.
+    c1, c2 evaluated from the weight profile.  Only taus inside
+    ``in_window`` contribute to the fitted maximum.
     """
     c1, c2, alpha = weight_constants(c_ps)
     h = u.spec.h
@@ -161,7 +154,7 @@ def log_convexity_scan(u: LatticeFunction, tau_grid, c_ps: float = 0.01,
     best = None
     for tau in tau_grid:
         tau = float(tau)
-        admissible = tau0 < tau < delta0 / h
+        admissible = in_window(tau, h, tau0, delta0)
         denom = math.exp(c1 * tau) * n_half + math.exp(-c2 * tau) * n_two
         c_emp = n_one / denom
         report.add_row(tau=tau, admissible=admissible, c_emp=c_emp,
@@ -193,6 +186,7 @@ def three_balls_experiment(solutions, c_ps: float = 0.01,
     solutions = list(solutions)
     if not solutions:
         raise ValueError("need at least one solution")
+    h_sweep(u.spec.h for u in solutions)
     c1, c2, alpha = weight_constants(c_ps)
     report = ExperimentReport("three_balls", {
         "c_ps": c_ps, "c1": c1, "c2": c2, "alpha": alpha,
@@ -269,22 +263,22 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    report = ExperimentReport("carleman_sweep", cfg.echo())
-    annulus = AnnularRegion.origin(cfg.d, 0.5, 2.0)
+    report = ExperimentReport("carleman_sweep", asdict(cfg))
+    annulus = carleman_annulus(cfg.d)
 
     cells = []
     contexts = {}
     for ih, h in enumerate(cfg.h_grid):
-        for tau in cfg.taus_for(h):
-            if not cfg.admissible(tau, h):
+        taus = cfg.tau_grid if cfg.tau_rule == "grid" else (cfg.tau_fraction * cfg.delta0 / h,)
+        for tau in taus:
+            if not in_window(tau, h, cfg.tau0, cfg.delta0):
                 report.warn(f"tau={tau:g} outside the window (tau0, delta0/h) at h={h:g}; skipped")
                 report.add_row(h=h, tau=tau, admissible=False, seed=None,
                                ratio=None, lhs=None, rhs=None)
                 continue
             if (ih, tau) not in contexts:
-                spec = LatticeSpec.ball_box(cfg.d, h, 2.0, pad_sites=4)
                 contexts[ih, tau] = ConjugationContext.from_weight(
-                    spec, WeightParams(tau, cfg.c_ps))
+                    carleman_box(cfg.d, h), WeightParams(tau, cfg.c_ps))
             for s in range(cfg.n_samples):
                 cells.append((ih, h, tau, s))
 
@@ -360,17 +354,19 @@ def caccioppoli_ratio(u: LatticeFunction, r1: float, r2: float) -> CaccioppoliRa
 
 def caccioppoli_sweep(kind: str, d: int, h_grid, r1: float = 1.0,
                       r2: float = 2.0) -> ExperimentReport:
-    """Caccioppoli ratios of one harmonic polynomial across an h sweep."""
+    """Caccioppoli ratios of one harmonic polynomial across two or more spacings."""
+    hs = h_sweep(h_grid)
+    if len(hs) < 2:
+        raise ValueError("the ratio spread needs at least two spacings")
     report = ExperimentReport("caccioppoli", {
-        "kind": kind, "d": d, "h_grid": [float(h) for h in h_grid],
-        "r1": r1, "r2": r2,
+        "kind": kind, "d": d, "h_grid": list(hs), "r1": r1, "r2": r2,
     })
     ratios = []
-    for h in h_grid:
-        spec = LatticeSpec.ball_box(d, float(h), r2, pad_sites=2)
+    for h in hs:
+        spec = LatticeSpec.ball_box(d, h, r2, pad_sites=2)
         u = harmonic_polynomial(spec, kind)
         rec = caccioppoli_ratio(u, r1, r2)
-        report.add_row(h=float(h), lhs=rec.lhs, rhs=rec.rhs, ratio=rec.ratio)
+        report.add_row(h=h, lhs=rec.lhs, rhs=rec.rhs, ratio=rec.ratio)
         ratios.append(rec.ratio)
     report.fit("ratio_max", FittedConstant(max(ratios), n=len(ratios)))
     spread = max(ratios) / min(ratios) - 1.0
@@ -485,51 +481,42 @@ def singular_field_data(spec: LatticeSpec, mu0: float, seed: int) -> FieldData:
     return FieldData(v, bs)
 
 
-def singular_potential_experiment(mu0: float, cfg: SweepConfig,
-                                  solve_tol: float = 1e-8) -> ExperimentReport:
+def singular_potential_experiment(mu0: float, d: int, h_grid, tau_fraction: float,
+                                  tau0: float, delta0: float, c_ps: float = 0.01,
+                                  seed: int = 0, solve_tol: float = 1e-8) -> ExperimentReport:
     """Convexity measurement with potentials growing as h^-3/2.
 
-    For each h a Dirichlet problem with the h-saturating random fields is
-    solved on B_4 and the two-term bound is evaluated with the exponents
-    rewritten per 1/h: chat_i = c_i * tau * h, so that e^{c_i tau} =
-    e^{chat_i / h}.  Under the fractional tau rule the chat values are the
-    h-independent empirical exponents of the modified estimate.
+    At each h with tau = tau_fraction * delta0 / h inside ``in_window``, the
+    B_4 Dirichlet problem with h-saturating random fields is solved and
+    ``log_convexity_scan`` gives C_emp at tau.  The exponents per 1/h,
+    chat_i = c_i * tau * h, do not depend on h under this tau rule.
     """
     if mu0 < 0:
         raise ValueError("mu0 must be nonnegative")
-    c1, c2, alpha = weight_constants(cfg.c_ps)
+    hs = h_sweep(h_grid)
+    _check_fraction_rule(tau_fraction, tau0, delta0)
+    c1, c2, _ = weight_constants(c_ps)
     report = ExperimentReport("singular_potential", {
-        **cfg.echo(), "mu0": mu0, "solve_tol": solve_tol,
-        "c1": c1, "c2": c2,
+        "d": d, "h_grid": list(hs), "tau_fraction": tau_fraction, "tau0": tau0,
+        "delta0": delta0, "c_ps": c_ps, "seed": seed, "mu0": mu0,
+        "solve_tol": solve_tol, "c1": c1, "c2": c2,
     })
-    kind = "deg3" if cfg.d >= 2 else "linear_j"
-    chat2_values = []
-    for ih, h in enumerate(cfg.h_grid):
-        taus = [t for t in cfg.taus_for(h) if cfg.admissible(t, h)]
-        if not taus:
+    for ih, h in enumerate(hs):
+        tau = tau_fraction * delta0 / h
+        if not in_window(tau, h, tau0, delta0):
             report.warn(f"no admissible tau at h={h:g}; skipped")
             continue
-        tau = taus[0]
-        spec = LatticeSpec.ball_box(cfg.d, h, 4.0, pad_sites=2)
-        fields = (FieldData.zero(spec) if mu0 == 0.0
-                  else singular_field_data(spec, mu0, _cell_seed(cfg.seed, ih)))
-        data = harmonic_polynomial(spec, kind)
-        problem = DirichletProblem.on_ball(spec, 4.0, data, fields)
-        u = dirichlet_solve(problem, tol=solve_tol)
-        res = residual(problem, u)
-        n_half, n_one, n_two = ball_norms(u)
-        chat1 = c1 * tau * h
-        chat2 = c2 * tau * h
-        denom = math.exp(chat1 / h) * n_half + math.exp(-chat2 / h) * n_two
-        report.add_row(h=h, tau=tau, residual=res, chat1=chat1, chat2=chat2,
-                       c_emp=n_one / denom, norm_half=n_half, norm_one=n_one,
-                       norm_two=n_two)
-        chat2_values.append(chat2)
+        u, res = ball_input(d, h, "solve", tol=solve_tol,
+                            fields=lambda spec: singular_field_data(spec, mu0, _cell_seed(seed, ih)))
+        row = log_convexity_scan(u, (tau,), c_ps, tau0, delta0).rows[0]
+        report.add_row(h=h, tau=tau, residual=res, chat1=c1 * tau * h, chat2=c2 * tau * h,
+                       **{k: row[k] for k in ("c_emp", "norm_half", "norm_one", "norm_two")})
     if report.rows:
+        chat2_min = min(row["chat2"] for row in report.rows)
         report.fit("c_emp_max", FittedConstant(
             max(row["c_emp"] for row in report.rows), n=len(report.rows)))
-        report.fit("chat2_min", FittedConstant(min(chat2_values), n=len(chat2_values)))
-        report.passed = bool(min(chat2_values) > 0)
+        report.fit("chat2_min", FittedConstant(chat2_min, n=len(report.rows)))
+        report.passed = bool(chat2_min > 0)
     return report
 
 

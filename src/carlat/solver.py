@@ -147,6 +147,23 @@ def residual(p: DirichletProblem, u: LatticeFunction) -> float:
 HARMONIC_KINDS = ("const", "linear_j", "mixed_jk", "diff_squares", "deg3")
 
 
+def ball_input(d: int, h: float, kind: str, fields=None, tol: float = 1e-10):
+    """An input u on the box of B_4, with the sup of P_h u inside B_4.
+
+    ``kind`` names a harmonic polynomial, whose residual is 0, or is
+    ``"solve"``: the Dirichlet solution on B_4 with deg3 data (linear_j for
+    d = 1) and residual target ``tol``.  ``fields``, a function from the
+    box to its FieldData, puts V and B into that solve's P_h.
+    """
+    spec = LatticeSpec.ball_box(d, h, 4.0, pad_sites=2)
+    if kind != "solve":
+        return harmonic_polynomial(spec, kind), 0.0
+    data = harmonic_polynomial(spec, "deg3" if d >= 2 else "linear_j")
+    problem = DirichletProblem.on_ball(spec, 4.0, data, None if fields is None else fields(spec))
+    u = dirichlet_solve(problem, tol=tol)
+    return u, residual(problem, u)
+
+
 def harmonic_polynomial(spec: LatticeSpec, kind: str) -> LatticeFunction:
     """Exactly discrete-harmonic polynomial samples on the box.
 

@@ -337,9 +337,9 @@ def test_criterion_7_carleman_stability():
     """Max weighted-energy ratio over 50 seeded bumps grows at most 2x per
     h halving at tau = 0.5 delta0/h, h in {1/32, 1/64, 1/128}, d = 2.
 
-    tau0 is lowered to 1 so the window admits the stated tau at every h
-    (the defaults tau0=5, delta0=0.1 leave (tau0, delta0/h) empty for
-    h >= 1/50; the window bounds are config knobs by design).
+    tau0 = 1 lets the window admit the stated tau at every h (tau0 = 5
+    with delta0 = 0.1 leaves (tau0, delta0/h) empty for h >= 1/50; the
+    window bounds are config knobs by design).
     """
     t0 = time.perf_counter()
     cfg = SweepConfig(d=2, h_grid=(1 / 32, 1 / 64, 1 / 128), tau_rule="fraction",

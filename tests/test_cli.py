@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import shlex
 import tracemalloc
 from pathlib import Path
 
@@ -108,6 +109,17 @@ class TestParsing:
         # the report_io benchmark workload passes --jobs 1 to symbol-scan
         assert unread == ["symbol-scan --jobs"]
 
+    def test_readme_commands_parse(self):
+        # parses only, runs nothing: the documented flags follow the parser
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```")[1::2]
+        commands = [shlex.split(line)[1:] for block in blocks
+                    for line in block.splitlines() if line.startswith("carlat ")]
+        parser, _ = cli.build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv).subcommand == argv[0]
+        assert {argv[0] for argv in commands} == set(cli._HANDLERS)
+
 
 class TestConfigFile:
     def test_config_seeds_flags_and_flags_override(self, tmp_path):
@@ -139,6 +151,15 @@ out = {}
             cfg.write_text(f"{key} = 7\n")
             assert run(["caccioppoli", "--config", str(cfg)]) == 2
             assert f"'{key}'" in capsys.readouterr().err
+
+    def test_subcommand_key_must_name_the_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("subcommand = three-balls\nr1 = 0.9\n")
+        assert run(["caccioppoli", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+        assert "three-balls" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        cfg.write_text("subcommand = caccioppoli\nh = 1/16,1/32\n")
+        assert run(["caccioppoli", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
 
     def test_bad_config_value_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -208,6 +229,22 @@ class TestWindowAndStrict:
         assert all(r is not None and math.isfinite(r) for r in ratios)
         assert report["warnings"] == []
         assert report["passed"] is not None
+
+    def test_singular_potential_defaults_lie_in_the_window(self, tmp_path):
+        # tau = 0.5 * delta0 / h is 4 and 8, inside (tau0, delta0/h)
+        assert run(["singular-potential", "--strict", "1", "--out", str(tmp_path)]) == 0
+        report = json.loads([p for p in data_files(tmp_path)
+                             if p.suffix == ".json"][0].read_text())
+        assert [row["tau"] for row in report["rows"]] == [4.0, 8.0]
+        assert report["warnings"] == []
+        assert report["passed"] is True
+
+    @pytest.mark.parametrize("argv", [["caccioppoli", "--h", "1/16,1/16"],
+                                      ["three-balls", "--h", "1/16,1/16,1/16"]])
+    def test_repeated_spacing_exits_one(self, argv, tmp_path, capsys):
+        assert run(argv + ["--strict", "1", "--out", str(tmp_path / "out")]) == 1
+        assert "strictly descending" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_strict_turns_warning_into_failure(self, tmp_path):
         argv = ["carleman-sweep", "--h", "0.5", "--tau", "1000", "--samples", "2",

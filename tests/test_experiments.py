@@ -16,7 +16,9 @@ from carlat import (
     caccioppoli_sweep,
     carleman_sweep,
     coarsen_check,
+    ball_input,
     harmonic_polynomial,
+    in_window,
     localization_diagnostic,
     log_convexity_scan,
     random_bump,
@@ -25,7 +27,7 @@ from carlat import (
     three_balls_experiment,
     translate,
 )
-from carlat.experiments import ball_norms
+from carlat.experiments import _cell_seed, ball_norms, singular_field_data
 from carlat.solver import DirichletProblem, dirichlet_solve
 
 
@@ -89,6 +91,11 @@ class TestThreeBalls:
         report = three_balls_experiment(sols)
         assert report.passed is True
         assert report.fitted["ratio_max"].value < 10.0
+
+    def test_repeated_spacing_rejected(self):
+        u = poly_on_ball(2, 1 / 16)
+        with pytest.raises(ValueError, match="strictly descending"):
+            three_balls_experiment([u, u, u])
 
     def test_insufficient_sweep_for_fit(self):
         # a tiny bound constant forces the correction branch with too few rows
@@ -175,6 +182,16 @@ class TestCaccioppoli:
         with pytest.raises(ValueError, match="does not cover"):
             caccioppoli_ratio(u, 1.0, 2.0)
 
+    @pytest.mark.parametrize("h_grid, message", [
+        ((1 / 16, 1 / 16), "strictly descending"),
+        ((1 / 16, 1 / 32, 1 / 16), "strictly descending"),
+        ((1 / 16,), "at least two spacings"),
+    ])
+    def test_sweep_needs_two_descending_spacings(self, h_grid, message):
+        # the relative spread compares spacings: one h would read 0
+        with pytest.raises(ValueError, match=message):
+            caccioppoli_sweep("mixed_jk", 2, h_grid)
+
     def test_sweep_ratio_stability(self):
         report = caccioppoli_sweep("mixed_jk", 2, (1 / 16, 1 / 32, 1 / 64))
         assert report.fitted["relative_spread"].value < 0.1
@@ -208,6 +225,14 @@ class TestCarlemanSweep:
     def test_tau_rule_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             SweepConfig(**kwargs)
+
+    def test_default_config_measures_every_spacing(self):
+        # tau = 0.5 * delta0 / h is 1.6, 3.2 and 6.4, inside (tau0, delta0/h)
+        cfg = SweepConfig(n_samples=1)
+        report = carleman_sweep(cfg)
+        assert report.warnings == []
+        assert [r["h"] for r in report.rows] == list(cfg.h_grid)
+        assert all(r["admissible"] and np.isfinite(r["ratio"]) for r in report.rows)
 
     def test_jobs_below_one_rejected(self):
         cfg = SweepConfig(d=2, h_grid=(1 / 16,), tau0=1.0, n_samples=1)
@@ -281,11 +306,11 @@ class TestLocalization:
 
 
 class TestSingularPotential:
-    CFG = SweepConfig(d=2, h_grid=(1 / 8, 1 / 16), tau_rule="fraction",
-                      tau_fraction=0.5, tau0=0.2, delta0=0.5, seed=4)
+    ARGS = dict(d=2, h_grid=(1 / 8, 1 / 16), tau_fraction=0.5, tau0=0.2, delta0=0.5,
+                seed=4)
 
     def test_zero_strength_reduces_to_plain_convexity(self):
-        report = singular_potential_experiment(0.0, self.CFG)
+        report = singular_potential_experiment(0.0, **self.ARGS)
         u = poly_on_ball(2, 1 / 8, "deg3")
         n_half, n_one, n_two = ball_norms(u)
         row = report.rows[0]
@@ -293,12 +318,57 @@ class TestSingularPotential:
         assert report.passed is True
 
     def test_saturating_fields_solve_and_certify(self):
-        report = singular_potential_experiment(0.05, self.CFG)
+        report = singular_potential_experiment(0.05, **self.ARGS)
         assert report.rows
         for row in report.rows:
             assert row["residual"] <= 1e-8 * 70.0  # scale of deg3 data on B_4
             assert row["chat2"] > 0
         assert report.passed is True
+
+    def test_rows_are_log_convexity_on_the_solved_input(self):
+        args = self.ARGS
+        report = singular_potential_experiment(0.05, **args)
+        assert [row["h"] for row in report.rows] == list(args["h_grid"])
+        for ih, row in enumerate(report.rows):
+            def fields(spec):
+                return singular_field_data(spec, 0.05, _cell_seed(args["seed"], ih))
+
+            u, res = ball_input(2, row["h"], "solve", fields=fields, tol=1e-8)
+            scan = log_convexity_scan(u, [row["tau"]], tau0=args["tau0"],
+                                      delta0=args["delta0"])
+            assert scan.rows[0]["admissible"] and row["residual"] == res
+            for key in ("c_emp", "norm_half", "norm_one", "norm_two"):
+                assert row[key] == scan.rows[0][key]
+
+    def test_repeated_spacing_rejected(self):
+        with pytest.raises(ValueError, match="strictly descending"):
+            singular_potential_experiment(0.0, **{**self.ARGS, "h_grid": (1 / 8, 1 / 8)})
+
+
+# (tau, h, tau0, delta0, inside the window); tau0 < tau < delta0/h and 1 < tau
+WINDOW_CASES = [
+    (0.8, 1 / 8, 0.5, 0.5, False),  # tau0 < tau <= 1
+    (1.0, 1 / 8, 0.5, 0.5, False),  # tau = 1
+    (2.0, 1 / 8, 2.0, 0.5, False),  # tau = tau0, the open lower end
+    (4.0, 1 / 8, 0.5, 0.5, False),  # tau = delta0/h, the open upper end
+    (2.0, 1 / 8, 0.5, 0.5, True),
+    (3.0, 1 / 8, 2.5, 0.5, True),
+]
+
+
+@pytest.mark.parametrize("tau, h, tau0, delta0, inside", WINDOW_CASES)
+def test_one_window_for_sweep_scan_and_singular_potential(tau, h, tau0, delta0, inside):
+    assert in_window(tau, h, tau0, delta0) is inside
+    sweep = carleman_sweep(SweepConfig(d=2, h_grid=(h,), tau_rule="grid", tau_grid=(tau,),
+                                       tau0=tau0, delta0=delta0, n_samples=1))
+    assert all(r["admissible"] is inside for r in sweep.rows)
+    assert bool(sweep.warnings) is not inside
+    scan = log_convexity_scan(poly_on_ball(2, h), [tau], tau0=tau0, delta0=delta0)
+    assert scan.rows[0]["admissible"] is inside
+    # the fraction tau * h / delta0 reproduces tau exactly at these values
+    singular = singular_potential_experiment(0.0, 2, (h,), tau * h / delta0, tau0, delta0)
+    assert [r["tau"] for r in singular.rows] == ([tau] if inside else [])
+    assert bool(singular.warnings) is not inside
 
 
 class TestCoarsenCheck:

@@ -13,6 +13,7 @@ from carlat import (
     LatticeFunction,
     LatticeSpec,
     SolverError,
+    ball_input,
     dirichlet_solve,
     harmonic_polynomial,
     laplacian,
@@ -75,6 +76,34 @@ class TestHarmonicPolynomials:
             harmonic_polynomial(spec, "mixed_jk")
         with pytest.raises(ValueError, match="unknown"):
             harmonic_polynomial(spec, "quartic")
+
+
+class TestBallInput:
+    def test_solve_is_the_deg3_dirichlet_problem_on_b4(self):
+        u, res = ball_input(2, 1 / 8, "solve")
+        spec = LatticeSpec.ball_box(2, 1 / 8, 4.0, pad_sites=2)
+        problem = DirichletProblem.on_ball(spec, 4.0, harmonic_polynomial(spec, "deg3"))
+        expected = dirichlet_solve(problem)
+        assert u.spec == spec and np.array_equal(u.values, expected.values)
+        assert res == residual(problem, expected)
+
+    def test_fields_enter_the_solve(self, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+
+        def fields(spec):
+            v = LatticeFunction(spec, rng.uniform(-1.0, 1.0, spec.shape))
+            return FieldData(v, (LatticeFunction.zeros(spec),) * spec.d)
+
+        u, res = ball_input(1, 1 / 16, "solve", fields=fields, tol=1e-9)
+        plain, _ = ball_input(1, 1 / 16, "solve")
+        assert res <= 1e-9 * 5.0  # measured with V: linear_j data has sup|g| < 5 on B_4
+        assert not np.array_equal(u.values, plain.values)
+
+    def test_polynomial_kinds_are_exact(self):
+        u, res = ball_input(2, 1 / 8, "mixed_jk")
+        spec = LatticeSpec.ball_box(2, 1 / 8, 4.0, pad_sites=2)
+        assert res == 0.0
+        assert np.array_equal(u.values, harmonic_polynomial(spec, "mixed_jk").values)
 
 
 class TestDirichletSolve:
