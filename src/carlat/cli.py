@@ -24,6 +24,7 @@ from .experiments import (
     caccioppoli_sweep,
     carleman_sweep,
     coarsen_check,
+    h_sweep,
     localization_diagnostic,
     log_convexity_scan,
     singular_potential_experiment,
@@ -233,79 +234,61 @@ _RUNTIME_ONLY = ("out", "jobs", "strict")
 
 
 def _manifest(args, sub: str) -> dict:
-    """Resolved configuration identifying the run.
+    """Resolved configuration identifying the run, keyed by argparse dest.
 
     Runtime-only knobs (output directory, job count, strictness) do not
     change results, so they stay out of the echo and of the config hash:
     identical manifests give byte-identical data files wherever written.
     """
-    specs = _flag_specs(sub)
-    resolved = {flag: getattr(args, flag.replace("-", "_"))
-                for flag in specs if flag not in _RUNTIME_ONLY}
-    resolved["subcommand"] = sub
-    return resolved
-
-
-def _checked_weight(c_ps: float) -> None:
-    # admissibility_check reads only c_ps; tau = 2 is any valid large parameter
-    admissibility_check(WeightParams(2.0, c_ps)).raise_if_failed()
-
-
-def _finish(report: ExperimentReport, args, extra_files=()) -> int:
-    paths = report.write(args.out)
-    for p in list(paths) + list(extra_files):
-        print(p)
-    if args.strict and (report.warnings or report.passed is False):
-        return 1
-    return 0
+    dests = [flag.replace("-", "_") for flag in _flag_specs(sub) if flag not in _RUNTIME_ONLY]
+    return {**{dest: getattr(args, dest) for dest in dests}, "subcommand": sub}
 
 
 # -- handlers ---------------------------------------------------------------
+# Each turns its flags into a library call and returns the report, or the
+# report and the paths of the extra files it wrote; main does the rest.
 
-def cmd_carleman_sweep(args) -> int:
-    _checked_weight(args.c_ps)
+def cmd_carleman_sweep(args) -> ExperimentReport:
     cfg = SweepConfig(d=args.d, h_grid=args.h, tau_rule="grid" if args.tau else "fraction",
                       tau_fraction=args.tau_fraction, tau_grid=args.tau,
                       tau0=args.tau0, delta0=args.delta0, c_ps=args.c_ps,
                       seed=args.seed, n_samples=args.samples,
                       growth_cap=args.growth_cap, ds_mode=args.ds_mode)
-    report = carleman_sweep(cfg, jobs=args.jobs)
-    report.config.update(_manifest(args, "carleman-sweep"))
-    return _finish(report, args)
+    return carleman_sweep(cfg, jobs=args.jobs)
 
 
-def cmd_log_convexity(args) -> int:
-    _checked_weight(args.c_ps)
+def cmd_log_convexity(args) -> ExperimentReport:
     u, res = ball_input(args.d, args.h, args.input)
     taus = args.tau
     if not taus:
-        lo, hi = args.tau0 * 1.01, args.delta0 / args.h * 0.99
+        # the window's lower end is max(1, tau0), as in experiments.in_window
+        lo, hi = max(1.0, args.tau0) * 1.01, args.delta0 / args.h * 0.99
         taus = tuple(np.geomspace(lo, hi, 12)) if hi > lo else (lo,)
     report = log_convexity_scan(u, taus, args.c_ps, args.tau0, args.delta0)
-    report.config.update(_manifest(args, "log-convexity"))
     report.config["input_residual"] = res
-    return _finish(report, args)
+    return report
 
 
-def cmd_three_balls(args) -> int:
-    _checked_weight(args.c_ps)
-    solutions, residuals = zip(*(ball_input(args.d, h, args.input) for h in args.h))
+def cmd_three_balls(args) -> ExperimentReport:
+    # the sweep is checked before any input is built: 'solve' runs one LU per h
+    hs = h_sweep(args.h)
+    solutions, residuals = zip(*(ball_input(args.d, h, args.input) for h in hs))
     report = three_balls_experiment(solutions, c_ps=args.c_ps,
                                     bound_constant=args.bound_constant)
-    report.config.update(_manifest(args, "three-balls"))
     report.config["input_residuals"] = residuals
-    return _finish(report, args)
+    return report
 
 
-def cmd_symbol_scan(args) -> int:
-    _checked_weight(args.c_ps)
+def cmd_symbol_scan(args) -> tuple:
     x_bar = args.x_bar or ((1.0,) + (0.0,) * (args.d - 1))
     if len(x_bar) != args.d:
         raise ConfigError("x-bar must have d components")
     tau = args.tau
     fp = FrozenPoint.from_weight(x_bar, WeightParams(tau, args.c_ps), args.h)
+    # the grid CSV is named by the final config hash, so the report starts
+    # from the whole manifest, which main's merge then leaves unchanged
     report = ExperimentReport("symbol_scan", {
-        **_manifest(args, "symbol-scan"), "x_bar": list(x_bar),
+        **_manifest(args, args.subcommand), "x_bar": list(x_bar),
     })
     # every grid is checked against the size guard before any scan runs
     grids = [SymbolGrid(args.d, args.h, res) for res in args.resolution]
@@ -325,27 +308,25 @@ def cmd_symbol_scan(args) -> int:
         gap = abs(a - b) / max(abs(a), abs(b), 1e-300)
         report.fit("refinement_agreement", FittedConstant(gap, n=2))
         report.passed = bool(gap <= 0.05 and b > 0)
-    extra = []
-    if args.grid_csv:
-        table = scan_table(fp, grids[0], args.c0)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"symbol_scan_{report.config_hash}_grid.csv"
-        with open(path, "w") as fh:
-            fh.writelines(csv_blocks(
-                [f"xi_{a+1}" for a in range(args.d)] + ["p_r", "p_i", "q", "margin"],
-                [*table["xi"], table["p_r"], table["p_i"], table["q"], table["margin"]]))
-        extra.append(path)
-    return _finish(report, args, extra)
+    if not args.grid_csv:
+        return report, ()
+    table = scan_table(fp, grids[0], args.c0)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"symbol_scan_{report.config_hash}_grid.csv"
+    with open(path, "w") as fh:
+        fh.writelines(csv_blocks(
+            [f"xi_{a+1}" for a in range(args.d)] + ["p_r", "p_i", "q", "margin"],
+            [*table["xi"], table["p_r"], table["p_i"], table["q"], table["margin"]]))
+    return report, (path,)
 
 
-def cmd_commutator_check(args) -> int:
-    _checked_weight(args.c_ps)
+def cmd_commutator_check(args) -> ExperimentReport:
     h, tau = args.h, args.tau
     spec = carleman_box(args.d, h)
     ctx = ConjugationContext.from_weight(spec, WeightParams(tau, args.c_ps))
     annulus = carleman_annulus(args.d)
-    report = ExperimentReport("commutator_check", _manifest(args, "commutator-check"))
+    report = ExperimentReport("commutator_check", {})
     worst = {"split": 0.0, "energy": 0.0, "two_path": 0.0}
     for s in range(args.samples):
         f = random_bump(spec, annulus, seed=args.seed * 7919 + s)
@@ -360,9 +341,9 @@ def cmd_commutator_check(args) -> int:
         energy = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         report.add_row(seed=s, split_rel=split, energy_rel=energy,
                        two_path_rel=two_path)
-        worst = {"split": max(worst["split"], split),
-                 "energy": max(worst["energy"], energy),
-                 "two_path": max(worst["two_path"], two_path)}
+        # np.maximum keeps a NaN, which then fails the verdict
+        measured = {"split": split, "energy": energy, "two_path": two_path}
+        worst = {key: float(np.maximum(worst[key], val)) for key, val in measured.items()}
     rng = np.random.default_rng(args.seed)
     coeff_worst = 0.0
     sites = 0
@@ -374,46 +355,38 @@ def cmd_commutator_check(args) -> int:
         c = commutator_coeffs(n, j, k, ctx)
         err = float(np.max(np.abs(c.raw - c.simplified)))
         scale = max(float(np.max(np.abs(c.simplified))), 1e-3)
-        coeff_worst = max(coeff_worst, err / scale)
+        coeff_worst = float(np.maximum(coeff_worst, err / scale))
         sites += 1
     for key, val in worst.items():
         report.fit(f"max_{key}_rel", FittedConstant(val, n=args.samples))
     report.fit("max_coeff_rel", FittedConstant(coeff_worst, n=sites))
-    report.passed = bool(max(worst.values()) <= args.tol and coeff_worst <= 1e-11)
-    return _finish(report, args)
+    report.passed = bool(all(v <= args.tol for v in worst.values())
+                         and coeff_worst <= 1e-11)
+    return report
 
 
-def cmd_caccioppoli(args) -> int:
-    report = caccioppoli_sweep(args.input, args.d, args.h, args.r1, args.r2)
-    report.config.update(_manifest(args, "caccioppoli"))
-    return _finish(report, args)
+def cmd_caccioppoli(args) -> ExperimentReport:
+    return caccioppoli_sweep(args.input, args.d, args.h, args.r1, args.r2)
 
 
-def cmd_coarsen_check(args) -> int:
+def cmd_coarsen_check(args) -> ExperimentReport:
     u, res = ball_input(args.d, args.h, args.input)
     radius = 4.0 if args.input == "solve" else None
     report = coarsen_check(u, factors=args.m, tol=args.tol, radius=radius)
-    report.config.update(_manifest(args, "coarsen-check"))
     report.config["input_residual"] = res
-    return _finish(report, args)
+    return report
 
 
-def cmd_localize(args) -> int:
-    _checked_weight(args.c_ps)
+def cmd_localize(args) -> ExperimentReport:
     spec = carleman_box(args.d, args.h)
     ctx = ConjugationContext.from_weight(spec, WeightParams(args.tau, args.c_ps))
     f = random_bump(spec, carleman_annulus(args.d), seed=args.seed)
-    report = localization_diagnostic(f, ctx, args.eps0)
-    report.config.update(_manifest(args, "localize"))
-    return _finish(report, args)
+    return localization_diagnostic(f, ctx, args.eps0)
 
 
-def cmd_singular_potential(args) -> int:
-    _checked_weight(args.c_ps)
-    report = singular_potential_experiment(args.mu0, args.d, args.h, args.tau_fraction, args.tau0,
-                                           args.delta0, args.c_ps, args.seed, args.solve_tol)
-    report.config.update(_manifest(args, "singular-potential"))
-    return _finish(report, args)
+def cmd_singular_potential(args) -> ExperimentReport:
+    return singular_potential_experiment(args.mu0, args.d, args.h, args.tau_fraction, args.tau0,
+                                         args.delta0, args.c_ps, args.seed, args.solve_tol)
 
 
 _HANDLERS = {
@@ -439,7 +412,17 @@ def main(argv=None) -> int:
             defaults = load_config(args.config, sub)
             subparsers[sub].set_defaults(**defaults)
             args = parser.parse_args(argv)
-        return _HANDLERS[sub](args)
+        if "c-ps" in _flag_specs(sub):
+            # admissibility_check reads only c_ps; tau = 2 is any valid large parameter
+            admissibility_check(WeightParams(2.0, args.c_ps)).raise_if_failed()
+        result = _HANDLERS[sub](args)
+        report, extra = result if isinstance(result, tuple) else (result, ())
+        # one key per setting: where the experiment echoes a setting under
+        # its dest name, its resolved value wins over the flag's
+        report.config = {**_manifest(args, sub), **report.config}
+        for path in (*report.write(args.out), *extra):
+            print(path)
+        return 1 if args.strict and (report.warnings or report.passed is False) else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

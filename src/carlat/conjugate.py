@@ -312,13 +312,27 @@ def commutator_form(f: LatticeFunction, ctx: ConjugationContext,
             dmm = pmk - shift_values(pmk, -ej)
             dpm = shift_values(pmk, ej) - pmk
             dmp = ppk - shift_values(ppk, -ej)
-            wpp = np.sinh(dpp) * np.cosh(shift_values(phi, ej + ek) - phi)
-            wmm = np.sinh(dmm) * np.cosh(shift_values(phi, -ej - ek) - phi)
-            wpm = np.sinh(dpm) * np.cosh(shift_values(phi, ej - ek) - phi)
-            wmp = np.sinh(dmp) * np.cosh(shift_values(phi, -ej + ek) - phi)
+            wpp = _on_support(fpj, fpk, dpp, shift_values(phi, ej + ek) - phi)
+            wmm = _on_support(fmj, fmk, dmm, shift_values(phi, -ej - ek) - phi)
+            wpm = _on_support(fpj, fmk, dpm, shift_values(phi, ej - ek) - phi)
+            wmp = _on_support(fmj, fpk, dmp, shift_values(phi, -ej + ek) - phi)
             total += float(np.sum(wpp * fpj * fpk + wmm * fmj * fmk
                                   - wpm * fpj * fmk - wmp * fmj * fpk))
     return total * spec.h ** (spec.d - 4)
+
+
+def _on_support(fa: np.ndarray, fb: np.ndarray, second: np.ndarray,
+                first: np.ndarray) -> np.ndarray:
+    """sinh(second) * cosh(first) where fa and fb are both nonzero, else 0.
+
+    Beside the singular origin these phi differences overflow sinh * cosh
+    once the peak |phi| passes about 355, and inf * 0 would put a NaN in the
+    sum; the support check keeps the products of f away from there.
+    """
+    live = (fa != 0) & (fb != 0)
+    w = np.zeros(fa.shape)
+    w[live] = np.sinh(second[live]) * np.cosh(first[live])
+    return w
 
 
 @dataclass(frozen=True)

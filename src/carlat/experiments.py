@@ -57,8 +57,9 @@ def h_sweep(h_grid) -> tuple:
 
 
 def _check_fraction_rule(tau_fraction: float, tau0: float, delta0: float) -> None:
-    if not 0 < tau_fraction <= 1:
-        raise ValueError("tau_fraction must lie in (0, 1]")
+    # tau_fraction = 1 puts tau on the window's open upper end, delta0/h
+    if not 0 < tau_fraction < 1:
+        raise ValueError("tau_fraction must lie in (0, 1)")
     if not (delta0 > 0 and tau0 > 0):
         raise ValueError("delta0 and tau0 must be positive")
 

@@ -11,7 +11,7 @@ import pytest
 import scipy
 
 import carlat
-from carlat import cli
+from carlat import cli, solver
 from carlat.cli import main, parse_number
 from carlat.lattice import MAX_SITES
 from carlat.symbols import MAX_GRID_POINTS, SCAN_BYTES_PER_POINT
@@ -25,6 +25,43 @@ def data_files(out_dir):
     """Report data files (excluding the .meta.json sidecars), sorted."""
     return sorted(p for p in Path(out_dir).iterdir()
                   if not p.name.endswith(".meta.json"))
+
+
+def report_json(out_dir):
+    [path] = [p for p in data_files(out_dir) if p.suffix == ".json"]
+    return json.loads(path.read_text())
+
+
+# one small argv per subcommand
+SUBCOMMAND_ARGV = {
+    "carleman-sweep": ["--h", "1/16", "--tau0", "1", "--tau", "2,3", "--delta0", "0.25",
+                       "--samples", "2"],
+    "log-convexity": ["--h", "1/32", "--d", "2", "--tau0", "1.0"],
+    "three-balls": ["--d", "2", "--h", "1/16,1/32", "--c-ps", "0.01", "--input", "deg3"],
+    "symbol-scan": ["--h", "1/64", "--tau", "10", "--c0", "0.0025", "--resolution", "64,128"],
+    "commutator-check": ["--h", "1/16", "--tau", "1.5", "--samples", "2",
+                         "--coeff-sites", "50"],
+    "caccioppoli": ["--h", "1/16,1/32"],
+    "coarsen-check": ["--h", "1/32", "--m", "2,3"],
+    "localize": ["--h", "1/24", "--tau", "4.0", "--eps0", "0.0625"],
+    "singular-potential": ["--h", "1/8,1/16", "--mu0", "0.02", "--tau0", "0.2",
+                           "--delta0", "0.5"],
+}
+
+
+def check_config_echo(sub, out_dir):
+    """Run `sub` on its small argv; its report's config names each setting once."""
+    assert run([sub, *SUBCOMMAND_ARGV[sub], "--out", str(out_dir)]) == 0
+    report = report_json(out_dir)
+    config = report["config"]
+    assert len({key.replace("-", "_") for key in config}) == len(config)
+    settings = {flag.replace("-", "_") for flag in cli._flag_specs(sub)
+                if flag not in cli._RUNTIME_ONLY}
+    assert settings <= set(config)
+    assert config["subcommand"] == sub
+    if sub == "symbol-scan":
+        grids = [p.name for p in data_files(out_dir) if p.name.endswith("_grid.csv")]
+        assert grids == [f"symbol_scan_{report['config_hash']}_grid.csv"]
 
 
 class TestParsing:
@@ -85,7 +122,8 @@ class TestParsing:
 
     def test_every_subcommand_flag_is_read_by_its_handler(self):
         # a flag no handler reads changes the config hash and nothing else;
-        # reads inside the module helpers a handler calls count
+        # reads inside the module helpers a handler calls count, and so do
+        # the flags main reads for every subcommand
         tree = ast.parse(Path(cli.__file__).read_text())
         functions = {node.name: node for node in tree.body
                      if isinstance(node, ast.FunctionDef)}
@@ -102,10 +140,11 @@ class TestParsing:
                     attrs |= reads(n.func.id, seen)
             return attrs
 
+        by_main = reads("main", set())
         unread = [f"{sub} --{flag}"
                   for sub, handler in cli._HANDLERS.items()
                   for flag in cli._flag_specs(sub)
-                  if flag.replace("-", "_") not in reads(handler.__name__, set())]
+                  if flag.replace("-", "_") not in reads(handler.__name__, set()) | by_main]
         # the report_io benchmark workload passes --jobs 1 to symbol-scan
         assert unread == ["symbol-scan --jobs"]
 
@@ -246,6 +285,13 @@ class TestWindowAndStrict:
         assert "strictly descending" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_tau_fraction_one_exits_one(self, tmp_path, capsys):
+        # tau = 1 * delta0 / h is the window's open upper end: nothing to measure
+        assert run(["singular-potential", "--tau-fraction", "1",
+                    "--out", str(tmp_path / "out")]) == 1
+        assert "tau_fraction must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_strict_turns_warning_into_failure(self, tmp_path):
         argv = ["carleman-sweep", "--h", "0.5", "--tau", "1000", "--samples", "2",
                 "--out", str(tmp_path), "--strict", "1"]
@@ -266,9 +312,35 @@ class TestSubcommands:
                               if p.suffix == ".json"][0].read_text())
         assert "min_margin" in summary["fitted"]
 
+    # the other five subcommands run the same check in the named tests below
+    @pytest.mark.parametrize("sub", ["carleman-sweep", "three-balls", "symbol-scan",
+                                     "caccioppoli"])
+    def test_config_echoes_each_setting_once(self, sub, tmp_path):
+        check_config_echo(sub, tmp_path)
+
     def test_log_convexity_runs(self, tmp_path):
-        assert run(["log-convexity", "--h", "1/32", "--d", "2",
-                    "--tau0", "1.0", "--out", str(tmp_path)]) == 0
+        check_config_echo("log-convexity", tmp_path)
+
+    def test_localize_runs(self, tmp_path):
+        check_config_echo("localize", tmp_path)
+
+    def test_coarsen_check_runs(self, tmp_path):
+        check_config_echo("coarsen-check", tmp_path)
+
+    def test_commutator_check_runs(self, tmp_path):
+        check_config_echo("commutator-check", tmp_path)
+
+    def test_singular_potential_runs(self, tmp_path):
+        check_config_echo("singular-potential", tmp_path)
+
+    def test_log_convexity_default_grid_lies_in_the_window(self, tmp_path):
+        # the window's lower end is max(1, tau0), above tau0 = 0.5
+        assert run(["log-convexity", "--h", "1/32", "--tau0", "0.5",
+                    "--out", str(tmp_path)]) == 0
+        rows = report_json(tmp_path)["rows"]
+        assert len(rows) == 12
+        assert rows[0]["tau"] == 1.01
+        assert all(row["admissible"] for row in rows)
 
     def test_log_convexity_tau_list(self, tmp_path):
         assert run(["log-convexity", "--h", "1/32", "--tau", "6,12",
@@ -287,22 +359,34 @@ class TestSubcommands:
         assert all(row["admissible"] and math.isfinite(row["ratio"])
                    for row in report["rows"])
 
-    def test_localize_runs(self, tmp_path):
-        assert run(["localize", "--h", "1/24", "--tau", "4.0", "--eps0", "0.0625",
+    def test_commutator_check_near_the_overflow_guard(self, tmp_path):
+        # peak |phi| is 671, under the guard's 700; sinh * cosh of the phi
+        # differences beside the origin overflow from about 355
+        assert run(["commutator-check", "--h", "1/16", "--tau", "240", "--strict", "1",
                     "--out", str(tmp_path)]) == 0
+        report = report_json(tmp_path)
+        assert report["passed"] is True
+        assert all(math.isfinite(float(row[key])) for row in report["rows"]
+                   for key in ("split_rel", "energy_rel", "two_path_rel"))
 
-    def test_coarsen_check_runs(self, tmp_path):
-        assert run(["coarsen-check", "--h", "1/32", "--m", "2,3", "--out",
-                    str(tmp_path)]) == 0
+    def test_commutator_check_fails_on_nan(self, tmp_path, monkeypatch):
+        composition = cli.commutator_form
+        monkeypatch.setattr(cli, "commutator_form", lambda f, ctx, method: (
+            math.nan if method == "expansion" else composition(f, ctx, method)))
+        assert run(["commutator-check", *SUBCOMMAND_ARGV["commutator-check"],
+                    "--strict", "1", "--out", str(tmp_path)]) == 1
+        report = report_json(tmp_path)
+        assert report["passed"] is False
+        assert report["fitted"]["max_two_path_rel"]["value"] == "nan"
 
-    def test_commutator_check_runs(self, tmp_path):
-        assert run(["commutator-check", "--h", "1/16", "--tau", "1.5",
-                    "--samples", "2", "--coeff-sites", "50",
-                    "--out", str(tmp_path)]) == 0
-
-    def test_singular_potential_runs(self, tmp_path):
-        assert run(["singular-potential", "--h", "1/8,1/16", "--mu0", "0.02",
-                    "--tau0", "0.2", "--delta0", "0.5", "--out", str(tmp_path)]) == 0
+    def test_three_balls_checks_the_sweep_before_any_solve(self, tmp_path, capsys,
+                                                           monkeypatch):
+        solves = []
+        monkeypatch.setattr(solver, "dirichlet_solve", lambda *a, **k: solves.append(a))
+        assert run(["three-balls", "--input", "solve", "--h", "1/64,1/64",
+                    "--out", str(tmp_path / "out")]) == 1
+        assert "strictly descending" in capsys.readouterr().err
+        assert solves == []
 
     def test_symbol_scan_refuses_an_oversized_grid_up_front(self, tmp_path, capsys):
         points = 512 ** 3

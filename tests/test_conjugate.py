@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlat import (
     AnnularRegion,
@@ -21,6 +23,7 @@ from carlat import (
     sym_apply,
     sym_diff_sum,
 )
+from carlat.conjugate import PHI_OVERFLOW_LIMIT, carleman_annulus, carleman_box, weight_table
 
 ANNULUS_SPECS = {
     1: (LatticeSpec.ball_box(1, 1 / 32, 2.0, pad_sites=4), 1 / 32),
@@ -41,6 +44,23 @@ def ctx_for(d, tau=2.0, c_ps=0.01):
 
 def rel(a, b, floor=1e-300):
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def guard_tau(spec, c_ps, load):
+    """The tau whose peak |phi| on the box is ``load`` of the overflow guard."""
+    peak_per_tau = np.abs(weight_table(spec, WeightParams(2.0, c_ps))[0]).max() / 2.0
+    return load * PHI_OVERFLOW_LIMIT / peak_per_tau
+
+
+def identity_errors(f, ctx):
+    """Relative errors of S + A = L, the energy identity and the two paths."""
+    sf, af, lf = sym_apply(f, ctx), antisym_apply(f, ctx), conjugate_apply(f, ctx)
+    split = float(np.abs(sf.values + af.values - lf.values).max() / np.abs(lf.values).max())
+    expansion = commutator_form(f, ctx, "expansion")
+    composition = commutator_form(f, ctx, "composition")
+    lhs = inner_product(lf, lf)
+    rhs = l2_norm(sf) ** 2 + l2_norm(af) ** 2 + expansion
+    return {"split": split, "energy": rel(lhs, rhs), "two_path": rel(expansion, composition)}
 
 
 class TestZeroWeightLimit:
@@ -150,6 +170,15 @@ class TestCommutatorForm:
             expansion = commutator_form(f, ctx, "expansion")
             composition = commutator_form(f, ctx, "composition")
             assert rel(expansion, composition) <= 1e-11
+
+    @pytest.mark.parametrize("d,h", [(1, 1 / 64), (2, 1 / 16), (3, 1 / 8)])
+    def test_expansion_finite_near_the_overflow_guard(self, d, h, rng_seed):
+        # beside the singular origin sinh * cosh of the phi differences
+        # overflows from a peak |phi| of about 355; the form never needs them
+        spec = carleman_box(d, h)
+        ctx = ConjugationContext.from_weight(spec, WeightParams(guard_tau(spec, 0.01, 0.96), 0.01))
+        errors = identity_errors(random_bump(spec, carleman_annulus(d), rng_seed), ctx)
+        assert all(err <= 1e-11 for err in errors.values()), errors
 
     def test_energy_identity(self, rng_seed):
         for d in (1, 2):
@@ -268,3 +297,22 @@ class TestCarlemanRatio:
         ctx = ConjugationContext.from_table(spec, np.zeros(spec.shape))
         with pytest.raises(ValueError, match="weight parameters"):
             carleman_ratio(bump(2, rng_seed), ctx)
+
+
+# -- identities up to the overflow guard --------------------------------------
+
+spacings = st.one_of(st.tuples(st.sampled_from((1, 2)), st.integers(8, 32)),
+                     st.tuples(st.just(3), st.integers(4, 8)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim_inv_h=spacings, c_ps=st.floats(0.0, 0.1),
+       load=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 31))
+def test_operator_identities_up_to_the_overflow_guard(dim_inv_h, c_ps, load, seed):
+    # tau runs from 1 up to a peak |phi| of 0.99 of the guard
+    d, inv_h = dim_inv_h
+    spec = carleman_box(d, 1.0 / inv_h)
+    tau = 1.0 + load * (guard_tau(spec, c_ps, 0.99) - 1.0)
+    ctx = ConjugationContext.from_weight(spec, WeightParams(tau, c_ps))
+    errors = identity_errors(random_bump(spec, carleman_annulus(d), seed), ctx)
+    assert all(err <= 1e-11 for err in errors.values()), errors

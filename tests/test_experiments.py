@@ -221,6 +221,7 @@ class TestCarlemanSweep:
         ({"tau_rule": "grid"}, "nonempty tau_grid"),
         ({"tau_rule": "fraction", "tau_grid": (2.0,)}, "only read by the 'grid'"),
         ({"h_grid": (1 / 16, 1 / 16)}, "strictly descending"),
+        ({"tau_fraction": 1.0}, "tau_fraction must lie in"),
     ])
     def test_tau_rule_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -366,7 +367,13 @@ def test_one_window_for_sweep_scan_and_singular_potential(tau, h, tau0, delta0, 
     scan = log_convexity_scan(poly_on_ball(2, h), [tau], tau0=tau0, delta0=delta0)
     assert scan.rows[0]["admissible"] is inside
     # the fraction tau * h / delta0 reproduces tau exactly at these values
-    singular = singular_potential_experiment(0.0, 2, (h,), tau * h / delta0, tau0, delta0)
+    fraction = tau * h / delta0
+    if fraction == 1:
+        # tau on the open upper end: the fraction rule refuses it up front
+        with pytest.raises(ValueError, match="tau_fraction must lie in"):
+            singular_potential_experiment(0.0, 2, (h,), fraction, tau0, delta0)
+        return
+    singular = singular_potential_experiment(0.0, 2, (h,), fraction, tau0, delta0)
     assert [r["tau"] for r in singular.rows] == ([tau] if inside else [])
     assert bool(singular.warnings) is not inside
 
