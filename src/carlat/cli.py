@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .experiments import (
     three_balls_experiment,
 )
 from .lattice import inner_product, l2_norm
-from .reports import ExperimentReport, FittedConstant, csv_blocks
+from .reports import ExperimentReport, FittedConstant, MeshAxis, csv_blocks
 from .solver import SolverError, ball_input, random_bump
 from .symbols import FrozenPoint, SymbolGrid, lower_bound_margin, scan_table
 from .weight import WeightParams, admissibility_check
@@ -314,10 +315,15 @@ def cmd_symbol_scan(args) -> tuple:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"symbol_scan_{report.config_hash}_grid.csv"
+    shape = (grids[0].resolution,) * args.d
+    start = time.perf_counter()
     with open(path, "w") as fh:
         fh.writelines(csv_blocks(
             [f"xi_{a+1}" for a in range(args.d)] + ["p_r", "p_i", "q", "margin"],
-            [*table["xi"], table["p_r"], table["p_i"], table["q"], table["margin"]]))
+            [*(MeshAxis(table["axis"], shape, a) for a in range(args.d)),
+             table["p_r"], table["p_i"], table["q"], table["margin"]]))
+    report.meta["grid_csv"] = {"rows": table["margin"].size, "bytes": path.stat().st_size,
+                               "write_s": time.perf_counter() - start}
     return report, (path,)
 
 

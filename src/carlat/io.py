@@ -17,14 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import LatticeFunction, LatticeSpec
-from .reports import csv_blocks
+from .reports import MeshAxis, csv_blocks
 
 HEADER_SCHEMA = "carlat-lattice-function/1"
-
-
-def _row_table(f: LatticeFunction):
-    idx = f.spec.indices().reshape(f.spec.d, -1).T
-    return idx, f.values.ravel()
 
 
 def save_lattice_function(f: LatticeFunction, base: str | Path, fmt: str = "binary"):
@@ -43,18 +38,20 @@ def save_lattice_function(f: LatticeFunction, base: str | Path, fmt: str = "bina
         "byte_order": "little",
     }
     base.with_suffix(".json").write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
-    idx, vals = _row_table(f)
+    vals = f.values.ravel()
     if fmt == "binary":
         path = base.with_suffix(".bin")
         rows = np.empty(vals.size, dtype=[("n", "<i8", (f.spec.d,)), ("value", "<f8")])
-        rows["n"] = idx
+        rows["n"] = f.spec.indices().reshape(f.spec.d, -1).T
         rows["value"] = vals
         rows.tofile(path)
     else:
         path = base.with_suffix(".csv")
+        sites = [MeshAxis(range(lo, hi + 1), f.spec.shape, a)
+                 for a, (lo, hi) in enumerate(zip(f.spec.lo, f.spec.hi))]
         with open(path, "w") as fh:
             fh.writelines(csv_blocks([f"n_{a+1}" for a in range(f.spec.d)] + ["value"],
-                                     [*idx.T, vals]))
+                                     [*sites, vals]))
     return path
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,9 +24,13 @@ REPORT_SCHEMA = "carlat-report/1"
 
 
 def _builtin(value):
-    """Recursively convert numpy scalars/arrays for JSON output."""
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+    """Recursively convert numpy scalars/arrays for JSON output.
+
+    A NumPy scalar (``np.bool_`` included) becomes its Python value first and
+    then meets the same rules, so ``np.float64('nan')`` is ``"nan"`` too.
+    """
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, np.ndarray):
         return [_builtin(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -77,6 +82,9 @@ class ExperimentReport:
     warnings: list = field(default_factory=list)
     passed: bool | None = None
     schema: str = REPORT_SCHEMA
+    # sidecar-only run facts (sizes, timings): merged into .meta.json by
+    # write(), never into the hashed data files
+    meta: dict = field(default_factory=dict)
 
     def add_row(self, **kwargs):
         self.rows.append(_builtin(kwargs))
@@ -124,33 +132,75 @@ class ExperimentReport:
         json_path.write_text(
             json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n")
         csv_path.write_text(self.csv_text())
-        meta_path.write_text(json.dumps({
+        meta_path.write_text(json.dumps(_builtin({
+            **self.meta,
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "kernel_backend": kernel_backend,
-        }, sort_keys=True, indent=2) + "\n")
+        }), sort_keys=True, indent=2) + "\n")
         return json_path, csv_path, meta_path
 
 
 # rows per block of csv_blocks; larger blocks write a 1024^2 grid CSV no
-# faster and leave a higher peak RSS (8192 rows: 4 MB more)
+# faster and leave a higher peak RSS (8192 rows: 4 MB more).  A mesh-axis
+# column takes one index array of this many rows per block, never a column.
 CSV_BLOCK_ROWS = 1024
+
+
+@dataclass(frozen=True)
+class MeshAxis:
+    """Coordinate ``axis`` of a C-order mesh of ``shape``, as a CSV column.
+
+    Row r of the flattened mesh holds ``values[(r // stride) % shape[axis]]``,
+    where stride is the product of the extents after ``axis``; ``values`` is
+    the 1-D axis (an array, list or range).
+    """
+
+    values: object
+    shape: tuple
+    axis: int
+
+    def __post_init__(self):
+        if len(self.values) != self.shape[self.axis]:
+            raise ValueError(f"axis {self.axis} has {len(self.values)} values, "
+                             f"the mesh {self.shape[self.axis]}")
+
+    def __len__(self):
+        return math.prod(self.shape)
 
 
 def csv_blocks(header, columns, cell=repr):
     """CSV text of equal-length columns, yielded a block of rows at a time.
 
-    Each column of a block is formatted on its own, ``map(cell, ...)``:
+    A plain column is formatted a block at a time, ``map(cell, ...)``:
     ``repr`` writes floats round-trip exact and ints plainly.  NumPy columns
-    go through ``tolist()`` first, so cells are Python scalars.  Blocks
-    bound the memory a million-row table takes while it is formatted.
+    go through ``tolist()`` first, so cells are Python scalars.  A
+    ``MeshAxis`` column formats its axis values once with ``cell`` and
+    looks each row's string up by its index on the axis, so the text is the
+    same as that of the materialized mesh column.  Blocks bound the memory
+    a million-row table takes while it is formatted.
     """
     yield ",".join(header) + "\n"
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = [col[start:start + CSV_BLOCK_ROWS] for col in columns]
-        cells = [map(cell, b.tolist() if isinstance(b, np.ndarray) else b) for b in block]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    nrows = len(columns[0])
+    blocks = [_column_cells(col, cell) for col in columns]
+    for start in range(0, nrows, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, nrows)
+        yield "\n".join(map(",".join, zip(*(b(start, stop) for b in blocks)))) + "\n"
+
+
+def _column_cells(col, cell):
+    """(start, stop) -> the formatted cells of those rows of one column."""
+    if not isinstance(col, MeshAxis):
+        return lambda start, stop: map(cell, _scalars(col[start:stop]))
+    labels = np.array(list(map(cell, _scalars(col.values))), dtype=object)
+    stride = math.prod(col.shape[col.axis + 1:])
+    n = col.shape[col.axis]
+    return lambda start, stop: labels[np.arange(start, stop) // stride % n].tolist()
+
+
+def _scalars(values):
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 def _csv_cell(value) -> str:

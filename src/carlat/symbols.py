@@ -283,13 +283,14 @@ def _margin_terms(fp: FrozenPoint, grid: SymbolGrid, c0: float) -> dict:
 
 
 def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float):
-    """Flattened per-frequency table used by the CSV emitter.
+    """Per-frequency table used by the CSV emitter: the 1-D axis and the
+    flattened (C-order) p_r, p_i, q and margin over ``grid.mesh()``.
 
     The values are those ``lower_bound_margin`` minimizes.
     """
     t = _margin_terms(fp, grid, c0)
     return {
-        "xi": grid.mesh().reshape(fp.d, -1),
+        "axis": t["axis"],
         "p_r": t["p_r"].ravel(),
         "p_i": t["p_i"].ravel(),
         "q": t["q"].ravel(),

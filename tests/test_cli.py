@@ -14,7 +14,9 @@ import carlat
 from carlat import cli, solver
 from carlat.cli import main, parse_number
 from carlat.lattice import MAX_SITES
-from carlat.symbols import MAX_GRID_POINTS, SCAN_BYTES_PER_POINT
+from carlat.symbols import (MAX_GRID_POINTS, SCAN_BYTES_PER_POINT, FrozenPoint, SymbolGrid,
+                            scan_table)
+from carlat.weight import WeightParams
 
 
 def run(args):
@@ -311,6 +313,33 @@ class TestSubcommands:
         summary = json.loads([p for p in data_files(tmp_path)
                               if p.suffix == ".json"][0].read_text())
         assert "min_margin" in summary["fitted"]
+
+    def test_symbol_scan_grid_csv_matches_the_materialized_mesh(self, tmp_path):
+        assert run(["symbol-scan", *SUBCOMMAND_ARGV["symbol-scan"], "--out", str(tmp_path)]) == 0
+        config = report_json(tmp_path)["config"]
+        fp = FrozenPoint.from_weight(config["x_bar"], WeightParams(config["tau"], config["c_ps"]),
+                                     config["h"])
+        grid = SymbolGrid(2, config["h"], 64)
+        table = scan_table(fp, grid, config["c0"])
+        columns = [*grid.mesh().reshape(2, -1).tolist(),
+                   *(table[k].tolist() for k in ("p_r", "p_i", "q", "margin"))]
+        expected = "xi_1,xi_2,p_r,p_i,q,margin\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in zip(*columns))
+        [path] = tmp_path.glob("*_grid.csv")
+        assert path.read_text() == expected
+
+    def test_symbol_scan_sidecar_records_the_grid_csv(self, tmp_path):
+        assert run(["symbol-scan", *SUBCOMMAND_ARGV["symbol-scan"], "--out", str(tmp_path)]) == 0
+        [path] = tmp_path.glob("*_grid.csv")
+        [meta_path] = tmp_path.glob("*.meta.json")
+        stats = json.loads(meta_path.read_text())["grid_csv"]
+        assert stats["rows"] == 64 * 64
+        assert stats["bytes"] == path.stat().st_size
+        assert 0.0 <= stats["write_s"] < 60.0
+        for data in data_files(tmp_path):
+            assert "write_s" not in data.read_text()
+        assert set(report_json(tmp_path)) == {"schema", "name", "config", "config_hash",
+                                              "fitted", "warnings", "passed", "rows"}
 
     # the other five subcommands run the same check in the named tests below
     @pytest.mark.parametrize("sub", ["carleman-sweep", "three-balls", "symbol-scan",

@@ -54,6 +54,16 @@ def test_csv_rows_span_several_blocks(tmp_path, rng_seed):
     assert path.read_text() == "n_1,value\n" + "\n".join(rows) + "\n"
 
 
+def test_csv_matches_the_materialized_index_mesh_in_3d(tmp_path, rng_seed):
+    spec = LatticeSpec(3, 0.25, (-5, -7, 2), (3, 5, 12))
+    assert np.prod(spec.shape) > CSV_BLOCK_ROWS
+    f = LatticeFunction(spec, np.random.default_rng(rng_seed).standard_normal(spec.shape))
+    path = save_lattice_function(f, tmp_path / "cube", fmt="csv")
+    columns = [*spec.indices().reshape(3, -1).tolist(), f.values.ravel().tolist()]
+    rows = [",".join(map(repr, row)) for row in zip(*columns)]
+    assert path.read_text() == "n_1,n_2,n_3,value\n" + "\n".join(rows) + "\n"
+
+
 def _saved(tmp_path, fmt):
     spec = LatticeSpec(1, 0.5, (0,), (3,))
     f = LatticeFunction(spec, np.array([1.5, -2.0, 0.25, 4.0]))
