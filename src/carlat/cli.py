@@ -258,8 +258,16 @@ def cmd_carleman_sweep(args) -> ExperimentReport:
     return carleman_sweep(cfg, jobs=args.jobs)
 
 
+def _lu_meta(report: ExperimentReport, lus) -> ExperimentReport:
+    """Put the LU facts of the input solves, if any, into the report's sidecar."""
+    if any(lus):
+        report.meta["lu"] = lus
+    return report
+
+
 def cmd_log_convexity(args) -> ExperimentReport:
-    u, res = ball_input(args.d, args.h, args.input)
+    lu = {}
+    u, res = ball_input(args.d, args.h, args.input, lu_stats=lu)
     taus = args.tau
     if not taus:
         # the window's lower end is max(1, tau0), as in experiments.in_window
@@ -267,17 +275,19 @@ def cmd_log_convexity(args) -> ExperimentReport:
         taus = tuple(np.geomspace(lo, hi, 12)) if hi > lo else (lo,)
     report = log_convexity_scan(u, taus, args.c_ps, args.tau0, args.delta0)
     report.config["input_residual"] = res
-    return report
+    return _lu_meta(report, [lu])
 
 
 def cmd_three_balls(args) -> ExperimentReport:
     # the sweep is checked before any input is built: 'solve' runs one LU per h
     hs = h_sweep(args.h)
-    solutions, residuals = zip(*(ball_input(args.d, h, args.input) for h in hs))
+    lus = [{} for _ in hs]
+    solutions, residuals = zip(*(ball_input(args.d, h, args.input, lu_stats=lu)
+                                 for h, lu in zip(hs, lus)))
     report = three_balls_experiment(solutions, c_ps=args.c_ps,
                                     bound_constant=args.bound_constant)
     report.config["input_residuals"] = residuals
-    return report
+    return _lu_meta(report, lus)
 
 
 def cmd_symbol_scan(args) -> tuple:
@@ -376,11 +386,12 @@ def cmd_caccioppoli(args) -> ExperimentReport:
 
 
 def cmd_coarsen_check(args) -> ExperimentReport:
-    u, res = ball_input(args.d, args.h, args.input)
+    lu = {}
+    u, res = ball_input(args.d, args.h, args.input, lu_stats=lu)
     radius = 4.0 if args.input == "solve" else None
     report = coarsen_check(u, factors=args.m, tol=args.tol, radius=radius)
     report.config["input_residual"] = res
-    return report
+    return _lu_meta(report, [lu])
 
 
 def cmd_localize(args) -> ExperimentReport:

@@ -341,6 +341,29 @@ class TestSubcommands:
         assert set(report_json(tmp_path)) == {"schema", "name", "config", "config_hash",
                                               "fitted", "warnings", "passed", "rows"}
 
+    @pytest.mark.parametrize("sub, argv, hs", [
+        ("three-balls", ["--h", "1/16,1/32", "--input", "solve"], [1 / 16, 1 / 32]),
+        ("coarsen-check", ["--h", "1/32", "--input", "solve", "--m", "2"], [1 / 32]),
+        ("log-convexity", ["--h", "1/32", "--input", "solve", "--tau0", "1.0"], [1 / 32]),
+        ("singular-potential", SUBCOMMAND_ARGV["singular-potential"], [1 / 8, 1 / 16]),
+    ])
+    def test_solve_inputs_record_their_lu_in_the_sidecar(self, sub, argv, hs, tmp_path):
+        assert run([sub, *argv, "--out", str(tmp_path)]) == 0
+        [meta_path] = tmp_path.glob("*.meta.json")
+        lus = json.loads(meta_path.read_text())["lu"]
+        assert [lu["h"] for lu in lus] == hs
+        for lu in lus:
+            assert set(lu) == {"h", "unknowns", "fill_nnz", "factor_s"}
+            assert 0 < lu["unknowns"] < lu["fill_nnz"] and 0.0 < lu["factor_s"] < 60.0
+        for data in data_files(tmp_path):
+            text = data.read_text()
+            assert not any(key in text for key in ("fill_nnz", "factor_s", "unknowns"))
+
+    def test_polynomial_inputs_record_no_lu(self, tmp_path):
+        assert run(["coarsen-check", *SUBCOMMAND_ARGV["coarsen-check"], "--out", str(tmp_path)]) == 0
+        [meta_path] = tmp_path.glob("*.meta.json")
+        assert "lu" not in json.loads(meta_path.read_text())
+
     # the other five subcommands run the same check in the named tests below
     @pytest.mark.parametrize("sub", ["carleman-sweep", "three-balls", "symbol-scan",
                                      "caccioppoli"])

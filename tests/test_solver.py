@@ -5,7 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from carlat import solver
 from carlat import (
     AnnularRegion,
     DirichletProblem,
@@ -21,6 +23,7 @@ from carlat import (
     residual,
     schrodinger_apply,
 )
+from carlat.experiments import singular_field_data
 from carlat.solver import _bump_window
 
 
@@ -192,6 +195,42 @@ class TestDirichletSolve:
         a = dirichlet_solve(problem, tol=1e-10)
         b = dirichlet_solve(problem, tol=1e-10)
         assert np.array_equal(a.values, b.values)
+
+
+class TestLuOrdering:
+    """The reordered, refined solve against SuperLU's default column ordering."""
+
+    @pytest.mark.parametrize("d, singular", [(2, False), (2, True), (1, False)])
+    def test_matches_the_default_ordering(self, d, singular, rng_seed, monkeypatch):
+        spec = LatticeSpec.ball_box(d, 1 / 16, 4.0, pad_sites=2)
+        data = harmonic_polynomial(spec, "deg3" if d >= 2 else "linear_j")
+        # B != 0 makes the matrix non-symmetric, with the same sparsity pattern
+        fields = singular_field_data(spec, 1.0, rng_seed) if singular else None
+        problem = DirichletProblem.on_ball(spec, 4.0, data, fields)
+        # dirichlet_solve raises unless its residual certificate holds
+        u = dirichlet_solve(problem)
+        monkeypatch.setattr(solver, "splu", lambda mat, **_: scipy.sparse.linalg.splu(mat))
+        reference = dirichlet_solve(problem)
+        sup = np.abs(reference.values).max()
+        assert np.abs(u.values - reference.values).max() <= 1e-10 * sup
+
+    def test_fill_stays_halved(self, monkeypatch):
+        fills = []
+        factor = solver.splu
+
+        def recording(mat, **kwargs):
+            lu = factor(mat, **kwargs)
+            fills.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        monkeypatch.setattr(solver, "splu", recording)
+        stats = {}
+        ball_input(2, 1 / 32, "solve", lu_stats=stats)
+        # 2,716,308 with MMD on A + A^T; SuperLU's default ordering gives 5,194,276
+        assert len(fills) == 1 and fills[0] <= 3.0e6
+        assert stats["fill_nnz"] == fills[0]
+        assert stats["unknowns"] == 51429 and stats["h"] == 1 / 32
+        assert 0.0 < stats["factor_s"] < 60.0
 
 
 class TestRandomBump:
