@@ -304,8 +304,13 @@ def cmd_symbol_scan(args) -> tuple:
     # every grid is checked against the size guard before any scan runs
     grids = [SymbolGrid(args.d, args.h, res) for res in args.resolution]
     scans = []
+    report.meta["scans"] = []
     for grid in grids:
+        start = time.perf_counter()
         scan = lower_bound_margin(fp, args.c0, grid, gamma0=args.gamma0)
+        report.meta["scans"].append({"resolution": grid.resolution,
+                                     "points": grid.resolution ** args.d,
+                                     "scan_s": time.perf_counter() - start})
         scans.append(scan)
         row = {"resolution": grid.resolution, "min_margin": scan.min_margin,
                "c1_split": scan.c1_split}

@@ -36,8 +36,11 @@ from .weight import WeightParams, phi_eval
 FREQUENCY_AXES_MIN = 8
 # Largest grid a SymbolGrid accepts: 4096^2 and 256^3 pass, 512^3 does not.
 MAX_GRID_POINTS = 2 ** 25
-# A margin scan holds five float64 grids at its peak (measured at 4096^2).
+# scan_table, the --grid-csv table, holds five float64 grids at its peak
+# (measured at 4096^2); lower_bound_margin streams and holds none.
 SCAN_BYTES_PER_POINT = 40
+# Grid points per slab of lower_bound_margin (slab sizes in notes/decisions.md).
+SCAN_BLOCK_POINTS = 2 ** 17
 # search of empirical_c1 for the high-frequency region split
 C1_CANDIDATES = tuple(range(1, 41))
 C1_FLOOR = 1.0 / 256.0
@@ -97,8 +100,9 @@ class SymbolGrid:
         if points > MAX_GRID_POINTS:
             raise ValueError(
                 f"frequency grid {self.resolution}^{self.d} has {points} points, above "
-                f"MAX_GRID_POINTS = {MAX_GRID_POINTS}; a margin scan on it would need "
-                f"about {points * SCAN_BYTES_PER_POINT} bytes")
+                f"MAX_GRID_POINTS = {MAX_GRID_POINTS}; its per-frequency table (scan_table, "
+                f"the --grid-csv output) would need about {points * SCAN_BYTES_PER_POINT} "
+                f"bytes")
 
     def axis(self) -> np.ndarray:
         step = 2 * np.pi / (self.h * self.resolution)
@@ -228,6 +232,18 @@ def _outer_sum(vectors, start=0.0, out=None) -> np.ndarray:
     return np.add(head, _along(vectors[-1], d - 1, d), out=out)
 
 
+def _slabs(grid: SymbolGrid) -> list:
+    """Row slices of frequency axis 0 holding about SCAN_BLOCK_POINTS points each."""
+    res = grid.resolution
+    step = max(1, SCAN_BLOCK_POINTS // res ** (grid.d - 1))
+    return [slice(r0, min(r0 + step, res)) for r0 in range(0, res, step)]
+
+
+def _on_slab(v: np.ndarray, rows: slice, d: int) -> list:
+    """Per-axis copies of the 1-D axis vector v, axis 0 cut to the slab's rows."""
+    return [v[rows]] + [v] * (d - 1)
+
+
 def _axis_trig(fp: FrozenPoint, grid: SymbolGrid):
     """Axis, sin(theta), cos(theta) and sin^2(theta/2) on the 1-D axis."""
     ax = grid.axis()
@@ -235,47 +251,64 @@ def _axis_trig(fp: FrozenPoint, grid: SymbolGrid):
     return ax, np.sin(th), np.cos(th), np.sin(th / 2) ** 2
 
 
-def _grid_pr(fp: FrozenPoint, trig) -> np.ndarray:
-    """``symbol_pr`` on the grid, with the same per-point arithmetic."""
+def _slab_pr(fp: FrozenPoint, trig, rows: slice) -> np.ndarray:
+    """``symbol_pr`` on the slab, with the same per-point arithmetic."""
     _, _, c, w = trig
-    return _outer_sum([-4.0 / fp.h ** 2 * w + gj ** 2 * c for gj in fp.grad_phi])
+    return _outer_sum([-4.0 / fp.h ** 2 * wj + gj ** 2 * cj for gj, wj, cj
+                       in zip(fp.grad_phi, _on_slab(w, rows, fp.d), _on_slab(c, rows, fp.d))])
 
 
-def _grid_norm(ax: np.ndarray, d: int) -> np.ndarray:
-    norm = _outer_sum([ax ** 2] * d)
+def _slab_norm(ax: np.ndarray, rows: slice, d: int) -> np.ndarray:
+    norm = _outer_sum([v ** 2 for v in _on_slab(ax, rows, d)])
     return np.sqrt(norm, out=norm)
 
 
-def _margin_terms(fp: FrozenPoint, grid: SymbolGrid, c0: float) -> dict:
-    """p_r, p_i, q and the margin on the grid, from trig on the 1-D axis.
+def _pair(u: float, v: float, s: np.ndarray, c: np.ndarray, rows: slice) -> np.ndarray:
+    """u s_j s_k + v c_j c_k on rows of axis j by all of axis k, as one product.
+
+    numpy hands a one-row product to gemv, which rounds differently from the
+    gemm that every longer slab gets, so a one-row slab is computed as two.
+    """
+    lo = min(rows.start, s.size - 2)
+    hi = max(rows.stop, lo + 2)
+    pair = np.stack([u * s[lo:hi], v * c[lo:hi]], axis=1) @ np.stack([s, c])
+    return pair[rows.start - lo:rows.stop - lo]
+
+
+def _margin_terms(fp: FrozenPoint, grid: SymbolGrid, c0: float, rows: slice) -> dict:
+    """p_r, p_i, q and the margin on the slab axis[rows] x axis^(d-1), from
+    trig on the 1-D axis.
 
     p_r, p_i and the denominator are outer sums of per-axis vectors.  With
     cos(a -+ b) = cos a cos b +- sin a sin b, the diagonal of q is the outer
     sum of H_jj (4 h^-2 s_j^2 + 4 g_j^2) and each off-diagonal pair, both
     orders together, adds the rank-2 product
     2 H_jk [(4 h^-2 + 2 (g_j^2 + g_k^2)) s_j s_k + 4 g_j g_k c_j c_k].
+    Only the axis-0 vectors are cut to the slab, so each point gets the
+    arithmetic of the whole grid and the same bits.
     """
     d, h, tau = fp.d, fp.h, fp.tau
     g, hess = fp.grad_phi, fp.hess_phi
     trig = _axis_trig(fp, grid)
     ax, s, c, _ = trig
-    pr = _grid_pr(fp, trig)
-    pi = _outer_sum([2.0 * gj / h * s for gj in g])
-    q = _outer_sum([hess[j, j] * (4.0 / h ** 2 * s ** 2 + 4.0 * g[j] ** 2)
+    sv = _on_slab(s, rows, d)
+    pr = _slab_pr(fp, trig, rows)
+    pi = _outer_sum([2.0 * gj / h * sj for gj, sj in zip(g, sv)])
+    q = _outer_sum([hess[j, j] * (4.0 / h ** 2 * sv[j] ** 2 + 4.0 * g[j] ** 2)
                     for j in range(d)])
     for j in range(d):
         for k in range(j + 1, d):
             a = 2.0 * hess[j, k] * (4.0 / h ** 2 + 2.0 * (g[j] ** 2 + g[k] ** 2))
             b = 8.0 * hess[j, k] * g[j] * g[k]
-            pair = np.stack([a * s, b * c], axis=1) @ np.stack([s, c])
-            q += pair.reshape([grid.resolution if i in (j, k) else 1 for i in range(d)])
-            del pair  # a full grid at d = 2
+            pair = _pair(a, b, s, c, rows if j == 0 else slice(0, grid.resolution))
+            q += pair.reshape([q.shape[i] if i in (j, k) else 1 for i in range(d)])
+            del pair  # the whole slab at d = 2
     margin = np.multiply(pr, pr)
     tmp = np.multiply(pi, pi)
     margin += tmp
     margin += np.multiply(q, c0 * tau, out=tmp)
-    s2 = s ** 2
-    den = _outer_sum([tau ** 2 / h ** 2 * s2 + s2 ** 2 / h ** 4] * d,
+    s2 = [sj ** 2 for sj in sv]
+    den = _outer_sum([tau ** 2 / h ** 2 * v + v ** 2 / h ** 4 for v in s2],
                      start=tau ** 4, out=tmp)
     margin /= den
     return {"axis": ax, "p_r": pr, "p_i": pi, "q": q, "denominator": den,
@@ -286,9 +319,10 @@ def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float):
     """Per-frequency table used by the CSV emitter: the 1-D axis and the
     flattened (C-order) p_r, p_i, q and margin over ``grid.mesh()``.
 
-    The values are those ``lower_bound_margin`` minimizes.
+    The values are those ``lower_bound_margin`` minimizes.  This table is
+    the one caller that holds whole grids: five float64 grids at its peak.
     """
-    t = _margin_terms(fp, grid, c0)
+    t = _margin_terms(fp, grid, c0, slice(0, grid.resolution))
     return {
         "axis": t["axis"],
         "p_r": t["p_r"].ravel(),
@@ -305,26 +339,25 @@ def empirical_c1(fp: FrozenPoint, grid: SymbolGrid) -> float | None:
     positivity right at the sign change would be useless for the split.
     Returns None when no candidate of C1_CANDIDATES achieves it on a
     nonempty region.
-    """
-    trig = _axis_trig(fp, grid)
-    return _c1_split(_grid_pr(fp, trig), _grid_norm(trig[0], fp.d), fp.tau)
-
-
-def _c1_split(pr, norm, tau):
-    """``empirical_c1`` on precomputed p_r and |xi| grids.
 
     A candidate's region {|xi| >= c1 tau} passes when it holds no point with
     p_r^2 < C1_FLOOR |xi|^4 (or a NaN ratio), i.e. when c1 tau exceeds the
-    largest |xi| among those points.
+    largest |xi| among those points, so one pass over the slabs reduces the
+    grid to that |xi| and the largest |xi| of all.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bad = ~(pr ** 2 / norm ** 4 >= C1_FLOOR)
-    worst = float(norm[bad].max()) if bad.any() else -np.inf
-    top = float(norm.max())
+    trig = _axis_trig(fp, grid)
+    worst = top = -np.inf
+    for rows in _slabs(grid):
+        pr, norm = _slab_pr(fp, trig, rows), _slab_norm(trig[0], rows, fp.d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bad = ~(pr ** 2 / norm ** 4 >= C1_FLOOR)
+        if bad.any():
+            worst = max(worst, float(norm[bad].max()))
+        top = max(top, float(norm.max()))
     for c1 in C1_CANDIDATES:
-        if not c1 * tau <= top:
+        if not c1 * fp.tau <= top:
             return None
-        if c1 * tau > worst:
+        if c1 * fp.tau > worst:
             return float(c1)
     return None
 
@@ -341,6 +374,21 @@ def _grid_char_distance(fp: FrozenPoint, ax: np.ndarray) -> np.ndarray:
     return np.hypot(par, np.sqrt(perp) - rho)
 
 
+REGIONS = ("high_frequency", "characteristic_neighborhood", "low_frequency")
+
+
+def _fold(found: dict, key: str, values: np.ndarray, offset: int) -> None:
+    """Keep the smallest of ``values`` and its flat grid index under ``key``.
+
+    A later slab must be strictly smaller, so ties keep the first point in
+    C order, as one argmin over the whole grid would.
+    """
+    j = int(np.argmin(values))
+    v = float(values.flat[j])
+    if key not in found or v < found[key][0]:
+        found[key] = (v, offset + j)
+
+
 def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
                        gamma0: float = 0.05,
                        c1_split: float | None = None) -> MarginScan:
@@ -352,6 +400,11 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     low-frequency region.  Ties resolve to the lexicographically smallest
     grid index (C-order argmin).
 
+    The grid is scanned in slabs of about SCAN_BLOCK_POINTS points along
+    frequency axis 0, keeping only running minima, argmins and counts.  A
+    derived C1 (``empirical_c1``) costs one more pass, since every slab's
+    regions need it.
+
     For the convexified weight the minimum is positive only when the
     coupling stays below the pseudoconvexity, c0 < c_ps/(1 + log^2|x_bar|):
     radially around the characteristic set the numerator bottoms out at
@@ -359,43 +412,45 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     continuum threshold; the h-corrections of the discrete symbols shift
     it (upward, by about 1.65x at tau = 20, h = 1/128, c_ps = 0.01).
     """
-    t = _margin_terms(fp, grid, c0)
-    ax, pr, margin = t["axis"], t["p_r"], t["margin"]
-    # free p_i, q and the denominator (p_r below): 128 MB each at 4096^2
-    del t
-
-    def point(flat):
-        return tuple(float(ax[i]) for i in np.unravel_index(flat, margin.shape))
-
-    flat = np.argmin(margin.ravel())
-    norm = _grid_norm(ax, fp.d)
+    d, tau, res = fp.d, fp.tau, grid.resolution
     if c1_split is None:
-        c1_split = _c1_split(pr, norm, fp.tau)
-    del pr
-    high = (norm >= c1_split * fp.tau) if c1_split is not None else np.zeros(margin.shape, bool)
-    del norm
-    near = np.zeros(margin.shape, bool)
+        c1_split = empirical_c1(fp, grid)
+    ax = grid.axis()
+    lo = hi = 0
     rho = float(np.linalg.norm(fp.grad_phi))
-    if fp.d > 1 and rho > 0.0:
+    if d > 1 and rho > 0.0:
         # |xi| <= rho + distance: the neighborhood lies in this box, and one
         # more grid step absorbs rounding
-        idx = np.flatnonzero(np.abs(ax) <= rho + gamma0 * fp.tau + (ax[1] - ax[0]))
+        idx = np.flatnonzero(np.abs(ax) <= rho + gamma0 * tau + (ax[1] - ax[0]))
         if idx.size:
-            box = (slice(idx[0], idx[-1] + 1),) * fp.d
-            near[box] = (_grid_char_distance(fp, ax[idx]) <= gamma0 * fp.tau) & ~high[box]
-    low = ~(high | near)
+            lo, hi = idx[0], idx[-1] + 1
+            near_box = _grid_char_distance(fp, ax[lo:hi]) <= gamma0 * tau
 
-    regions = {}
-    for name, mask in (("high_frequency", high),
-                       ("characteristic_neighborhood", near),
-                       ("low_frequency", low)):
-        if mask.any():
-            vals = np.where(mask, margin, np.inf)
-            j = np.argmin(vals.ravel())
-            regions[name] = RegionStat(float(vals.ravel()[j]), point(j), int(mask.sum()))
+    found, counts = {}, dict.fromkeys(REGIONS, 0)
+    for rows in _slabs(grid):
+        margin = _margin_terms(fp, grid, c0, rows)["margin"]
+        offset = rows.start * res ** (d - 1)
+        _fold(found, "grid", margin, offset)
+        if c1_split is not None:
+            high = _slab_norm(ax, rows, d) >= c1_split * tau
         else:
-            regions[name] = RegionStat(None, None, 0)
+            high = np.zeros(margin.shape, bool)
+        near = np.zeros(margin.shape, bool)
+        # the slab's rows of the neighborhood box, if any
+        r0, r1 = max(rows.start, lo), min(rows.stop, hi)
+        if r0 < r1:
+            box = (slice(r0 - rows.start, r1 - rows.start),) + (slice(lo, hi),) * (d - 1)
+            near[box] = near_box[r0 - lo:r1 - lo] & ~high[box]
+        for name, mask in zip(REGIONS, (high, near, ~(high | near))):
+            n = int(np.count_nonzero(mask))
+            if n:
+                counts[name] += n
+                _fold(found, name, np.where(mask, margin, np.inf), offset)
 
-    return MarginScan(float(margin.ravel()[flat]), point(flat), grid.resolution,
-                      c0, gamma0, c1_split, regions)
+    def stat(key):
+        value, flat = found[key]
+        return value, tuple(float(ax[i]) for i in np.unravel_index(flat, (res,) * d))
 
+    regions = {name: RegionStat(*stat(name), counts[name]) if counts[name]
+               else RegionStat(None, None, 0) for name in REGIONS}
+    return MarginScan(*stat("grid"), res, c0, gamma0, c1_split, regions)

@@ -6,6 +6,7 @@ import math
 import shlex
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import scipy
@@ -340,6 +341,27 @@ class TestSubcommands:
             assert "write_s" not in data.read_text()
         assert set(report_json(tmp_path)) == {"schema", "name", "config", "config_hash",
                                               "fitted", "warnings", "passed", "rows"}
+
+    def test_symbol_scan_sidecar_records_each_scan(self, tmp_path, monkeypatch):
+        argv = ["symbol-scan", *SUBCOMMAND_ARGV["symbol-scan"]]
+        assert run([*argv, "--out", str(tmp_path / "a")]) == 0
+        # a clock that jumps 1000 s per reading changes the timings and no data byte
+        ticks = iter(range(0, 10 ** 6, 1000))
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        assert run([*argv, "--out", str(tmp_path / "b")]) == 0
+        metas = [json.loads(next((tmp_path / side).glob("*.meta.json")).read_text())
+                 for side in "ab"]
+        for meta in metas:
+            assert [(s["resolution"], s["points"]) for s in meta["scans"]] == [
+                (64, 64 * 64), (128, 128 * 128)]
+        assert all(0.0 <= s["scan_s"] < 60.0 for s in metas[0]["scans"])
+        assert all(s["scan_s"] == 1000.0 for s in metas[1]["scans"])
+        files_a, files_b = data_files(tmp_path / "a"), data_files(tmp_path / "b")
+        assert sorted(p.suffix for p in files_a) == [".csv", ".csv", ".json"]
+        assert [p.name for p in files_a] == [p.name for p in files_b]
+        for pa, pb in zip(files_a, files_b):
+            assert pa.read_bytes() == pb.read_bytes()
+            assert "scan_s" not in pa.read_text()
 
     @pytest.mark.parametrize("sub, argv, hs", [
         ("three-balls", ["--h", "1/16,1/32", "--input", "solve"], [1 / 16, 1 / 32]),

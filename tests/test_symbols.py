@@ -17,6 +17,7 @@ from carlat import (
     symbol_pr,
     symbol_q,
 )
+from carlat import symbols
 from carlat.symbols import (
     C1_CANDIDATES,
     C1_FLOOR,
@@ -294,9 +295,9 @@ class TestMarginScan:
        c0=st.floats(0.0, 0.1), radius=st.floats(0.6, 1.9),
        direction=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
        signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=3, max_size=3),
-       resolution=st.integers(8, 20))
+       resolution=st.integers(8, 20), start=st.integers(0, 19), width=st.integers(1, 20))
 def test_separable_terms_match_pointwise_symbols(d, tau, inv_h, c0, radius, direction,
-                                                 signs, resolution):
+                                                 signs, resolution, start, width):
     x = np.array(direction[:d]) * np.array(signs[:d])
     fp = frozen(d=d, tau=tau, h=1.0 / inv_h, x_bar=tuple(radius * x / np.linalg.norm(x)))
     if d > 1:
@@ -310,11 +311,17 @@ def test_separable_terms_match_pointwise_symbols(d, tau, inv_h, c0, radius, dire
     want["margin"] = (squares + coupling * want["q"]) / want["denominator"]
     scale = {key: np.abs(value).max() for key, value in want.items()}
     scale["margin"] = ((squares + coupling * np.abs(want["q"])) / want["denominator"]).max()
-    got = _margin_terms(fp, grid, c0)
+    got = _margin_terms(fp, grid, c0, slice(0, resolution))
     for key, value in want.items():
         assert got[key].shape == value.shape
         np.testing.assert_allclose(got[key], value, rtol=0, atol=1e-12 * scale[key],
                                    err_msg=key)
+    # a slab of axis 0, one row included, gets the whole grid's bits
+    lo = min(start, resolution - 1)
+    rows = slice(lo, min(lo + width, resolution))
+    slab = _margin_terms(fp, grid, c0, rows)
+    for key in want:
+        np.testing.assert_array_equal(slab[key], got[key][rows], err_msg=key)
 
 
 def mesh_scan(fp, c0, grid, gamma0=0.05, c1_split=None):
@@ -356,12 +363,19 @@ def mesh_scan(fp, c0, grid, gamma0=0.05, c1_split=None):
     (2, (-0.3, 1.2), 15.0, 1 / 64, 0.05, 128, 0.2, 3.0),
     (3, (0.8, 0.4, -0.2), 10.0, 1 / 64, 0.002, 40, 0.1, None),
     (1, (1.0,), 20.0, 1 / 128, 0.0025, 256, 0.05, None),
+    (2, (0.0, 1.0), 20.0, 1 / 128, 0.0025, 512, 0.05, None),
 ])
 def test_scan_matches_the_dense_mesh_scan(d, x_bar, tau, h, c0, resolution, gamma0,
-                                          c1_split):
+                                          c1_split, monkeypatch):
     fp = frozen(d=d, tau=tau, h=h, x_bar=x_bar)
     grid = SymbolGrid(d, h, resolution)
     scan = lower_bound_margin(fp, c0, grid, gamma0=gamma0, c1_split=c1_split)
+    # slabs of one row, of three rows (which divide no resolution here) and
+    # of the whole grid fold to the same scan
+    row = resolution ** (d - 1)
+    for points in (row, 3 * row, resolution * row):
+        monkeypatch.setattr(symbols, "SCAN_BLOCK_POINTS", points)
+        assert lower_bound_margin(fp, c0, grid, gamma0=gamma0, c1_split=c1_split) == scan
     want_min, want_argmin, want_c1, want_regions, margin = mesh_scan(
         fp, c0, grid, gamma0, c1_split)
     assert scan.argmin_xi == want_argmin
@@ -382,6 +396,25 @@ def test_scan_matches_the_dense_mesh_scan(d, x_bar, tau, h, c0, resolution, gamm
         i, j = np.unravel_index(np.argmin(margin), margin.shape)
         assert margin[i, resolution - 2 - j] == margin[i, j]
         assert scan.argmin_xi[1] < 0
+    if x_bar == (0.0, 1.0):
+        # the same along axis 0: the tied pair lies in two different slabs,
+        # and the first slab's point, at xi_1 < 0, is kept
+        i, j = np.unravel_index(np.argmin(margin), margin.shape)
+        assert margin[resolution - 2 - i, j] == margin[i, j]
+        assert scan.argmin_xi[0] < 0
+
+
+def test_scan_holds_no_whole_grid():
+    # five float64 grids at 2048^2 would be 168 MB
+    fp = frozen()
+    grid = SymbolGrid(2, fp.h, 2048)
+    tracemalloc.start()
+    try:
+        lower_bound_margin(fp, 0.0025, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 class TestGridGuard:
