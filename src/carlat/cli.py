@@ -32,7 +32,7 @@ from .experiments import (
     three_balls_experiment,
 )
 from .lattice import inner_product, l2_norm
-from .reports import ExperimentReport, FittedConstant, MeshAxis, csv_blocks
+from .reports import ExperimentReport, FittedConstant, MeshAxis, csv_blocks, csv_workers
 from .solver import SolverError, ball_input, random_bump
 from .symbols import FrozenPoint, SymbolGrid, lower_bound_margin, scan_table
 from .weight import WeightParams, admissibility_check
@@ -132,8 +132,10 @@ _SUBCOMMANDS = {
         "bound-constant": ("float", 10.0, "bound C above which the correction fit activates"),
     },
     "symbol-scan": {
-        # no scan reads --jobs; it stays because the report_io benchmark
-        # workload passes --jobs 1, and goes when that benchmark changes
+        # no scan reads --jobs, and it does not set the number of processes
+        # that format the grid CSV (reports.csv_workers does); it stays
+        # because the report_io benchmark workload passes --jobs 1, and goes
+        # when that benchmark changes
         **_shared("c-ps", "jobs"),
         "h": ("float", 1 / 128, "lattice spacing"),
         "tau": ("float", 20.0, "large parameter"),
@@ -338,7 +340,8 @@ def cmd_symbol_scan(args) -> tuple:
             [*(MeshAxis(table["axis"], shape, a) for a in range(args.d)),
              table["p_r"], table["p_i"], table["q"], table["margin"]]))
     report.meta["grid_csv"] = {"rows": table["margin"].size, "bytes": path.stat().st_size,
-                               "write_s": time.perf_counter() - start}
+                               "write_s": time.perf_counter() - start,
+                               "workers": csv_workers(table["margin"].size)}
     return report, (path,)
 
 

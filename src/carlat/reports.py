@@ -11,7 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -146,6 +149,12 @@ class ExperimentReport:
 # faster and leave a higher peak RSS (8192 rows: 4 MB more).  A mesh-axis
 # column takes one index array of this many rows per block, never a column.
 CSV_BLOCK_ROWS = 1024
+# tables of at least this many rows are formatted in forked processes; a
+# smaller table formats in well under 0.3 s, and forking gains little or loses
+PARALLEL_MIN_ROWS = 1 << 16
+# rows per task of a forked worker; twice as many tasks as workers are in
+# flight, so the parent holds at most that many spans of text
+PARALLEL_CHUNK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -180,13 +189,73 @@ def csv_blocks(header, columns, cell=repr):
     looks each row's string up by its index on the axis, so the text is the
     same as that of the materialized mesh column.  Blocks bound the memory
     a million-row table takes while it is formatted.
+
+    A table of ``csv_workers(nrows) > 1`` is formatted by that many forked
+    processes, ``PARALLEL_CHUNK_ROWS`` rows per task, and yielded in row
+    order; the text is the same, as every row goes through ``_rows_text``.
     """
     yield ",".join(header) + "\n"
     nrows = len(columns[0])
     blocks = [_column_cells(col, cell) for col in columns]
+    workers = csv_workers(nrows)
+    if workers > 1:
+        yield from _forked_rows(blocks, nrows, workers)
+        return
     for start in range(0, nrows, CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, nrows)
-        yield "\n".join(map(",".join, zip(*(b(start, stop) for b in blocks)))) + "\n"
+        yield _rows_text(blocks, start, min(start + CSV_BLOCK_ROWS, nrows))
+
+
+def csv_workers(nrows: int) -> int:
+    """Processes that format a table of ``nrows`` rows; 1 is the serial path.
+
+    One per CPU this process may run on, no more than there are chunks, and
+    1 below ``PARALLEL_MIN_ROWS`` rows, where the CPU set is unknown, or
+    while other threads run: a forked child can deadlock on a lock one of
+    them held.
+    """
+    if (nrows < PARALLEL_MIN_ROWS or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), -(-nrows // PARALLEL_CHUNK_ROWS))
+
+
+def _rows_text(blocks, start, stop):
+    """Rows ``start`` to ``stop`` of the table, each ended by a newline."""
+    return "\n".join(map(",".join, zip(*(b(start, stop) for b in blocks)))) + "\n"
+
+
+# the blocks a forked worker formats, set in the worker by _inherit
+_worker_blocks = None
+
+
+def _inherit(blocks):
+    global _worker_blocks
+    _worker_blocks = blocks
+
+
+def _format_span(start, stop):
+    return _rows_text(_worker_blocks, start, stop)
+
+
+def _forked_rows(blocks, nrows, workers):
+    """``_rows_text`` of each chunk of rows, formatted by ``workers`` forked processes."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a forked worker gets the initializer's arguments without pickling, so
+    # no column is copied and a ``cell`` may be a lambda
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_inherit, initargs=(blocks,))
+    try:
+        pending = deque()
+        for start in range(0, nrows, PARALLEL_CHUNK_ROWS):
+            pending.append(pool.submit(_format_span, start, min(start + PARALLEL_CHUNK_ROWS, nrows)))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _column_cells(col, cell):

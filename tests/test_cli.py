@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import os
 import shlex
 import tracemalloc
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import scipy
 
 import carlat
-from carlat import cli, solver
+from carlat import cli, reports, solver
 from carlat.cli import main, parse_number
 from carlat.lattice import MAX_SITES
 from carlat.symbols import (MAX_GRID_POINTS, SCAN_BYTES_PER_POINT, FrozenPoint, SymbolGrid,
@@ -329,6 +330,19 @@ class TestSubcommands:
         [path] = tmp_path.glob("*_grid.csv")
         assert path.read_text() == expected
 
+    def test_symbol_scan_grid_csv_formatted_by_workers_is_the_same(self, tmp_path, monkeypatch):
+        argv = ["symbol-scan", *SUBCOMMAND_ARGV["symbol-scan"], "--out"]
+        assert run(argv + [str(tmp_path / "serial")]) == 0
+        monkeypatch.setattr(reports, "PARALLEL_MIN_ROWS", 1024)
+        monkeypatch.setattr(reports, "PARALLEL_CHUNK_ROWS", 300)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run(argv + [str(tmp_path / "forked")]) == 0
+        serial, forked = data_files(tmp_path / "serial"), data_files(tmp_path / "forked")
+        assert [p.read_bytes() for p in serial] == [p.read_bytes() for p in forked]
+        workers = [json.loads(next((tmp_path / run).glob("*.meta.json")).read_text())
+                   ["grid_csv"]["workers"] for run in ("serial", "forked")]
+        assert workers == [1, 2]
+
     def test_symbol_scan_sidecar_records_the_grid_csv(self, tmp_path):
         assert run(["symbol-scan", *SUBCOMMAND_ARGV["symbol-scan"], "--out", str(tmp_path)]) == 0
         [path] = tmp_path.glob("*_grid.csv")
@@ -337,6 +351,7 @@ class TestSubcommands:
         assert stats["rows"] == 64 * 64
         assert stats["bytes"] == path.stat().st_size
         assert 0.0 <= stats["write_s"] < 60.0
+        assert stats["workers"] == 1
         for data in data_files(tmp_path):
             assert "write_s" not in data.read_text()
         assert set(report_json(tmp_path)) == {"schema", "name", "config", "config_hash",

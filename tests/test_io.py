@@ -1,11 +1,13 @@
 """Round trips of the lattice function serialization."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from carlat import LatticeFunction, LatticeSpec, load_lattice_function, save_lattice_function
+from carlat import reports
 from carlat.reports import CSV_BLOCK_ROWS
 
 
@@ -62,6 +64,17 @@ def test_csv_matches_the_materialized_index_mesh_in_3d(tmp_path, rng_seed):
     columns = [*spec.indices().reshape(3, -1).tolist(), f.values.ravel().tolist()]
     rows = [",".join(map(repr, row)) for row in zip(*columns)]
     assert path.read_text() == "n_1,n_2,n_3,value\n" + "\n".join(rows) + "\n"
+
+
+def test_csv_formatted_by_workers_is_the_same(tmp_path, rng_seed, monkeypatch):
+    spec = LatticeSpec(3, 0.25, (-5, -7, 2), (3, 5, 12))
+    f = LatticeFunction(spec, np.random.default_rng(rng_seed).standard_normal(spec.shape))
+    serial = save_lattice_function(f, tmp_path / "serial", fmt="csv").read_bytes()
+    monkeypatch.setattr(reports, "PARALLEL_MIN_ROWS", 512)
+    monkeypatch.setattr(reports, "PARALLEL_CHUNK_ROWS", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert reports.csv_workers(np.prod(spec.shape)) == 3
+    assert save_lattice_function(f, tmp_path / "forked", fmt="csv").read_bytes() == serial
 
 
 def _saved(tmp_path, fmt):

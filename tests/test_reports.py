@@ -2,14 +2,19 @@
 
 import json
 import math
+import multiprocessing
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from carlat import reports
 from carlat.reports import (CSV_BLOCK_ROWS, ExperimentReport, FittedConstant, MeshAxis,
-                            csv_blocks, linear_fit)
+                            _csv_cell, csv_blocks, csv_workers, linear_fit)
 
 
 def test_linear_fit_recovers_exact_line():
@@ -98,6 +103,40 @@ def test_meta_stays_out_of_the_data_files(tmp_path):
     assert json.loads(meta_path.read_text())["grid_csv"] == {"rows": 4, "write_s": 0.25}
 
 
+# thresholds small enough that a table of a few hundred rows takes the forked
+# path: blocks of 8 rows, chunks of 16, forked from 64 rows on, 3 CPUs
+SMALL = {"CSV_BLOCK_ROWS": 8, "PARALLEL_CHUNK_ROWS": 16, "PARALLEL_MIN_ROWS": 64}
+
+
+def _forking(monkeypatch, cpus=3):
+    for name, value in SMALL.items():
+        monkeypatch.setattr(reports, name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _both(header, columns, cell=repr):
+    """(serial, forked) text of one table; the forked text from 3 workers."""
+    serial = "".join(csv_blocks(header, columns, cell))
+    with pytest.MonkeyPatch.context() as mp:
+        _forking(mp)
+        nrows = len(columns[0])
+        assert csv_workers(nrows) == (1 if nrows < 64 else min(3, -(-nrows // 16)))
+        forked = "".join(csv_blocks(header, columns, cell))
+    return serial, forked
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs for more than 60 s, where a pool would hang it."""
+    def expire(signum, frame):
+        raise TimeoutError("csv_blocks hung")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 # axis values a formatter could get wrong: signed zeros, nan, infinities, subnormals
 SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-320,
            2.2250738585072014e-308, 0.1, -1e300]
@@ -133,11 +172,102 @@ def _mesh_case(shape, pool, seed, plain):
 def test_mesh_axis_columns_match_the_materialized_mesh(shape, pool, seed, plain):
     columns, expected = _mesh_case(shape, pool, seed, [min(at, len(shape)) for at in plain])
     header = [f"c{k}" for k in range(len(columns))]
-    text = "".join(csv_blocks(header, columns))
+    serial, forked = _both(header, columns)
     rows = [",".join(map(repr, row)) for row in zip(*expected)]
-    assert text == ",".join(header) + "\n" + "\n".join(rows) + "\n"
+    assert serial == forked == ",".join(header) + "\n" + "\n".join(rows) + "\n"
 
 
 def test_mesh_axis_length_must_match_the_shape():
     with pytest.raises(ValueError, match="axis 1 has 3 values"):
         MeshAxis([0.0, 1.0, 2.0], (3, 4), 1)
+
+
+# at and around the forking threshold (64), chunk (16) and block (8) edges
+@pytest.mark.parametrize("nrows", [63, 64, 65, 80, 81, 95, 96, 97, 11 * 16 + 1])
+def test_forked_rows_match_the_serial_rows(nrows, deadline):
+    rng = np.random.default_rng(nrows)
+    floats = rng.standard_normal(nrows) * np.exp2(rng.integers(-1074, 1000, nrows))
+    floats[rng.integers(nrows, size=len(SPECIAL))] = SPECIAL
+    columns = [MeshAxis(np.array(SPECIAL)[rng.integers(len(SPECIAL), size=nrows)], (nrows,), 0),
+               floats, floats.tolist(), list(range(-nrows, nrows, 2))]
+    serial, forked = _both(["m", "a", "l", "i"], columns)
+    assert forked == serial
+    assert serial.count("\n") == 1 + nrows
+
+
+@pytest.mark.parametrize("shape", [(9, 11), (4, 5, 6), (2, 100)])
+def test_forked_mesh_axis_columns_match_the_serial_rows(shape, deadline):
+    rng = np.random.default_rng(len(shape))
+    columns = [MeshAxis(rng.choice(SPECIAL, n), shape, a) for a, n in enumerate(shape)]
+    columns.insert(1, rng.standard_normal(math.prod(shape)))
+    serial, forked = _both([f"c{k}" for k in range(len(columns))], columns)
+    assert forked == serial
+
+
+def test_forked_report_cells_match_the_serial_cells(deadline):
+    values = [True, False, None, 0, -7, 2 ** 70, "label", -0.0, math.nan, math.inf, 5e-324]
+    column = [values[k % len(values)] for k in range(150)]
+    serial, forked = _both(["v", "w"], [column, column[::-1]], _csv_cell)
+    assert forked == serial == "v,w\n" + "".join(
+        f"{_csv_cell(v)},{_csv_cell(w)}\n" for v, w in zip(column, column[::-1]))
+
+
+class Boom(Exception):
+    pass
+
+
+def test_a_cell_error_in_a_worker_reaches_the_caller(monkeypatch, deadline):
+    _forking(monkeypatch)
+
+    def cell(value):
+        if value == 150:
+            raise Boom(value)
+        return repr(value)
+
+    with pytest.raises(Boom):
+        "".join(csv_blocks(["n"], [list(range(200))], cell))
+    assert multiprocessing.active_children() == []
+
+
+def test_closing_the_generator_stops_the_workers(monkeypatch, deadline):
+    _forking(monkeypatch)
+    blocks = csv_blocks(["n"], [np.arange(1000.0)])
+    assert next(blocks) == "n\n"
+    assert next(blocks) == "".join(f"{float(k)!r}\n" for k in range(16))
+    assert len(multiprocessing.active_children()) == 3
+    blocks.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_one_cpu_formats_in_process(monkeypatch):
+    _forking(monkeypatch, cpus=1)
+
+    def no_pool(*args):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    values = np.linspace(0.0, 1.0, 500)
+    assert csv_workers(values.size) == 1
+    text = "".join(csv_blocks(["x"], [values]))
+    assert text == "x\n" + "".join(f"{v!r}\n" for v in values.tolist())
+
+
+def test_a_running_thread_keeps_the_formatting_in_process(monkeypatch):
+    _forking(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert csv_workers(500) == 1
+    finally:
+        release.set()
+        thread.join()
+    assert csv_workers(500) == 3
+
+
+def test_csv_workers():
+    assert csv_workers(reports.PARALLEL_MIN_ROWS - 1) == 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert csv_workers(reports.PARALLEL_MIN_ROWS) == min(
+        cpus, reports.PARALLEL_MIN_ROWS // reports.PARALLEL_CHUNK_ROWS)
+    assert csv_workers(10 ** 9) == cpus
