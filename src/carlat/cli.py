@@ -30,8 +30,9 @@ from .experiments import (
     log_convexity_scan,
     singular_potential_experiment,
     three_balls_experiment,
+    window_taus,
 )
-from .lattice import inner_product, l2_norm
+from .lattice import LatticeSpec, inner_product, l2_norm
 from .reports import ExperimentReport, FittedConstant, MeshAxis, csv_blocks, csv_workers
 from .solver import SolverError, ball_input, random_bump
 from .symbols import FrozenPoint, SymbolGrid, lower_bound_margin, scan_table
@@ -270,11 +271,7 @@ def _lu_meta(report: ExperimentReport, lus) -> ExperimentReport:
 def cmd_log_convexity(args) -> ExperimentReport:
     lu = {}
     u, res = ball_input(args.d, args.h, args.input, lu_stats=lu)
-    taus = args.tau
-    if not taus:
-        # the window's lower end is max(1, tau0), as in experiments.in_window
-        lo, hi = max(1.0, args.tau0) * 1.01, args.delta0 / args.h * 0.99
-        taus = tuple(np.geomspace(lo, hi, 12)) if hi > lo else (lo,)
+    taus = args.tau or window_taus(args.h, args.tau0, args.delta0)
     report = log_convexity_scan(u, taus, args.c_ps, args.tau0, args.delta0)
     report.config["input_residual"] = res
     return _lu_meta(report, [lu])
@@ -368,12 +365,21 @@ def cmd_commutator_check(args) -> ExperimentReport:
         # np.maximum keeps a NaN, which then fails the verdict
         measured = {"split": split, "energy": energy, "two_path": two_path}
         worst = {key: float(np.maximum(worst[key], val)) for key, val in measured.items()}
+
+    def coeff_site(x):  # x: the coordinates of one site or of a (d, ...) grid
+        r = np.linalg.norm(x, axis=0)
+        return (0.45 < r) & (r < 2.1)
+
+    # the draw below ends only if some site of the inner box passes coeff_site
+    inner = LatticeSpec(args.d, h, np.add(spec.lo, 2), np.add(spec.hi, -2))
+    if args.coeff_sites > 0 and not coeff_site(inner.coords()).any():
+        raise ValueError("no site with 0.45 < |h n| < 2.1 for the coefficient identity")
     rng = np.random.default_rng(args.seed)
     coeff_worst = 0.0
     sites = 0
     while sites < args.coeff_sites:
-        n = rng.integers(np.add(spec.lo, 2), np.add(spec.hi, -1))
-        if not 0.45 < np.linalg.norm(np.asarray(n) * h) < 2.1:
+        n = rng.integers(inner.lo, np.add(inner.hi, 1))
+        if not coeff_site(np.asarray(n) * h):
             continue
         j, k = (int(v) for v in rng.integers(1, args.d + 1, size=2))
         c = commutator_coeffs(n, j, k, ctx)

@@ -29,6 +29,7 @@ from .lattice import (
     diff,
     dilate,
     inner_product,
+    schrodinger_stencil,
     shift_values,
     sym_diff_sum,
     unit_offset,
@@ -36,6 +37,10 @@ from .lattice import (
 from .weight import WeightParams, varphi
 
 PHI_OVERFLOW_LIMIT = 700.0
+
+# S, A and L weight P_h's coefficient at offset o by w(x) of the step
+# x = phi(n + o) - phi(n), as e^phi(n) e^-phi(n + o) = e^-x; L goes through exp
+_STEP_WEIGHTS = {"sym": np.cosh, "anti": lambda x: -np.sinh(x), "conj": lambda x: np.exp(-x)}
 
 
 def carleman_annulus(d: int) -> AnnularRegion:
@@ -61,7 +66,9 @@ def weight_table(spec: LatticeSpec, params: WeightParams):
 class ConjugationContext:
     """Precomputed weight tables for one lattice box.
 
-    ``phi`` is the full weight (tau included).  Coefficient tables of the
+    ``phi`` is the full weight (tau included).  The tables "sym", "anti"
+    and "conj" of S, A and L are ``schrodinger_stencil(spec, None)`` with
+    weighted coefficients (``_STEP_WEIGHTS``).  Coefficient tables of the
     outermost site layer involve out-of-box neighbors and are not meaningful;
     operations therefore require the support of their argument to stay
     ``reach`` sites away from the box boundary and from singular sites.
@@ -106,46 +113,20 @@ class ConjugationContext:
         cache = self._cache
         if name in cache:
             return cache[name]
-        d = self.spec.d
-        if name == "dplus":
-            val = [shift_values(self.phi, unit_offset(d, j)) - self.phi
-                   for j in range(1, d + 1)]
-        elif name == "dminus":
-            val = [self.phi - shift_values(self.phi, -unit_offset(d, j))
-                   for j in range(1, d + 1)]
-        elif name == "exp":
+        if name == "exp":
             # e^phi, the weight of carleman_ratio's norms; 0 at singular sites
             val = np.exp(self.phi)
             val[self.singular] = 0.0
         elif name == "annulus":
             # the support region carleman_ratio accepts
-            val = carleman_annulus(d).mask(self.spec)
+            val = carleman_annulus(self.spec.d).mask(self.spec)
             val.flags.writeable = False
-        elif name == "sym":
-            h2 = self.spec.h ** -2
-            offsets, coeffs = [np.zeros(d, dtype=np.int64)], [np.full(self.spec.shape, -2.0 * d * h2)]
-            for j in range(1, d + 1):
-                offsets += [unit_offset(d, j), -unit_offset(d, j)]
-                coeffs += [np.cosh(self._table("dplus")[j - 1]) * h2,
-                           np.cosh(self._table("dminus")[j - 1]) * h2]
-            val = (np.stack(offsets), coeffs)
-        elif name == "anti":
-            h2 = self.spec.h ** -2
-            offsets, coeffs = [], []
-            for j in range(1, d + 1):
-                offsets += [-unit_offset(d, j), unit_offset(d, j)]
-                coeffs += [np.sinh(self._table("dminus")[j - 1]) * h2,
-                           -np.sinh(self._table("dplus")[j - 1]) * h2]
-            val = (np.stack(offsets), coeffs)
-        elif name == "conj":
-            # independent evaluation through exp, not through cosh/sinh
-            h2 = self.spec.h ** -2
-            offsets, coeffs = [np.zeros(d, dtype=np.int64)], [np.full(self.spec.shape, -2.0 * d * h2)]
-            for j in range(1, d + 1):
-                offsets += [unit_offset(d, j), -unit_offset(d, j)]
-                coeffs += [np.exp(-self._table("dplus")[j - 1]) * h2,
-                           np.exp(self._table("dminus")[j - 1]) * h2]
-            val = (np.stack(offsets), coeffs)
+        elif name in _STEP_WEIGHTS:
+            offsets, coeffs = schrodinger_stencil(self.spec, None)
+            if name == "anti":  # A has no centre term, the stencil's last
+                offsets, coeffs = offsets[:-1], coeffs[:-1]
+            val = (offsets, [c * _STEP_WEIGHTS[name](shift_values(self.phi, off) - self.phi)
+                             for off, c in zip(offsets, coeffs)])
         else:
             raise KeyError(name)
         cache[name] = val

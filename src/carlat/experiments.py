@@ -46,6 +46,13 @@ def in_window(tau: float, h: float, tau0: float, delta0: float) -> bool:
     return tau > 1 and tau0 < tau < delta0 / h
 
 
+def window_taus(h: float, tau0: float, delta0: float) -> tuple:
+    """Default log-convexity tau grid: 12 geometric points 1% inside the ends
+    of ``in_window``, max(1, tau0) and delta0/h, or the lower one alone."""
+    lo, hi = max(1.0, tau0) * 1.01, delta0 / h * 0.99
+    return tuple(np.geomspace(lo, hi, 12)) if hi > lo else (lo,)
+
+
 def h_sweep(h_grid) -> tuple:
     """The spacings of an h sweep as floats: positive, strictly descending."""
     hs = tuple(float(h) for h in h_grid)

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from ._kernels import apply_stencil_const, apply_stencil_var, overlap_slices
 
@@ -291,6 +292,24 @@ def schrodinger_stencil(spec: LatticeSpec, fields: FieldData | None):
         offsets += [unit_offset(d, j), -unit_offset(d, j)]
         coeffs += [np.full(spec.shape, 1.0 / h ** 2) + b, np.full(spec.shape, 1.0 / h ** 2)]
     return np.stack(offsets + [np.zeros(d, dtype=np.int64)]), coeffs + [center]
+
+
+def stencil_matrix(spec: LatticeSpec, offsets, coeffs) -> sparse.csr_matrix:
+    """The CSR matrix M on the C-ordered sites of the box with
+    M @ f.ravel() == apply_stencil_var(f, offsets, coeffs).ravel()."""
+    sites = np.arange(math.prod(spec.shape)).reshape(spec.shape)
+    rows, cols, vals = [], [], []
+    for off, coeff in zip(offsets, coeffs):
+        pair = overlap_slices(spec.shape, off)
+        if pair is None:
+            continue
+        dst, src = pair
+        rows.append(sites[dst].ravel())
+        cols.append(sites[src].ravel())
+        vals.append(coeff[dst].ravel())
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(sites.size, sites.size))
 
 
 def schrodinger_apply(f: LatticeFunction, fields: FieldData | None) -> LatticeFunction:

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .lattice import (
@@ -31,7 +30,7 @@ from .lattice import (
     schrodinger_apply,
     schrodinger_stencil,
     shift_values,
-    unit_offset,
+    stencil_matrix,
 )
 
 
@@ -64,11 +63,9 @@ class DirichletProblem:
             raise ValueError("boundary data must be finite")
         # every stencil neighbor of an interior site must carry a value
         known = self.interior | self.boundary
-        for j in range(1, self.spec.d + 1):
-            for s in (1, -1):
-                nb = shift_values(known, s * unit_offset(self.spec.d, j))
-                if (self.interior & ~nb).any():
-                    raise ValueError("interior site with an uncovered stencil neighbor")
+        for off in schrodinger_stencil(self.spec, None)[0]:
+            if (self.interior & ~shift_values(known, off)).any():
+                raise ValueError("interior site with an uncovered stencil neighbor")
 
     @classmethod
     def on_ball(cls, spec: LatticeSpec, radius: float, boundary_fn,
@@ -106,29 +103,16 @@ def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10,
     if not tol > 0:
         raise ValueError("tol must be positive")
     spec = p.spec
-    n = int(p.interior.sum())
+    inside = np.flatnonzero(p.interior)
+    n = inside.size
     if n == 0:
         raise SolverError("empty interior")
-    here = np.arange(n)
-    # unknown number + 1 at interior sites; 0 elsewhere, as beyond the box
-    index = np.zeros(spec.shape, dtype=np.int64)
-    index[p.interior] = here + 1
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
-    for off, coeff in zip(*schrodinger_stencil(spec, p.fields)):
-        c = coeff[p.interior]
-        nb = shift_values(index, off)[p.interior] - 1
-        inside = nb >= 0
-        rows.append(here[inside])
-        cols.append(nb[inside])
-        vals.append(c[inside])
-        onbnd = shift_values(p.boundary, off)[p.interior]
-        gshift = shift_values(p.boundary_values, off)
-        np.subtract.at(rhs, here[onbnd], c[onbnd] * gshift[p.interior][onbnd])
-    mat = sparse.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
+    # P_h's interior rows: their boundary columns times the data go to the
+    # right side; the box rows are dropped before the factorization
+    rows = stencil_matrix(spec, *schrodinger_stencil(spec, p.fields))[inside]
+    rhs = rows @ np.where(p.boundary, -p.boundary_values, 0.0).ravel()
+    mat = rows.tocsc()[:, inside]
+    del rows
     try:
         start = time.perf_counter()
         lu = splu(mat, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})

@@ -458,6 +458,13 @@ class TestSubcommands:
         assert all(math.isfinite(float(row[key])) for row in report["rows"]
                    for key in ("split_rel", "energy_rel", "two_path_rel"))
 
+    def test_commutator_check_without_coefficient_sites_exits_1(self, tmp_path, capsys):
+        # at h = 2.2 no site of the box lies in 0.45 < |h n| < 2.1
+        assert run(["commutator-check", "--h", "2.2", "--samples", "0",
+                    "--out", str(tmp_path)]) == 1
+        assert "no site" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_commutator_check_fails_on_nan(self, tmp_path, monkeypatch):
         composition = cli.commutator_form
         monkeypatch.setattr(cli, "commutator_form", lambda f, ctx, method: (

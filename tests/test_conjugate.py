@@ -89,6 +89,19 @@ class TestSplit:
             assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_conjugated_matches_weighted_laplacian(self, d, rng_seed):
+        # L f = e^phi h^-2 Lap(e^-phi f), through the constant-weight kernel,
+        # which shares no offset bookkeeping with the context's tables
+        ctx = ctx_for(d)
+        _, h = ANNULUS_SPECS[d]
+        for s in range(3):
+            f = bump(d, rng_seed + s)
+            got = conjugate_apply(f, ctx).values
+            want = np.exp(ctx.phi) * laplacian(
+                f.with_values(np.exp(-ctx.phi) * f.values)).values / h ** 2
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(got).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bilinear_symmetries(self, d, rng_seed):
         ctx = ctx_for(d)
         n_pairs = {1: 40, 2: 40, 3: 20}[d]

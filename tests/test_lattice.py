@@ -18,7 +18,8 @@ from carlat import (
     schrodinger_apply,
     translate,
 )
-from carlat.lattice import MAX_SITES, dilate, shift_values
+from carlat.lattice import (MAX_SITES, dilate, schrodinger_stencil, shift_values,
+                            stencil_matrix)
 from carlat.solver import harmonic_polynomial
 
 
@@ -197,6 +198,9 @@ class TestSchrodinger:
             oracle[pos] = acc
         out = schrodinger_apply(f, fields).values
         assert np.abs(out - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        matrix = stencil_matrix(spec, *schrodinger_stencil(spec, fields))
+        flat = (matrix @ f.values.ravel()).reshape(spec.shape)
+        assert np.abs(flat - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 class TestDilate:

@@ -188,6 +188,18 @@ class TestDirichletSolve:
             dirichlet_solve(problem, tol=1e-30)
         assert err.value.residual is not None and err.value.residual > 0
 
+    def test_boundary_values_off_the_boundary_are_ignored(self, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        spec = ball_spec(2, 1 / 12)
+        fields = FieldData(LatticeFunction(spec, rng.uniform(-1.0, 1.0, spec.shape)),
+                           tuple(LatticeFunction(spec, rng.uniform(-1.0, 1.0, spec.shape))
+                                 for _ in range(2)))
+        clean = DirichletProblem.on_ball(spec, 2.0, harmonic_polynomial(spec, "deg3"), fields)
+        dirty = np.where(clean.interior, np.nan, clean.boundary_values)
+        noisy = DirichletProblem(spec, clean.interior, clean.boundary, dirty, fields)
+        u = dirichlet_solve(clean, tol=1e-10)
+        assert np.array_equal(dirichlet_solve(noisy, tol=1e-10).values, u.values)
+
     def test_deterministic(self):
         spec = ball_spec(2, 1 / 12)
         g = harmonic_polynomial(spec, "deg3")
