@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .lattice import LatticeSpec, inner_product, l2_norm
 from .reports import ExperimentReport, FittedConstant, MeshAxis, csv_blocks, csv_workers
-from .solver import SolverError, ball_input, random_bump
+from .solver import BALL_RADIUS, SolverError, ball_input, random_bump
 from .symbols import FrozenPoint, SymbolGrid, lower_bound_margin, scan_table
 from .weight import WeightParams, admissibility_check
 
@@ -261,32 +261,21 @@ def cmd_carleman_sweep(args) -> ExperimentReport:
     return carleman_sweep(cfg, jobs=args.jobs)
 
 
-def _lu_meta(report: ExperimentReport, lus) -> ExperimentReport:
-    """Put the LU facts of the input solves, if any, into the report's sidecar."""
-    if any(lus):
-        report.meta["lu"] = lus
-    return report
-
-
 def cmd_log_convexity(args) -> ExperimentReport:
-    lu = {}
-    u, res = ball_input(args.d, args.h, args.input, lu_stats=lu)
+    u, facts = ball_input(args.d, args.h, args.input)
     taus = args.tau or window_taus(args.h, args.tau0, args.delta0)
     report = log_convexity_scan(u, taus, args.c_ps, args.tau0, args.delta0)
-    report.config["input_residual"] = res
-    return _lu_meta(report, [lu])
+    report.meta["inputs"] = [facts]
+    return report
 
 
 def cmd_three_balls(args) -> ExperimentReport:
     # the sweep is checked before any input is built: 'solve' runs one LU per h
-    hs = h_sweep(args.h)
-    lus = [{} for _ in hs]
-    solutions, residuals = zip(*(ball_input(args.d, h, args.input, lu_stats=lu)
-                                 for h, lu in zip(hs, lus)))
+    solutions, inputs = zip(*(ball_input(args.d, h, args.input) for h in h_sweep(args.h)))
     report = three_balls_experiment(solutions, c_ps=args.c_ps,
                                     bound_constant=args.bound_constant)
-    report.config["input_residuals"] = residuals
-    return _lu_meta(report, lus)
+    report.meta["inputs"] = list(inputs)
+    return report
 
 
 def cmd_symbol_scan(args) -> tuple:
@@ -400,12 +389,11 @@ def cmd_caccioppoli(args) -> ExperimentReport:
 
 
 def cmd_coarsen_check(args) -> ExperimentReport:
-    lu = {}
-    u, res = ball_input(args.d, args.h, args.input, lu_stats=lu)
-    radius = 4.0 if args.input == "solve" else None
+    u, facts = ball_input(args.d, args.h, args.input)
+    radius = BALL_RADIUS if args.input == "solve" else None
     report = coarsen_check(u, factors=args.m, tol=args.tol, radius=radius)
-    report.config["input_residual"] = res
-    return _lu_meta(report, [lu])
+    report.meta["inputs"] = [facts]
+    return report
 
 
 def cmd_localize(args) -> ExperimentReport:

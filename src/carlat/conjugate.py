@@ -186,31 +186,17 @@ def commutator_apply(f: LatticeFunction, ctx: ConjugationContext) -> LatticeFunc
     return f.with_values(sa - as_)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommutatorCoeffs:
     """Coefficients of the four point operator h^4 [S_j, A_k] at one site.
 
-    ``a/b/c/e`` multiply f at n+e_j+e_k, n-e_j-e_k, n+e_j-e_k, n-e_j+e_k.
-    The simplified values are canonical; the raw ones re-evaluate the
-    defining cosh/sinh products for cross-checking.
+    Both arrays hold a, b, c, e, which multiply f at n+e_j+e_k, n-e_j-e_k,
+    n+e_j-e_k, n-e_j+e_k.  The simplified values are canonical; the raw ones
+    re-evaluate the defining cosh/sinh products for cross-checking.
     """
 
-    a_jk: float
-    b_jk: float
-    c_jk: float
-    e_jk: float
-    raw_a_jk: float
-    raw_b_jk: float
-    raw_c_jk: float
-    raw_e_jk: float
-
-    @property
-    def simplified(self):
-        return np.array([self.a_jk, self.b_jk, self.c_jk, self.e_jk])
-
-    @property
-    def raw(self):
-        return np.array([self.raw_a_jk, self.raw_b_jk, self.raw_c_jk, self.raw_e_jk])
+    simplified: np.ndarray
+    raw: np.ndarray
 
 
 def commutator_coeffs(n, j: int, k: int, ctx: ConjugationContext) -> CommutatorCoeffs:
@@ -255,8 +241,7 @@ def commutator_coeffs(n, j: int, k: int, ctx: ConjugationContext) -> CommutatorC
     b = -np.sinh(dmm) * np.cosh(dm(z, ej) - dm(z, ek))
     c = np.sinh(dpm) * np.cosh(dp(z, ej) + dm(z, ek))
     e = np.sinh(dmp) * np.cosh(dm(z, ej) + dp(z, ek))
-    return CommutatorCoeffs(float(a), float(b), float(c), float(e),
-                            float(raw_a), float(raw_b), float(raw_c), float(raw_e))
+    return CommutatorCoeffs(np.array([a, b, c, e]), np.array([raw_a, raw_b, raw_c, raw_e]))
 
 
 def commutator_form(f: LatticeFunction, ctx: ConjugationContext,

@@ -497,8 +497,8 @@ def singular_potential_experiment(mu0: float, d: int, h_grid, tau_fraction: floa
     At each h with tau = tau_fraction * delta0 / h inside ``in_window``, the
     B_4 Dirichlet problem with h-saturating random fields is solved and
     ``log_convexity_scan`` gives C_emp at tau.  The exponents per 1/h,
-    chat_i = c_i * tau * h, do not depend on h under this tau rule.  The LU
-    facts of each solve go to the sidecar, ``report.meta["lu"]``.
+    chat_i = c_i * tau * h, do not depend on h under this tau rule.  The
+    facts of each solve go to the sidecar, ``report.meta["inputs"]``.
     """
     if mu0 < 0:
         raise ValueError("mu0 must be nonnegative")
@@ -515,12 +515,12 @@ def singular_potential_experiment(mu0: float, d: int, h_grid, tau_fraction: floa
         if not in_window(tau, h, tau0, delta0):
             report.warn(f"no admissible tau at h={h:g}; skipped")
             continue
-        lu = {}
-        u, res = ball_input(d, h, "solve", tol=solve_tol, lu_stats=lu,
-                            fields=lambda spec: singular_field_data(spec, mu0, _cell_seed(seed, ih)))
-        report.meta.setdefault("lu", []).append(lu)
+        u, facts = ball_input(d, h, "solve", tol=solve_tol,
+                              fields=lambda spec: singular_field_data(spec, mu0, _cell_seed(seed, ih)))
+        report.meta.setdefault("inputs", []).append(facts)
         row = log_convexity_scan(u, (tau,), c_ps, tau0, delta0).rows[0]
-        report.add_row(h=h, tau=tau, residual=res, chat1=c1 * tau * h, chat2=c2 * tau * h,
+        report.add_row(h=h, tau=tau, residual=facts["residual"],
+                       chat1=c1 * tau * h, chat2=c2 * tau * h,
                        **{k: row[k] for k in ("c_emp", "norm_half", "norm_one", "norm_two")})
     if report.rows:
         chat2_min = min(row["chat2"] for row in report.rows)

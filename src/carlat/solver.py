@@ -34,6 +34,12 @@ from .lattice import (
 )
 
 
+# d >= 3 LU fill grows about as unknowns^1.6.  On B_4 with deg3 data (2-core
+# VM, one BLAS thread): 57,747 unknowns (h = 1/6) factor in 17-18 s with
+# 44.5M L+U nonzeros, and 137k (h = 1/8) did not finish in 120 s
+LU_MAX_UNKNOWNS_3D = 60_000
+
+
 class SolverError(RuntimeError):
     """Raised when a solve fails or misses its residual target."""
 
@@ -98,7 +104,9 @@ def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10,
     the boundary data exactly and zero outside interior and boundary; a
     residual above tol * max(1, sup|g|) raises SolverError with the
     residual attached.  A ``lu_stats`` dict receives the factorization's
-    h, unknowns, L+U nonzeros (fill_nnz) and factor time in seconds.
+    h, unknowns, L+U nonzeros (fill_nnz), factor time in seconds and the
+    residual.  For d >= 3 more than ``LU_MAX_UNKNOWNS_3D`` unknowns raise
+    SolverError before anything is assembled.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -107,6 +115,9 @@ def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10,
     n = inside.size
     if n == 0:
         raise SolverError("empty interior")
+    if spec.d >= 3 and n > LU_MAX_UNKNOWNS_3D:
+        raise SolverError(f"{n} interior unknowns exceed the d >= 3 direct-solve limit "
+                          f"of {LU_MAX_UNKNOWNS_3D}")
     # P_h's interior rows: their boundary columns times the data go to the
     # right side; the box rows are dropped before the factorization
     rows = stencil_matrix(spec, *schrodinger_stencil(spec, p.fields))[inside]
@@ -123,15 +134,15 @@ def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10,
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SolverError("solver produced non-finite values")
-    if lu_stats is not None:
-        lu_stats.update(h=spec.h, unknowns=n, fill_nnz=int(lu.nnz),
-                        factor_s=factor_s)
 
     out = np.zeros(spec.shape)
     out[p.interior] = x
     out[p.boundary] = p.boundary_values[p.boundary]
     u = LatticeFunction(spec, out)
     res = residual(p, u)
+    if lu_stats is not None:
+        lu_stats.update(h=spec.h, residual=res, unknowns=n, fill_nnz=int(lu.nnz),
+                        factor_s=factor_s)
     scale = max(1.0, float(np.abs(p.boundary_values[p.boundary]).max(initial=0.0)))
     if res > tol * scale:
         raise SolverError(
@@ -145,25 +156,28 @@ def residual(p: DirichletProblem, u: LatticeFunction) -> float:
 
 
 HARMONIC_KINDS = ("const", "linear_j", "mixed_jk", "diff_squares", "deg3")
+BALL_RADIUS = 4.0
 
 
-def ball_input(d: int, h: float, kind: str, fields=None, tol: float = 1e-10,
-               lu_stats: dict | None = None):
-    """An input u on the box of B_4, with the sup of P_h u inside B_4.
+def ball_input(d: int, h: float, kind: str, fields=None, tol: float = 1e-10):
+    """An input u on the box of B_4, and its facts for the report's sidecar.
 
-    ``kind`` names a harmonic polynomial, whose residual is 0, or is
-    ``"solve"``: the Dirichlet solution on B_4 with deg3 data (linear_j for
-    d = 1) and residual target ``tol``.  ``fields``, a function from the
-    box to its FieldData, puts V and B into that solve's P_h.  A solve
-    fills ``lu_stats`` as ``dirichlet_solve`` does; a polynomial leaves it.
+    ``kind`` names a harmonic polynomial or is ``"solve"``: the Dirichlet
+    solution on B_4 with deg3 data (linear_j for d = 1) and residual target
+    ``tol``.  ``fields``, a function from the box to its FieldData, puts V
+    and B into P_h.  Every kind is measured on the same B_4 problem: the
+    facts are ``h`` and ``residual``, the sup of P_h u inside B_4, and a
+    solve adds its LU facts as ``dirichlet_solve`` records them.
     """
-    spec = LatticeSpec.ball_box(d, h, 4.0, pad_sites=2)
+    spec = LatticeSpec.ball_box(d, h, BALL_RADIUS, pad_sites=2)
+    poly = ("deg3" if d >= 2 else "linear_j") if kind == "solve" else kind
+    data = harmonic_polynomial(spec, poly)
+    problem = DirichletProblem.on_ball(spec, BALL_RADIUS, data,
+                                       None if fields is None else fields(spec))
     if kind != "solve":
-        return harmonic_polynomial(spec, kind), 0.0
-    data = harmonic_polynomial(spec, "deg3" if d >= 2 else "linear_j")
-    problem = DirichletProblem.on_ball(spec, 4.0, data, None if fields is None else fields(spec))
-    u = dirichlet_solve(problem, tol=tol, lu_stats=lu_stats)
-    return u, residual(problem, u)
+        return data, {"h": h, "residual": residual(problem, data)}
+    facts = {}
+    return dirichlet_solve(problem, tol=tol, lu_stats=facts), facts
 
 
 def harmonic_polynomial(spec: LatticeSpec, kind: str) -> LatticeFunction:

@@ -362,18 +362,6 @@ def empirical_c1(fp: FrozenPoint, grid: SymbolGrid) -> float | None:
     return None
 
 
-def _grid_char_distance(fp: FrozenPoint, ax: np.ndarray) -> np.ndarray:
-    """``char_set_distance`` on the grid over ``ax``, with the same arithmetic."""
-    rho = float(np.linalg.norm(fp.grad_phi))
-    ghat = fp.grad_phi / rho
-    par = _outer_sum([ax * gj for gj in ghat])
-    # the vector residual, as in char_set_distance: no cancellation blowup
-    perp = np.zeros(par.shape)
-    for j, gj in enumerate(ghat):
-        perp += (_along(ax, j, fp.d) - par * gj) ** 2
-    return np.hypot(par, np.sqrt(perp) - rho)
-
-
 REGIONS = ("high_frequency", "characteristic_neighborhood", "low_frequency")
 
 
@@ -424,7 +412,8 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
         idx = np.flatnonzero(np.abs(ax) <= rho + gamma0 * tau + (ax[1] - ax[0]))
         if idx.size:
             lo, hi = idx[0], idx[-1] + 1
-            near_box = _grid_char_distance(fp, ax[lo:hi]) <= gamma0 * tau
+            box_xi = np.stack(np.meshgrid(*[ax[lo:hi]] * d, indexing="ij"))
+            near_box = char_set_distance(box_xi, fp) <= gamma0 * tau
 
     found, counts = {}, dict.fromkeys(REGIONS, 0)
     for rows in _slabs(grid):

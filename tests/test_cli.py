@@ -15,7 +15,7 @@ import scipy
 import carlat
 from carlat import cli, reports, solver
 from carlat.cli import main, parse_number
-from carlat.lattice import MAX_SITES
+from carlat.lattice import MAX_SITES, BallRegion, LatticeSpec
 from carlat.symbols import (MAX_GRID_POINTS, SCAN_BYTES_PER_POINT, FrozenPoint, SymbolGrid,
                             scan_table)
 from carlat.weight import WeightParams
@@ -387,11 +387,12 @@ class TestSubcommands:
     def test_solve_inputs_record_their_lu_in_the_sidecar(self, sub, argv, hs, tmp_path):
         assert run([sub, *argv, "--out", str(tmp_path)]) == 0
         [meta_path] = tmp_path.glob("*.meta.json")
-        lus = json.loads(meta_path.read_text())["lu"]
-        assert [lu["h"] for lu in lus] == hs
-        for lu in lus:
-            assert set(lu) == {"h", "unknowns", "fill_nnz", "factor_s"}
-            assert 0 < lu["unknowns"] < lu["fill_nnz"] and 0.0 < lu["factor_s"] < 60.0
+        inputs = json.loads(meta_path.read_text())["inputs"]
+        assert [facts["h"] for facts in inputs] == hs
+        for facts in inputs:
+            assert set(facts) == {"h", "residual", "unknowns", "fill_nnz", "factor_s"}
+            assert 0 < facts["unknowns"] < facts["fill_nnz"] and 0.0 < facts["factor_s"] < 60.0
+            assert 0.0 < facts["residual"] < 1e-6
         for data in data_files(tmp_path):
             text = data.read_text()
             assert not any(key in text for key in ("fill_nnz", "factor_s", "unknowns"))
@@ -399,7 +400,23 @@ class TestSubcommands:
     def test_polynomial_inputs_record_no_lu(self, tmp_path):
         assert run(["coarsen-check", *SUBCOMMAND_ARGV["coarsen-check"], "--out", str(tmp_path)]) == 0
         [meta_path] = tmp_path.glob("*.meta.json")
-        assert "lu" not in json.loads(meta_path.read_text())
+        meta = json.loads(meta_path.read_text())
+        assert "lu" not in meta
+        assert meta["inputs"] == [{"h": 1 / 32, "residual": 0.0}]
+
+    @pytest.mark.parametrize("sub, argv", [
+        ("log-convexity", SUBCOMMAND_ARGV["log-convexity"]),
+        ("three-balls", SUBCOMMAND_ARGV["three-balls"]),
+        ("coarsen-check", SUBCOMMAND_ARGV["coarsen-check"]),
+        ("coarsen-check", ["--h", "1/16", "--input", "solve", "--m", "2"]),
+        ("singular-potential", SUBCOMMAND_ARGV["singular-potential"]),
+    ])
+    def test_input_facts_stay_out_of_the_config(self, sub, argv, tmp_path):
+        assert run([sub, *argv, "--out", str(tmp_path)]) == 0
+        config = report_json(tmp_path)["config"]
+        assert not {"input_residual", "input_residuals"} & set(config)
+        [meta_path] = tmp_path.glob("*.meta.json")
+        assert all("residual" in facts for facts in json.loads(meta_path.read_text())["inputs"])
 
     # the other five subcommands run the same check in the named tests below
     @pytest.mark.parametrize("sub", ["carleman-sweep", "three-balls", "symbol-scan",
@@ -515,6 +532,21 @@ class TestSubcommands:
         assert code == 1
         assert f"{sites} sites" in capsys.readouterr().err
         assert peak < 8 << 20
+        assert not (tmp_path / "out").exists()
+
+    def test_three_balls_refuses_a_large_d3_solve_up_front(self, tmp_path, capsys, monkeypatch):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled past the d = 3 limit")
+
+        monkeypatch.setattr(solver, "stencil_matrix", no_assembly)
+        code = run(["three-balls", "--d", "3", "--h", "1/8", "--input", "solve",
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        spec = LatticeSpec.ball_box(3, 1 / 8, solver.BALL_RADIUS, pad_sites=2)
+        unknowns = int(BallRegion.origin(3, solver.BALL_RADIUS).mask(spec).sum())
+        assert unknowns > solver.LU_MAX_UNKNOWNS_3D
+        assert f"{unknowns} interior unknowns" in err
         assert not (tmp_path / "out").exists()
 
     def test_inadmissible_weight_exits_one(self, tmp_path, capsys):

@@ -334,10 +334,10 @@ class TestSingularPotential:
             def fields(spec):
                 return singular_field_data(spec, 0.05, _cell_seed(args["seed"], ih))
 
-            u, res = ball_input(2, row["h"], "solve", fields=fields, tol=1e-8)
+            u, facts = ball_input(2, row["h"], "solve", fields=fields, tol=1e-8)
             scan = log_convexity_scan(u, [row["tau"]], tau0=args["tau0"],
                                       delta0=args["delta0"])
-            assert scan.rows[0]["admissible"] and row["residual"] == res
+            assert scan.rows[0]["admissible"] and row["residual"] == facts["residual"]
             for key in ("c_emp", "norm_half", "norm_one", "norm_two"):
                 assert row[key] == scan.rows[0][key]
 

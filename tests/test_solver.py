@@ -1,6 +1,7 @@
 """Dirichlet solves, closed-form harmonic polynomials, seeded bumps."""
 
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -83,12 +84,12 @@ class TestHarmonicPolynomials:
 
 class TestBallInput:
     def test_solve_is_the_deg3_dirichlet_problem_on_b4(self):
-        u, res = ball_input(2, 1 / 8, "solve")
+        u, facts = ball_input(2, 1 / 8, "solve")
         spec = LatticeSpec.ball_box(2, 1 / 8, 4.0, pad_sites=2)
         problem = DirichletProblem.on_ball(spec, 4.0, harmonic_polynomial(spec, "deg3"))
         expected = dirichlet_solve(problem)
         assert u.spec == spec and np.array_equal(u.values, expected.values)
-        assert res == residual(problem, expected)
+        assert facts["h"] == 1 / 8 and facts["residual"] == residual(problem, expected)
 
     def test_fields_enter_the_solve(self, rng_seed):
         rng = np.random.default_rng(rng_seed)
@@ -97,16 +98,47 @@ class TestBallInput:
             v = LatticeFunction(spec, rng.uniform(-1.0, 1.0, spec.shape))
             return FieldData(v, (LatticeFunction.zeros(spec),) * spec.d)
 
-        u, res = ball_input(1, 1 / 16, "solve", fields=fields, tol=1e-9)
+        u, facts = ball_input(1, 1 / 16, "solve", fields=fields, tol=1e-9)
         plain, _ = ball_input(1, 1 / 16, "solve")
-        assert res <= 1e-9 * 5.0  # measured with V: linear_j data has sup|g| < 5 on B_4
+        assert facts["residual"] <= 1e-9 * 5.0  # measured with V: linear_j data has sup|g| < 5 on B_4
         assert not np.array_equal(u.values, plain.values)
 
     def test_polynomial_kinds_are_exact(self):
-        u, res = ball_input(2, 1 / 8, "mixed_jk")
+        u, facts = ball_input(2, 1 / 8, "mixed_jk")
         spec = LatticeSpec.ball_box(2, 1 / 8, 4.0, pad_sites=2)
-        assert res == 0.0
+        assert facts == {"h": 1 / 8, "residual": 0.0}
         assert np.array_equal(u.values, harmonic_polynomial(spec, "mixed_jk").values)
+
+    def test_polynomial_residual_is_measured_on_b4(self):
+        # at non-dyadic h the exact polynomial leaves rounding in P_h u
+        u, facts = ball_input(2, 1 / 48, "deg3")
+        problem = DirichletProblem.on_ball(u.spec, 4.0, u)
+        assert facts["residual"] > 0.0
+        assert facts["residual"] == residual(problem, u)
+
+    def test_solve_applies_p_h_once(self, monkeypatch):
+        calls = []
+        measure = solver.residual
+
+        def counting(p, u):
+            calls.append(u)
+            return measure(p, u)
+
+        monkeypatch.setattr(solver, "residual", counting)
+        u, facts = ball_input(2, 1 / 8, "solve")
+        assert len(calls) == 1 and calls[0] is u
+        assert facts["residual"] == measure(
+            DirichletProblem.on_ball(u.spec, 4.0, harmonic_polynomial(u.spec, "deg3")), u)
+
+    def test_large_d3_solve_fails_before_assembly(self, monkeypatch):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled past the d = 3 limit")
+
+        monkeypatch.setattr(solver, "stencil_matrix", no_assembly)
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="interior unknowns exceed"):
+            ball_input(3, 1 / 8, "solve")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDirichletSolve:
@@ -208,6 +240,22 @@ class TestDirichletSolve:
         b = dirichlet_solve(problem, tol=1e-10)
         assert np.array_equal(a.values, b.values)
 
+    def test_d3_limit_counts_interior_unknowns(self, monkeypatch):
+        spec = LatticeSpec.ball_box(3, 1 / 2, 4.0, pad_sites=2)
+        problem = DirichletProblem.on_ball(spec, 4.0, harmonic_polynomial(spec, "deg3"))
+        unknowns = int(problem.interior.sum())
+        monkeypatch.setattr(solver, "LU_MAX_UNKNOWNS_3D", unknowns - 1)
+        with pytest.raises(SolverError, match=f"{unknowns} interior unknowns"):
+            dirichlet_solve(problem)
+        monkeypatch.setattr(solver, "LU_MAX_UNKNOWNS_3D", unknowns)
+        stats = {}
+        dirichlet_solve(problem, lu_stats=stats)
+        assert stats["unknowns"] == unknowns
+        # d = 2 solves never meet the limit
+        monkeypatch.setattr(solver, "LU_MAX_UNKNOWNS_3D", 0)
+        _, facts = ball_input(2, 1 / 8, "solve")
+        assert facts["unknowns"] > 0
+
 
 class TestLuOrdering:
     """The reordered, refined solve against SuperLU's default column ordering."""
@@ -236,8 +284,7 @@ class TestLuOrdering:
             return lu
 
         monkeypatch.setattr(solver, "splu", recording)
-        stats = {}
-        ball_input(2, 1 / 32, "solve", lu_stats=stats)
+        _, stats = ball_input(2, 1 / 32, "solve")
         # 2,716,308 with MMD on A + A^T; SuperLU's default ordering gives 5,194,276
         assert len(fills) == 1 and fills[0] <= 3.0e6
         assert stats["fill_nnz"] == fills[0]
