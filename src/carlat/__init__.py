@@ -47,7 +47,6 @@ from .lattice import (
     schrodinger_apply,
     stretch,
     sym_diff_sum,
-    translate,
 )
 from .reports import ExperimentReport, FittedConstant
 from .solver import (
@@ -70,7 +69,6 @@ from .symbols import (
     symbol_q,
 )
 from .weight import (
-    AdmissibilityReport,
     WeightEval,
     WeightParams,
     admissibility_check,

@@ -37,6 +37,8 @@ from .lattice import (
 from .weight import WeightParams, varphi
 
 PHI_OVERFLOW_LIMIT = 700.0
+# sites between an operand's support and the box edge or a singular site
+SUPPORT_REACH = 2
 
 # S, A and L weight P_h's coefficient at offset o by w(x) of the step
 # x = phi(n + o) - phi(n), as e^phi(n) e^-phi(n + o) = e^-x; L goes through exp
@@ -71,7 +73,7 @@ class ConjugationContext:
     weighted coefficients (``_STEP_WEIGHTS``).  Coefficient tables of the
     outermost site layer involve out-of-box neighbors and are not meaningful;
     operations therefore require the support of their argument to stay
-    ``reach`` sites away from the box boundary and from singular sites.
+    ``SUPPORT_REACH`` sites away from the box boundary and from singular sites.
     """
 
     spec: LatticeSpec
@@ -134,7 +136,7 @@ class ConjugationContext:
 
     # -- support validation -------------------------------------------------
 
-    def check_support(self, f: LatticeFunction, reach: int = 2):
+    def check_support(self, f: LatticeFunction):
         if f.spec != self.spec:
             raise ValueError("function and context lattice specs differ")
         nz = f.values != 0.0
@@ -143,11 +145,11 @@ class ConjugationContext:
         for a, size in enumerate(self.spec.shape):
             axis_any = np.moveaxis(nz, a, 0).reshape(size, -1).any(axis=1)
             hit = np.nonzero(axis_any)[0]
-            if hit[0] < reach or hit[-1] > size - 1 - reach:
+            if hit[0] < SUPPORT_REACH or hit[-1] > size - 1 - SUPPORT_REACH:
                 raise ValueError(
                     "support too close to the box boundary "
-                    f"(need a margin of {reach} sites)")
-        if self.singular.any() and (dilate(nz, reach) & self.singular).any():
+                    f"(need a margin of {SUPPORT_REACH} sites)")
+        if self.singular.any() and (dilate(nz, SUPPORT_REACH) & self.singular).any():
             raise ValueError("weight singularity: support touches the singular site")
 
 
@@ -333,7 +335,7 @@ def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
     if np.any(u.values[~ctx._table("annulus")] != 0.0):
         raise ValueError("support outside annulus")
     spec = u.spec
-    ctx.check_support(u, reach=2)
+    ctx.check_support(u)
 
     h = spec.h
     tau = ctx.params.tau

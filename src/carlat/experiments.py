@@ -116,9 +116,8 @@ def _cell_seed(root: int, *indices: int) -> int:
     return int(mixed)
 
 
-def ball_norms(u: LatticeFunction, center=None) -> tuple:
-    c = (0.0,) * u.spec.d if center is None else tuple(center)
-    return tuple(l2_norm(u, BallRegion(c, r)) for r in (0.5, 1.0, 2.0))
+def ball_norms(u: LatticeFunction) -> tuple:
+    return tuple(l2_norm(u, BallRegion.origin(u.spec.d, r)) for r in (0.5, 1.0, 2.0))
 
 
 def harmonic_residual(u: LatticeFunction, radius: float | None = None) -> float:
@@ -181,8 +180,7 @@ def log_convexity_scan(u: LatticeFunction, tau_grid, c_ps: float = 0.01,
 # ---------------------------------------------------------------------------
 
 def three_balls_experiment(solutions, c_ps: float = 0.01,
-                           bound_constant: float = 10.0,
-                           center=None) -> ExperimentReport:
+                           bound_constant: float = 10.0) -> ExperimentReport:
     """Interpolation ratios R(h) and, where they exceed the bound, the
     exponential-correction fit.
 
@@ -203,7 +201,7 @@ def three_balls_experiment(solutions, c_ps: float = 0.01,
         "d": solutions[0].spec.d,
     })
     for u in solutions:
-        n_half, n_one, n_two = ball_norms(u, center=center)
+        n_half, n_one, n_two = ball_norms(u)
         if n_two == 0.0:
             raise ValueError("degenerate input: u vanishes on B_2")
         geom = n_half ** alpha * n_two ** (1.0 - alpha)

@@ -3,7 +3,8 @@
 A function is stored as a JSON header plus a data file of (multi-index,
 value) rows covering every site of the box, in C (row-major) index order:
 
-* header ``<base>.json``: {"schema", "d", "h", "lo", "hi", "format"}
+* header ``<base>.json``: {"schema", "d", "h", "lo", "hi", "format",
+  "byte_order"}; byte_order is always "little"
 * binary ``<base>.bin``: per row, d little-endian int64 indices followed by
   one little-endian float64 value
 * csv ``<base>.csv``: header ``n_1,...,n_d,value``; values via repr
@@ -61,6 +62,8 @@ def load_lattice_function(base: str | Path) -> LatticeFunction:
     header = json.loads(base.with_suffix(".json").read_text())
     if header.get("schema") != HEADER_SCHEMA:
         raise ValueError("unrecognized lattice function header schema")
+    if header.get("byte_order") != "little":
+        raise ValueError(f"unsupported byte order {header.get('byte_order')!r}")
     spec = LatticeSpec(header["d"], header["h"], tuple(header["lo"]), tuple(header["hi"]))
     values = np.zeros(spec.shape)
     fmt = header.get("format")

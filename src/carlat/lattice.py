@@ -369,14 +369,3 @@ def stretch(f: LatticeFunction, m: int) -> LatticeFunction:
     return LatticeFunction(LatticeSpec(spec.d, m * spec.h, spec.lo, spec.hi),
                            f.values.copy())
 
-
-def translate(f: LatticeFunction, v) -> LatticeFunction:
-    """Shift the box by the lattice vector v: g(n) = f(n - v) on the moved box."""
-    v = tuple(int(c) for c in v)
-    spec = f.spec
-    return LatticeFunction(
-        LatticeSpec(spec.d, spec.h,
-                    tuple(a + b for a, b in zip(spec.lo, v)),
-                    tuple(a + b for a, b in zip(spec.hi, v))),
-        f.values.copy())
-

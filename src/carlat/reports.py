@@ -84,7 +84,6 @@ class ExperimentReport:
     fitted: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     passed: bool | None = None
-    schema: str = REPORT_SCHEMA
     # sidecar-only run facts (sizes, timings): merged into .meta.json by
     # write(), never into the hashed data files
     meta: dict = field(default_factory=dict)
@@ -105,7 +104,7 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": REPORT_SCHEMA,
             "name": self.name,
             "config": _builtin(self.config),
             "config_hash": self.config_hash,

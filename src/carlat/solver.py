@@ -74,23 +74,18 @@ class DirichletProblem:
                 raise ValueError("interior site with an uncovered stencil neighbor")
 
     @classmethod
-    def on_ball(cls, spec: LatticeSpec, radius: float, boundary_fn,
+    def on_ball(cls, spec: LatticeSpec, radius: float, data: LatticeFunction,
                 fields: FieldData | None = None) -> "DirichletProblem":
         """Interior = ball sites; boundary = their out-of-ball stencil neighbors.
 
-        boundary_fn maps the (d,)+shape coordinate array to values (or is a
-        LatticeFunction on the same box).
+        The boundary values are those of ``data``, a function on the same box.
         """
         interior = BallRegion.origin(spec.d, radius).mask(spec)
         boundary = dilate(interior) & ~interior
-        if isinstance(boundary_fn, LatticeFunction):
-            if boundary_fn.spec != spec:
-                raise ValueError("boundary data lattice spec mismatch")
-            values = boundary_fn.values
-        else:
-            values = np.asarray(boundary_fn(spec.coords()), dtype=np.float64)
+        if data.spec != spec:
+            raise ValueError("boundary data lattice spec mismatch")
         g = np.zeros(spec.shape)
-        g[boundary] = values[boundary]
+        g[boundary] = data.values[boundary]
         return cls(spec, interior, boundary, g, fields)
 
 

@@ -378,8 +378,7 @@ def _fold(found: dict, key: str, values: np.ndarray, offset: int) -> None:
 
 
 def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
-                       gamma0: float = 0.05,
-                       c1_split: float | None = None) -> MarginScan:
+                       gamma0: float = 0.05) -> MarginScan:
     """Minimize the normalized symbol margin over the frequency grid.
 
     The breakdown reports the minimum separately over the high-frequency
@@ -389,9 +388,8 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     grid index (C-order argmin).
 
     The grid is scanned in slabs of about SCAN_BLOCK_POINTS points along
-    frequency axis 0, keeping only running minima, argmins and counts.  A
-    derived C1 (``empirical_c1``) costs one more pass, since every slab's
-    regions need it.
+    frequency axis 0, keeping only running minima, argmins and counts.  C1
+    is ``empirical_c1``, one more pass, since every slab's regions need it.
 
     For the convexified weight the minimum is positive only when the
     coupling stays below the pseudoconvexity, c0 < c_ps/(1 + log^2|x_bar|):
@@ -401,8 +399,7 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     it (upward, by about 1.65x at tau = 20, h = 1/128, c_ps = 0.01).
     """
     d, tau, res = fp.d, fp.tau, grid.resolution
-    if c1_split is None:
-        c1_split = empirical_c1(fp, grid)
+    c1_split = empirical_c1(fp, grid)
     ax = grid.axis()
     lo = hi = 0
     rho = float(np.linalg.norm(fp.grad_phi))

@@ -108,44 +108,24 @@ def margin_closed_form(r, c_ps: float = DEFAULT_C_PS):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Dense-sample check of varphi' < 0 and margin > 0 on an annulus."""
+def admissibility_check(c_ps: float) -> None:
+    """Raise ValueError unless varphi' < 0 and the margin is positive on
+    1/4 <= |x| <= 4, which holds exactly when 0 < c_ps < 1/arctan(log 4).
 
-    ok: bool
-    min_margin: float
-    argmin_margin: float
-    max_slope: float
-    argmax_slope: float
-    n_samples: int
-    failures: tuple
-
-    def raise_if_failed(self):
-        if not self.ok:
-            raise ValueError(
-                "inadmissible weight parameters: " + "; ".join(self.failures))
-
-
-def admissibility_check(params: WeightParams, annulus=(0.25, 4.0)) -> AdmissibilityReport:
-    """Check monotonicity and margin positivity at 4096 radii of the annulus."""
-    r_in, r_out = annulus
-    if not 0 < r_in < r_out:
-        raise ValueError("annulus must satisfy 0 < r_in < r_out")
-    rs = np.linspace(r_in, r_out, 4096)
-    slope = varphi(rs, 1, params.c_ps)
-    margin = margin_closed_form(rs, params.c_ps)
-    i_m = int(np.argmin(margin))
-    i_s = int(np.argmax(slope))
+    Both conditions are checked at r = 4 alone.  On [1/4, 1) varphi' < -1
+    and the margin is at least c_ps; on [1, 4], while c_ps*arctan(log 4)
+    <= 1, varphi' increases and the margin decreases, so both extremes sit
+    at r = 4.  For larger c_ps, varphi'(4) >= 0 (notes/decisions.md).
+    """
+    slope = varphi(4.0, 1, c_ps)
+    margin = margin_closed_form(4.0, c_ps)
     failures = []
-    if margin[i_m] <= 0:
-        failures.append(f"margin {margin[i_m]:.3e} <= 0 at radius {rs[i_m]:.6f}")
-    if slope[i_s] >= 0:
-        failures.append(f"varphi' {slope[i_s]:.3e} >= 0 at radius {rs[i_s]:.6f}")
-    return AdmissibilityReport(
-        ok=not failures,
-        min_margin=float(margin[i_m]), argmin_margin=float(rs[i_m]),
-        max_slope=float(slope[i_s]), argmax_slope=float(rs[i_s]),
-        n_samples=rs.size, failures=tuple(failures))
+    if not margin > 0:
+        failures.append(f"margin {margin:.3e} <= 0 at radius 4")
+    if not slope < 0:
+        failures.append(f"varphi' {slope:.3e} >= 0 at radius 4")
+    if failures:
+        raise ValueError("inadmissible weight parameters: " + "; ".join(failures))
 
 
 def weight_constants(c_ps: float = DEFAULT_C_PS):

@@ -9,12 +9,14 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import scipy
 
 import carlat
 from carlat import cli, reports, solver
 from carlat.cli import main, parse_number
+from carlat.conjugate import CommutatorCoeffs
 from carlat.lattice import MAX_SITES, BallRegion, LatticeSpec
 from carlat.symbols import (MAX_GRID_POINTS, SCAN_BYTES_PER_POINT, FrozenPoint, SymbolGrid,
                             scan_table)
@@ -151,6 +153,25 @@ class TestParsing:
                   if flag.replace("-", "_") not in reads(handler.__name__, set()) | by_main]
         # the report_io benchmark workload passes --jobs 1 to symbol-scan
         assert unread == ["symbol-scan --jobs"]
+
+    def test_every_library_parameter_is_read_by_its_function(self):
+        # a parameter its function never reads does nothing; closures and
+        # nested functions count as the body that reads it
+        unread = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                a = fn.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                          *filter(None, (a.vararg, a.kwarg)))]
+                body = fn.body if isinstance(fn.body, list) else [fn.body]
+                loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                name = getattr(fn, "name", "<lambda>")
+                unread += [f"{path.name}:{fn.lineno} {name}({p})" for p in params
+                           if p not in loaded]
+        assert unread == []
 
     def test_readme_commands_parse(self):
         # parses only, runs nothing: the documented flags follow the parser
@@ -481,6 +502,36 @@ class TestSubcommands:
                     "--out", str(tmp_path)]) == 1
         assert "no site" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_commutator_check_tol_bounds_the_coefficient_identity(self, tmp_path, monkeypatch):
+        # raw coefficients off by 1e-9 of their scale: inside --tol 1e-8, outside 1e-10
+        coeffs = cli.commutator_coeffs
+
+        def perturbed(n, j, k, ctx):
+            c = coeffs(n, j, k, ctx)
+            scale = max(float(np.max(np.abs(c.simplified))), 1e-3)
+            return CommutatorCoeffs(c.simplified, c.simplified + 1e-9 * scale)
+
+        monkeypatch.setattr(cli, "commutator_coeffs", perturbed)
+        verdicts = []
+        for tol in ("1e-8", "1e-10"):
+            out = tmp_path / tol
+            assert run(["commutator-check", *SUBCOMMAND_ARGV["commutator-check"],
+                        "--tol", tol, "--out", str(out)]) == 0
+            report = report_json(out)
+            assert report["fitted"]["max_coeff_rel"]["value"] == pytest.approx(1e-9, rel=1e-6)
+            verdicts.append(report["passed"])
+        assert verdicts == [True, False]
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_commutator_check_measuring_nothing_has_no_verdict(self, samples, tmp_path):
+        argv = ["commutator-check", "--h", "1/16", "--samples", samples, "--coeff-sites", "0"]
+        assert run(argv + ["--out", str(tmp_path / "a")]) == 0
+        report = report_json(tmp_path / "a")
+        assert report["passed"] is None
+        assert report["warnings"] == ["nothing measured: no bump sample and no coefficient site"]
+        assert all(fit["n"] == 0 for fit in report["fitted"].values())
+        assert run(argv + ["--strict", "1", "--out", str(tmp_path / "b")]) == 1
 
     def test_commutator_check_fails_on_nan(self, tmp_path, monkeypatch):
         composition = cli.commutator_form

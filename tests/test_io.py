@@ -124,6 +124,19 @@ def test_unknown_header_format_rejected(tmp_path):
         load_lattice_function(base)
 
 
+@pytest.mark.parametrize("byte_order", ["big", None])
+def test_other_byte_order_rejected(byte_order, tmp_path):
+    base, path = _saved(tmp_path, "binary")
+    header = json.loads(base.with_suffix(".json").read_text())
+    if byte_order is None:
+        del header["byte_order"]
+    else:
+        header["byte_order"] = byte_order
+    base.with_suffix(".json").write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=f"byte order {byte_order!r}"):
+        load_lattice_function(base)
+
+
 @pytest.mark.parametrize("fmt", ["binary", "csv"])
 def test_duplicate_index_rejected(fmt, tmp_path):
     def second_row_names_site_zero(rows):

@@ -16,7 +16,6 @@ from carlat import (
     l2_norm,
     laplacian,
     schrodinger_apply,
-    translate,
 )
 from carlat.lattice import (MAX_SITES, dilate, schrodinger_stencil, shift_values,
                             stencil_matrix)
@@ -308,15 +307,6 @@ class TestCoarsen:
         spec = LatticeSpec(1, 1.0, (-4,), (4,))
         with pytest.raises(ValueError, match="admissible"):
             coarsen(LatticeFunction.zeros(spec), 3)
-
-
-class TestTranslate:
-    def test_translation_moves_box(self):
-        spec = LatticeSpec(2, 0.5, (-2, -2), (2, 2))
-        f = harmonic_polynomial(spec, "mixed_jk")
-        g = translate(f, (3, -1))
-        assert g.spec.lo == (1, -3)
-        assert g.at((3, -1)) == f.at((0, 0))
 
 
 class TestValidation:

@@ -207,7 +207,8 @@ class TestDirichletSolve:
         fields = FieldData(LatticeFunction(spec, rng.uniform(-9.0, 9.0, spec.shape)),
                            tuple(LatticeFunction(spec, rng.uniform(-3.0, 3.0, spec.shape))
                                  for _ in range(d)))
-        problem = DirichletProblem.on_ball(spec, 1.5, lambda x: x[0], fields)
+        problem = DirichletProblem.on_ball(spec, 1.5, LatticeFunction(spec, spec.coords()[0]),
+                                           fields)
         u = LatticeFunction(spec, rng.standard_normal(spec.shape))
         applied = schrodinger_apply(u, fields).values
         assert residual(problem, u) == np.abs(applied[problem.interior]).max()

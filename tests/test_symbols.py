@@ -324,7 +324,7 @@ def test_separable_terms_match_pointwise_symbols(d, tau, inv_h, c0, radius, dire
         np.testing.assert_array_equal(slab[key], got[key][rows], err_msg=key)
 
 
-def mesh_scan(fp, c0, grid, gamma0=0.05, c1_split=None):
+def mesh_scan(fp, c0, grid, gamma0=0.05):
     """The margin scan written on the stacked (d,)+R^d mesh with the pointwise symbols."""
     d, tau = fp.d, fp.tau
     xi = grid.mesh()
@@ -332,14 +332,14 @@ def mesh_scan(fp, c0, grid, gamma0=0.05, c1_split=None):
     margin = ((pr ** 2 + symbol_pi(xi, fp) ** 2 + c0 * tau * symbol_q(xi, fp))
               / margin_denominator(xi, fp))
     norm = np.sqrt((xi ** 2).sum(axis=0))
-    if c1_split is None:
-        for c1 in C1_CANDIDATES:
-            mask = norm >= c1 * tau
-            if not mask.any():
-                break
-            if (pr[mask] ** 2 / norm[mask] ** 4).min() >= C1_FLOOR:
-                c1_split = float(c1)
-                break
+    c1_split = None
+    for c1 in C1_CANDIDATES:
+        mask = norm >= c1 * tau
+        if not mask.any():
+            break
+        if (pr[mask] ** 2 / norm[mask] ** 4).min() >= C1_FLOOR:
+            c1_split = float(c1)
+            break
     high = norm >= c1_split * tau if c1_split is not None else np.zeros(margin.shape, bool)
     dist = char_set_distance(xi, fp)
     near = (dist <= gamma0 * tau) & ~high
@@ -357,30 +357,32 @@ def mesh_scan(fp, c0, grid, gamma0=0.05, c1_split=None):
     return (*at(margin), c1_split, regions, margin)
 
 
-@pytest.mark.parametrize("d, x_bar, tau, h, c0, resolution, gamma0, c1_split", [
+# want_c1, where given, pins the derived split besides the mesh scan's
+@pytest.mark.parametrize("d, x_bar, tau, h, c0, resolution, gamma0, want_c1", [
     (2, (1.0, 0.0), 20.0, 1 / 128, 0.0025, 512, 0.05, None),
     (2, (0.6, 0.5), 20.0, 1 / 128, 0.0025, 256, 0.05, None),
-    (2, (-0.3, 1.2), 15.0, 1 / 64, 0.05, 128, 0.2, 3.0),
+    (2, (-0.3, 1.2), 15.0, 1 / 64, 0.05, 128, 0.2, 1.0),
     (3, (0.8, 0.4, -0.2), 10.0, 1 / 64, 0.002, 40, 0.1, None),
     (1, (1.0,), 20.0, 1 / 128, 0.0025, 256, 0.05, None),
     (2, (0.0, 1.0), 20.0, 1 / 128, 0.0025, 512, 0.05, None),
 ])
 def test_scan_matches_the_dense_mesh_scan(d, x_bar, tau, h, c0, resolution, gamma0,
-                                          c1_split, monkeypatch):
+                                          want_c1, monkeypatch):
     fp = frozen(d=d, tau=tau, h=h, x_bar=x_bar)
     grid = SymbolGrid(d, h, resolution)
-    scan = lower_bound_margin(fp, c0, grid, gamma0=gamma0, c1_split=c1_split)
+    scan = lower_bound_margin(fp, c0, grid, gamma0=gamma0)
     # slabs of one row, of three rows (which divide no resolution here) and
     # of the whole grid fold to the same scan
     row = resolution ** (d - 1)
     for points in (row, 3 * row, resolution * row):
         monkeypatch.setattr(symbols, "SCAN_BLOCK_POINTS", points)
-        assert lower_bound_margin(fp, c0, grid, gamma0=gamma0, c1_split=c1_split) == scan
-    want_min, want_argmin, want_c1, want_regions, margin = mesh_scan(
-        fp, c0, grid, gamma0, c1_split)
+        assert lower_bound_margin(fp, c0, grid, gamma0=gamma0) == scan
+    want_min, want_argmin, mesh_c1, want_regions, margin = mesh_scan(fp, c0, grid, gamma0)
     assert scan.argmin_xi == want_argmin
     assert scan.min_margin == pytest.approx(want_min, rel=1e-12)
-    assert scan.c1_split == want_c1
+    assert scan.c1_split == mesh_c1
+    if want_c1 is not None:
+        assert scan.c1_split == want_c1
     for name, (value, argmin, count) in want_regions.items():
         stat = scan.regions[name]
         assert stat.count == count

@@ -1,6 +1,7 @@
 """The convexified log weight: derivatives, margin, admissibility."""
 
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +15,7 @@ from carlat import (
     varphi,
     weight_constants,
 )
+from carlat.weight import margin_closed_form
 
 # frozen against the 40-digit mpmath evaluation of the profile
 VARPHI_QUARTER = 1.3940461107139675
@@ -162,29 +164,53 @@ class TestPhiEval:
             phi_eval(np.zeros(3), WeightParams(2.0))
 
 
+# c* = 1.0572094293481848: varphi'(4) = 0, admissible exactly for 0 < c_ps < c*
+C_STAR = 1.0 / math.atan(math.log(4.0))
+
+
+def sampled_admissible(c_ps):
+    """The sampled check admissibility_check replaces: varphi' < 0 and a
+    positive margin at 4096 radii of 1/4 <= r <= 4."""
+    rs = np.linspace(0.25, 4.0, 4096)
+    return bool(varphi(rs, 1, c_ps).max() < 0 and margin_closed_form(rs, c_ps).min() > 0)
+
+
+def admissible(c_ps):
+    try:
+        admissibility_check(c_ps)
+    except ValueError as exc:
+        assert "inadmissible" in str(exc)
+        return False
+    return True
+
+
 class TestAdmissibility:
     def test_default_parameters_pass(self):
-        report = admissibility_check(WeightParams(2.0, 0.01), (0.25, 4.0))
-        assert report.ok
-        assert report.min_margin > 0
-        assert report.max_slope < 0
-        report.raise_if_failed()
+        admissibility_check(0.01)
 
     def test_limiting_weight_fails(self):
-        report = admissibility_check(WeightParams(2.0, 0.0), (0.25, 4.0))
-        assert not report.ok
-        assert any("margin" in f for f in report.failures)
+        with pytest.raises(ValueError, match="inadmissible.*margin"):
+            admissibility_check(0.0)
 
     def test_large_cps_fails_monotonicity(self):
-        report = admissibility_check(WeightParams(2.0, 10.0), (0.25, 4.0))
-        assert not report.ok
-        assert any("varphi'" in f for f in report.failures)
-        with pytest.raises(ValueError, match="radius"):
-            report.raise_if_failed()
+        with pytest.raises(ValueError, match="inadmissible.*varphi'.*radius 4"):
+            admissibility_check(10.0)
 
-    def test_bad_annulus(self):
-        with pytest.raises(ValueError, match="annulus"):
-            admissibility_check(WeightParams(2.0), (2.0, 1.0))
+    # 5e-324 is admissible in exact arithmetic; its margin underflows to 0
+    @pytest.mark.parametrize("c_ps, want", [
+        (0.0, False), (5e-324, False), (0.01, True), (0.1, True), (1.05, True),
+        (C_STAR * (1 - 1e-9), True), (C_STAR * (1 + 1e-9), False), (1.06, False),
+        (10.0, False)])
+    def test_matches_the_sampled_check(self, c_ps, want):
+        assert admissible(c_ps) == sampled_admissible(c_ps) == want
+
+    def test_matches_the_sampled_check_on_a_seeded_grid(self):
+        rng = np.random.default_rng(17)
+        grid = np.concatenate([rng.uniform(0.0, 2.0, 200),
+                               C_STAR * (1 + rng.uniform(-1e-6, 1e-6, 100))])
+        verdicts = [admissible(c) for c in grid]
+        assert verdicts == [sampled_admissible(c) for c in grid]
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestConstants:
