@@ -3,11 +3,11 @@ desk-scale verification of propagation-of-smallness inequalities on lattices."""
 
 from ._kernels import kernel_backend
 from .conjugate import (
+    CARLEMAN_ANNULUS,
     CarlemanRatio,
     CommutatorCoeffs,
     ConjugationContext,
     antisym_apply,
-    carleman_annulus,
     carleman_box,
     carleman_ratio,
     commutator_apply,

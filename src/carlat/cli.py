@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .conjugate import ConjugationContext, commutator_coeffs, commutator_form, \
-    antisym_apply, carleman_annulus, carleman_box, conjugate_apply, sym_apply
+from .conjugate import CARLEMAN_ANNULUS, ConjugationContext, commutator_coeffs, \
+    commutator_form, antisym_apply, carleman_box, conjugate_apply, sym_apply
 from .experiments import (
     SweepConfig,
     caccioppoli_sweep,
@@ -32,7 +32,7 @@ from .experiments import (
     three_balls_experiment,
     window_taus,
 )
-from .lattice import LatticeSpec, inner_product, l2_norm
+from .lattice import AnnularRegion, LatticeSpec, inner_product, l2_norm
 from .reports import ExperimentReport, FittedConstant, MeshAxis, csv_blocks, csv_workers
 from .solver import BALL_RADIUS, SolverError, ball_input, random_bump
 from .symbols import FrozenPoint, SymbolGrid, lower_bound_margin, scan_table
@@ -335,11 +335,10 @@ def cmd_commutator_check(args) -> ExperimentReport:
     h, tau = args.h, args.tau
     spec = carleman_box(args.d, h)
     ctx = ConjugationContext.from_weight(spec, WeightParams(tau, args.c_ps))
-    annulus = carleman_annulus(args.d)
     report = ExperimentReport("commutator_check", {})
     worst = {"split": 0.0, "energy": 0.0, "two_path": 0.0}
     for s in range(args.samples):
-        f = random_bump(spec, annulus, seed=args.seed * 7919 + s)
+        f = random_bump(spec, CARLEMAN_ANNULUS, seed=args.seed * 7919 + s)
         sf, af, lf = sym_apply(f, ctx), antisym_apply(f, ctx), conjugate_apply(f, ctx)
         split = float(np.abs(sf.values + af.values - lf.values).max()
                       / max(np.abs(lf.values).max(), 1e-300))
@@ -355,20 +354,17 @@ def cmd_commutator_check(args) -> ExperimentReport:
         measured = {"split": split, "energy": energy, "two_path": two_path}
         worst = {key: float(np.maximum(worst[key], val)) for key, val in measured.items()}
 
-    def coeff_site(x):  # x: the coordinates of one site or of a (d, ...) grid
-        r = np.linalg.norm(x, axis=0)
-        return (0.45 < r) & (r < 2.1)
-
-    # the draw below ends only if some site of the inner box passes coeff_site
+    # the draw below ends only if some site of the inner box is a coefficient site
     inner = LatticeSpec(args.d, h, np.add(spec.lo, 2), np.add(spec.hi, -2))
-    if args.coeff_sites > 0 and not coeff_site(inner.coords()).any():
+    coeff_site = AnnularRegion(0.45, 2.1).mask(inner)
+    if args.coeff_sites > 0 and not coeff_site.any():
         raise ValueError("no site with 0.45 < |h n| < 2.1 for the coefficient identity")
     rng = np.random.default_rng(args.seed)
     coeff_worst = 0.0
     sites = 0
     while sites < args.coeff_sites:
         n = rng.integers(inner.lo, np.add(inner.hi, 1))
-        if not coeff_site(np.asarray(n) * h):
+        if not coeff_site[tuple(np.subtract(n, inner.lo))]:
             continue
         j, k = (int(v) for v in rng.integers(1, args.d + 1, size=2))
         c = commutator_coeffs(n, j, k, ctx)
@@ -402,7 +398,7 @@ def cmd_coarsen_check(args) -> ExperimentReport:
 def cmd_localize(args) -> ExperimentReport:
     spec = carleman_box(args.d, args.h)
     ctx = ConjugationContext.from_weight(spec, WeightParams(args.tau, args.c_ps))
-    f = random_bump(spec, carleman_annulus(args.d), seed=args.seed)
+    f = random_bump(spec, CARLEMAN_ANNULUS, seed=args.seed)
     return localization_diagnostic(f, ctx, args.eps0)
 
 

@@ -45,9 +45,8 @@ SUPPORT_REACH = 2
 _STEP_WEIGHTS = {"sym": np.cosh, "anti": lambda x: -np.sinh(x), "conj": lambda x: np.exp(-x)}
 
 
-def carleman_annulus(d: int) -> AnnularRegion:
-    """Where Carleman test functions live: 1/2 < |x| < 2."""
-    return AnnularRegion.origin(d, 0.5, 2.0)
+# where Carleman test functions live: 1/2 < |x| < 2
+CARLEMAN_ANNULUS = AnnularRegion(0.5, 2.0)
 
 
 def carleman_box(d: int, h: float) -> LatticeSpec:
@@ -121,7 +120,7 @@ class ConjugationContext:
             val[self.singular] = 0.0
         elif name == "annulus":
             # the support region carleman_ratio accepts
-            val = carleman_annulus(self.spec.d).mask(self.spec)
+            val = CARLEMAN_ANNULUS.mask(self.spec)
             val.flags.writeable = False
         elif name in _STEP_WEIGHTS:
             offsets, coeffs = schrodinger_stencil(self.spec, None)

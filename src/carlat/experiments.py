@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .conjugate import (
+    CARLEMAN_ANNULUS,
     RATIO_TABLES,
     ConjugationContext,
     antisym_apply,
-    carleman_annulus,
     carleman_box,
     carleman_ratio,
     conjugate_apply,
@@ -117,7 +117,7 @@ def _cell_seed(root: int, *indices: int) -> int:
 
 
 def ball_norms(u: LatticeFunction) -> tuple:
-    return tuple(l2_norm(u, BallRegion.origin(u.spec.d, r)) for r in (0.5, 1.0, 2.0))
+    return tuple(l2_norm(u, BallRegion(r)) for r in (0.5, 1.0, 2.0))
 
 
 def harmonic_residual(u: LatticeFunction, radius: float | None = None) -> float:
@@ -131,7 +131,8 @@ def harmonic_residual(u: LatticeFunction, radius: float | None = None) -> float:
     mask = np.zeros(u.spec.shape, dtype=bool)
     mask[tuple(slice(1, s - 1) for s in u.spec.shape)] = True
     if radius is not None:
-        mask &= u.spec.radii() < radius
+        # a radius <= 0 holds no site
+        mask &= BallRegion(radius).mask(u.spec) if radius > 0 else False
     if not mask.any():
         raise ValueError("no interior site to measure the harmonic residual on")
     return float(res[mask].max())
@@ -270,7 +271,6 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     report = ExperimentReport("carleman_sweep", asdict(cfg))
-    annulus = carleman_annulus(cfg.d)
 
     cells = []
     contexts = {}
@@ -291,7 +291,7 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
     def run_cell(cell):
         ih, h, tau, s = cell
         ctx = contexts[ih, tau]
-        u = random_bump(ctx.spec, annulus, _cell_seed(cfg.seed, ih, s))
+        u = random_bump(ctx.spec, CARLEMAN_ANNULUS, _cell_seed(cfg.seed, ih, s))
         r = carleman_ratio(u, ctx, ds_mode=cfg.ds_mode)
         return cell, r
 
@@ -344,11 +344,10 @@ def caccioppoli_ratio(u: LatticeFunction, r1: float, r2: float) -> CaccioppoliRa
     h = spec.h
     if not (10 * h < r1 and r1 + 10 * h < r2):
         raise ValueError("radii too close for h")
-    reach = int(math.floor(r2 / h))
-    if any(-lo < reach or hi < reach for lo, hi in zip(spec.lo, spec.hi)):
+    if not spec.covers(LatticeSpec.ball_box(spec.d, h, r2)):
         raise ValueError(f"lattice box does not cover B_{r2:g}")
-    inner = BallRegion.origin(spec.d, r1)
-    outer = BallRegion.origin(spec.d, r2)
+    inner = BallRegion(r1)
+    outer = BallRegion(r2)
     lhs = 0.0
     for j in range(1, spec.d + 1):
         lhs += l2_norm(diff(u, j, "forward"), inner) ** 2 / h ** 2

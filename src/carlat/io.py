@@ -64,6 +64,9 @@ def load_lattice_function(base: str | Path) -> LatticeFunction:
         raise ValueError("unrecognized lattice function header schema")
     if header.get("byte_order") != "little":
         raise ValueError(f"unsupported byte order {header.get('byte_order')!r}")
+    missing = [key for key in ("d", "h", "lo", "hi") if key not in header]
+    if missing:
+        raise ValueError(f"lattice function header lacks {', '.join(missing)}")
     spec = LatticeSpec(header["d"], header["h"], tuple(header["lo"]), tuple(header["hi"]))
     values = np.zeros(spec.shape)
     fmt = header.get("format")

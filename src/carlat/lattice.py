@@ -117,51 +117,36 @@ class LatticeFunction:
 
 @dataclass(frozen=True)
 class BallRegion:
-    """Open Euclidean ball; a site n belongs to it iff |h*n - center| < radius."""
+    """Open Euclidean ball about the origin; a site n belongs to it iff |h n| < radius."""
 
-    center: tuple
     radius: float
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     def mask(self, spec: LatticeSpec) -> np.ndarray:
-        x = spec.coords()
-        dist2 = np.zeros(spec.shape)
-        for a in range(spec.d):
-            dist2 += (x[a] - self.center[a]) ** 2
-        return dist2 < self.radius ** 2
-
-    @classmethod
-    def origin(cls, d: int, radius: float) -> "BallRegion":
-        return cls((0.0,) * d, radius)
+        return (spec.coords() ** 2).sum(axis=0) < self.radius ** 2
 
 
 @dataclass(frozen=True)
 class AnnularRegion:
-    """Open annulus outer \\ closure(inner), both balls around a common center."""
+    """Open annulus inner < |h n| < outer about the origin."""
 
-    inner: BallRegion
-    outer: BallRegion
+    inner: float
+    outer: float
 
     def __post_init__(self):
-        if self.inner.center != self.outer.center:
-            raise ValueError("annulus balls must share a center")
-        if not self.inner.radius < self.outer.radius:
-            raise ValueError("inner radius must be smaller than outer radius")
+        if not 0 < self.inner < self.outer:
+            raise ValueError("radii must satisfy 0 < inner < outer")
 
     def mask(self, spec: LatticeSpec) -> np.ndarray:
-        return self.outer.mask(spec) & ~self.inner.mask(spec)
+        # the outer ball less the closed inner ball |h n| <= inner
+        return BallRegion(self.outer).mask(spec) & (spec.radii() > self.inner)
 
     @property
     def width(self) -> float:
-        return self.outer.radius - self.inner.radius
-
-    @classmethod
-    def origin(cls, d: int, r_in: float, r_out: float) -> "AnnularRegion":
-        return cls(BallRegion.origin(d, r_in), BallRegion.origin(d, r_out))
+        return self.outer - self.inner
 
 
 @dataclass(frozen=True, eq=False)

@@ -80,7 +80,7 @@ class DirichletProblem:
 
         The boundary values are those of ``data``, a function on the same box.
         """
-        interior = BallRegion.origin(spec.d, radius).mask(spec)
+        interior = BallRegion(radius).mask(spec)
         boundary = dilate(interior) & ~interior
         if data.spec != spec:
             raise ValueError("boundary data lattice spec mismatch")
@@ -204,11 +204,9 @@ def _smoothstep(t):
 
 
 @functools.lru_cache(maxsize=8)
-def _bump_window(spec: LatticeSpec, region: AnnularRegion, a: float, b: float,
-                 ramp: float) -> np.ndarray:
+def _bump_window(spec: LatticeSpec, a: float, b: float, ramp: float) -> np.ndarray:
     """Read-only smoothstep window of ``random_bump``; it does not depend on the seed."""
-    rel = spec.coords() - np.asarray(region.outer.center).reshape((-1,) + (1,) * spec.d)
-    r = np.sqrt((rel ** 2).sum(axis=0))
+    r = spec.radii()
     window = _smoothstep((r - a) / ramp) * _smoothstep((b - r) / ramp)
     window.flags.writeable = False
     return window
@@ -244,8 +242,8 @@ def random_bump(spec: LatticeSpec, region: AnnularRegion, seed: int) -> LatticeF
     if region.width < 6 * spec.h:
         raise ValueError("region too thin (< 6h)")
     margin = max(2 * spec.h, 0.05)
-    a = region.inner.radius + margin
-    b = region.outer.radius - margin
+    a = region.inner + margin
+    b = region.outer - margin
     if not a < b:
         raise ValueError("region too thin (< 6h)")
     ramp = min(0.25 * (b - a), 0.2)
@@ -260,4 +258,4 @@ def random_bump(spec: LatticeSpec, region: AnnularRegion, seed: int) -> LatticeF
     # exp keeps the modulation strictly positive: the support is exactly
     # the window's, which site-counting tests rely on
     field = np.exp(wave / np.sqrt(modes))
-    return LatticeFunction(spec, _bump_window(spec, region, a, b, ramp) * field)
+    return LatticeFunction(spec, _bump_window(spec, a, b, ramp) * field)

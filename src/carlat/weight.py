@@ -87,22 +87,17 @@ def phi_eval(x, params: WeightParams) -> WeightEval:
     return WeightEval(params.tau * varphi(r, 0, params.c_ps), grad, hess)
 
 
-def pseudoconvexity_margin(x, c_ps: float = DEFAULT_C_PS) -> float:
-    """Margin (varphi')^2 (varphi'' + varphi'/|x|) at tau = 1.
+def pseudoconvexity_margin(r, c_ps: float = DEFAULT_C_PS):
+    """Margin (varphi')^2 (varphi'' + varphi'/r) at tau = 1 and radius r = |x|.
 
     Evaluated through the equivalent closed form
-    c_ps*(-1 + c_ps*arctan(log|x|))^2 / (|x|^4 (1+log^2|x|)), which avoids
-    the cancellation of the derivative form (and is exactly c_ps at |x|=1).
+    c_ps*(-1 + c_ps*arctan(log r))^2 / (r^4 (1+log^2 r)), which avoids
+    the cancellation of the derivative form (and is exactly c_ps at r = 1).
+    ``r`` may be an array; a radius r <= 0 raises ``ValueError``.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise ValueError("weight singularity at the origin")
-    return margin_closed_form(r, c_ps)
-
-
-def margin_closed_form(r, c_ps: float = DEFAULT_C_PS):
     r = np.asarray(r, dtype=np.float64)
+    if np.any(r <= 0.0):
+        raise ValueError("weight singularity at the origin")
     s = np.log(r)
     out = c_ps * (-1.0 + c_ps * np.arctan(s)) ** 2 / (r ** 4 * (1.0 + s ** 2))
     return out if out.ndim else float(out)
@@ -118,7 +113,7 @@ def admissibility_check(c_ps: float) -> None:
     at r = 4.  For larger c_ps, varphi'(4) >= 0 (notes/decisions.md).
     """
     slope = varphi(4.0, 1, c_ps)
-    margin = margin_closed_form(4.0, c_ps)
+    margin = pseudoconvexity_margin(4.0, c_ps)
     failures = []
     if not margin > 0:
         failures.append(f"margin {margin:.3e} <= 0 at radius 4")

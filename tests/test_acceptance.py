@@ -66,7 +66,7 @@ def test_criterion_1_operator_identities():
             spec = LatticeSpec.ball_box(d, h, 2.0, pad_sites=4)
             tau = 0.5 * 0.1 / h
             ctx = ConjugationContext.from_weight(spec, WeightParams(tau, 0.01))
-            annulus = AnnularRegion.origin(d, 0.5, 2.0)
+            annulus = AnnularRegion(0.5, 2.0)
             for s in range(seeds_per_combo):
                 f = random_bump(spec, annulus, seed=1000 * d + s)
                 sf = sym_apply(f, ctx)
@@ -144,12 +144,12 @@ def test_criterion_3_weight_margin():
     for r in rng.uniform(0.26, 3.9, size=1000):
         derivative_form = varphi(r, 1, 0.01) ** 2 * (
             varphi(r, 2, 0.01) + varphi(r, 1, 0.01) / r)
-        closed = pseudoconvexity_margin(np.array([r, 0.0]), 0.01)
+        closed = pseudoconvexity_margin(r, 0.01)
         worst = max(worst, rel(closed, derivative_form))
-    positive = all(pseudoconvexity_margin(np.array([r, 0.0]), 0.01) > 0
+    positive = all(pseudoconvexity_margin(r, 0.01) > 0
                    for r in np.linspace(1.0, 4.0, 2000))
-    exact_at_one = pseudoconvexity_margin(np.array([1.0, 0.0]), 0.01) == 0.01
-    limiting_zero = all(pseudoconvexity_margin(np.array([r, 0.0]), 0.0) == 0.0
+    exact_at_one = pseudoconvexity_margin(1.0, 0.01) == 0.01
+    limiting_zero = all(pseudoconvexity_margin(r, 0.0) == 0.0
                         for r in np.linspace(0.3, 4.0, 50))
     ok = worst <= 1e-12 and positive and exact_at_one and limiting_zero
     record_acceptance(3, "pseudoconvexity margin of the weight", ok,
@@ -227,7 +227,7 @@ def _critical_coupling(x_bar, c_ps):
     threshold, by about 1.1x to 1.65x at h = 1/128 (notes/decisions.md).
     """
     r = float(np.linalg.norm(x_bar))
-    return (pseudoconvexity_margin(np.asarray(x_bar), c_ps)
+    return (pseudoconvexity_margin(r, c_ps)
             * r ** 2 / varphi(r, 1, c_ps) ** 2)
 
 

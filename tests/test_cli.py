@@ -184,6 +184,16 @@ class TestParsing:
             assert parser.parse_args(argv).subcommand == argv[0]
         assert {argv[0] for argv in commands} == set(cli._HANDLERS)
 
+    def test_readme_python_blocks_run(self, capsys):
+        # a library example that names a removed entry point fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [b[len("python\n"):] for b in readme.split("```")[1::2]
+                  if b.startswith("python\n")]
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out
+
 
 class TestConfigFile:
     def test_config_seeds_flags_and_flags_override(self, tmp_path):
@@ -595,7 +605,7 @@ class TestSubcommands:
         assert code == 1
         err = capsys.readouterr().err
         spec = LatticeSpec.ball_box(3, 1 / 8, solver.BALL_RADIUS, pad_sites=2)
-        unknowns = int(BallRegion.origin(3, solver.BALL_RADIUS).mask(spec).sum())
+        unknowns = int(BallRegion(solver.BALL_RADIUS).mask(spec).sum())
         assert unknowns > solver.LU_MAX_UNKNOWNS_3D
         assert f"{unknowns} interior unknowns" in err
         assert not (tmp_path / "out").exists()

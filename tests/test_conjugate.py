@@ -23,7 +23,7 @@ from carlat import (
     sym_apply,
     sym_diff_sum,
 )
-from carlat.conjugate import PHI_OVERFLOW_LIMIT, carleman_annulus, carleman_box, weight_table
+from carlat.conjugate import CARLEMAN_ANNULUS, PHI_OVERFLOW_LIMIT, carleman_box, weight_table
 
 ANNULUS_SPECS = {
     1: (LatticeSpec.ball_box(1, 1 / 32, 2.0, pad_sites=4), 1 / 32),
@@ -34,7 +34,7 @@ ANNULUS_SPECS = {
 
 def bump(d, seed):
     spec, _ = ANNULUS_SPECS[d]
-    return random_bump(spec, AnnularRegion.origin(d, 0.5, 2.0), seed)
+    return random_bump(spec, AnnularRegion(0.5, 2.0), seed)
 
 
 def ctx_for(d, tau=2.0, c_ps=0.01):
@@ -179,7 +179,7 @@ class TestCommutatorForm:
         spec = LatticeSpec.ball_box(d, h, 2.0, pad_sites=4)
         ctx = ConjugationContext.from_weight(spec, WeightParams(0.05 / h, 0.01))
         for s in range(5):
-            f = random_bump(spec, AnnularRegion.origin(d, 0.5, 2.0), rng_seed + s)
+            f = random_bump(spec, AnnularRegion(0.5, 2.0), rng_seed + s)
             expansion = commutator_form(f, ctx, "expansion")
             composition = commutator_form(f, ctx, "composition")
             assert rel(expansion, composition) <= 1e-11
@@ -190,7 +190,7 @@ class TestCommutatorForm:
         # overflows from a peak |phi| of about 355; the form never needs them
         spec = carleman_box(d, h)
         ctx = ConjugationContext.from_weight(spec, WeightParams(guard_tau(spec, 0.01, 0.96), 0.01))
-        errors = identity_errors(random_bump(spec, carleman_annulus(d), rng_seed), ctx)
+        errors = identity_errors(random_bump(spec, CARLEMAN_ANNULUS, rng_seed), ctx)
         assert all(err <= 1e-11 for err in errors.values()), errors
 
     def test_energy_identity(self, rng_seed):
@@ -281,6 +281,15 @@ class TestCarlemanRatio:
         with pytest.raises(ValueError, match="support outside annulus"):
             carleman_ratio(LatticeFunction(spec, v), ctx)
 
+    def test_support_on_the_inner_sphere_rejected(self):
+        # site (16, 0) at h = 1/32 has |h n| = 1/2, on the annulus's open edge
+        spec = carleman_box(2, 1 / 32)
+        ctx = ConjugationContext.from_weight(spec, WeightParams(2.0, 0.01))
+        v = np.zeros(spec.shape)
+        v[16 - spec.lo[0], -spec.lo[1]] = 1.0
+        with pytest.raises(ValueError, match="support outside annulus"):
+            carleman_ratio(LatticeFunction(spec, v), ctx)
+
     def test_scale_invariance(self, rng_seed):
         ctx = ctx_for(2, tau=1.5)
         u = bump(2, rng_seed)
@@ -327,5 +336,5 @@ def test_operator_identities_up_to_the_overflow_guard(dim_inv_h, c_ps, load, see
     spec = carleman_box(d, 1.0 / inv_h)
     tau = 1.0 + load * (guard_tau(spec, c_ps, 0.99) - 1.0)
     ctx = ConjugationContext.from_weight(spec, WeightParams(tau, c_ps))
-    errors = identity_errors(random_bump(spec, carleman_annulus(d), seed), ctx)
+    errors = identity_errors(random_bump(spec, CARLEMAN_ANNULUS, seed), ctx)
     assert all(err <= 1e-11 for err in errors.values()), errors

@@ -18,6 +18,7 @@ from carlat import (
     coarsen_check,
     ball_input,
     harmonic_polynomial,
+    harmonic_residual,
     in_window,
     localization_diagnostic,
     log_convexity_scan,
@@ -165,6 +166,14 @@ class TestCaccioppoli:
         with pytest.raises(ValueError, match="radii too close"):
             caccioppoli_ratio(u, 1.0, 2.0)  # r1 + 10h = 2.25 > 2
 
+    def test_box_coverage_is_exact(self):
+        spec = LatticeSpec.ball_box(2, 1 / 16, 2.0)
+        u = harmonic_polynomial(spec, "mixed_jk")
+        assert caccioppoli_ratio(u, 1.0, 2.0).rhs > 0
+        short = LatticeSpec(2, spec.h, spec.lo, (spec.hi[0], spec.hi[1] - 1))
+        with pytest.raises(ValueError, match="does not cover B_2"):
+            caccioppoli_ratio(harmonic_polynomial(short, "mixed_jk"), 1.0, 2.0)
+
     def test_box_coverage(self):
         u = poly_on_ball(2, 1 / 32, "mixed_jk", radius=1.5)
         with pytest.raises(ValueError, match="does not cover"):
@@ -267,7 +276,7 @@ class TestLocalization:
     def ctx_and_bump(self, tau, h=1 / 24, seed=3):
         spec = LatticeSpec.ball_box(2, h, 2.0, pad_sites=4)
         ctx = ConjugationContext.from_weight(spec, WeightParams(tau, 0.01))
-        f = random_bump(spec, AnnularRegion.origin(2, 0.5, 2.0), seed)
+        f = random_bump(spec, AnnularRegion(0.5, 2.0), seed)
         return ctx, f
 
     def test_single_piece_is_exact(self):
@@ -380,6 +389,16 @@ class TestCoarsenCheck:
         u = dirichlet_solve(problem, tol=1e-10)
         report = coarsen_check(u, factors=(2, 3, 4), radius=4.0)
         assert report.passed is True
+
+    def test_residual_ignores_a_site_on_the_radius(self):
+        # a unit spike at (5, 0) has Laplacian 1 at (4, 0), where |h n| = 1 exactly
+        spec = LatticeSpec.ball_box(2, 1 / 4, 2.0, pad_sites=2)
+        v = np.zeros(spec.shape)
+        v[5 - spec.lo[0], -spec.lo[1]] = 1.0
+        u = LatticeFunction(spec, v)
+        assert harmonic_residual(u, 1.0) == 0.0
+        assert harmonic_residual(u, 1.125) == 1.0
+        assert harmonic_residual(u) == 4.0
 
     def test_empty_measurement_rejected(self):
         # at m = 4 no coarse site lies inside radius - (m + 1) h = -0.5

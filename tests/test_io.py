@@ -137,6 +137,16 @@ def test_other_byte_order_rejected(byte_order, tmp_path):
         load_lattice_function(base)
 
 
+@pytest.mark.parametrize("key", ["d", "h", "lo", "hi"])
+def test_header_without_a_box_field_rejected(key, tmp_path):
+    base, path = _saved(tmp_path, "binary")
+    header = json.loads(base.with_suffix(".json").read_text())
+    del header[key]
+    base.with_suffix(".json").write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=f"header lacks {key}$"):
+        load_lattice_function(base)
+
+
 @pytest.mark.parametrize("fmt", ["binary", "csv"])
 def test_duplicate_index_rejected(fmt, tmp_path):
     def second_row_names_site_zero(rows):

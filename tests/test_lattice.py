@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlat import (
+    CARLEMAN_ANNULUS,
+    AnnularRegion,
     BallRegion,
     FieldData,
     LatticeFunction,
@@ -228,7 +230,7 @@ class TestNorms:
     def test_three_site_ball(self):
         spec = LatticeSpec(1, 1.0, (-1,), (1,))
         f = LatticeFunction(spec, np.ones(3))
-        assert l2_norm(f, BallRegion.origin(1, 2.0)) == pytest.approx(np.sqrt(3.0))
+        assert l2_norm(f, BallRegion(2.0)) == pytest.approx(np.sqrt(3.0))
 
     def test_constant_on_ball_site_enumeration(self):
         # independent oracle: enumerate sites of B_1 with an explicit loop
@@ -241,14 +243,14 @@ class TestNorms:
                     count += 1
         f = LatticeFunction(spec, np.full(spec.shape, c))
         expected = c * np.sqrt(h ** 2 * count)
-        assert l2_norm(f, BallRegion.origin(2, 1.0)) == pytest.approx(expected, rel=1e-14)
+        assert l2_norm(f, BallRegion(1.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_ball_monotonicity(self):
         rng = np.random.default_rng(5)
         spec = LatticeSpec(2, 0.25, (-10, -10), (10, 10))
         f = LatticeFunction(spec, rng.standard_normal(spec.shape))
         radii = [0.4, 0.9, 1.7, 2.4]
-        norms = [l2_norm(f, BallRegion.origin(2, r)) for r in radii]
+        norms = [l2_norm(f, BallRegion(r)) for r in radii]
         assert all(a <= b for a, b in zip(norms, norms[1:]))
 
     def test_inner_product_examples(self):
@@ -273,6 +275,25 @@ class TestNorms:
         f = LatticeFunction(LatticeSpec(1, 1.0, (0,), (4,)), np.ones(5))
         g = LatticeFunction(LatticeSpec(1, 1.0, (3,), (8,)), np.ones(6))
         assert inner_product(f, g) == pytest.approx(2.0)
+
+
+class TestRegions:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_annulus_is_open_at_both_radii(self, d):
+        # at h = 1/16, 1/2 < |h n| < 2 reads 8^2 < |n|^2 < 32^2 in integers
+        spec = LatticeSpec.ball_box(d, 1 / 16, 2.0, pad_sites=2)
+        n2 = (spec.indices() ** 2).sum(axis=0)
+        mask = CARLEMAN_ANNULUS.mask(spec)
+        assert np.array_equal(mask, (8 ** 2 < n2) & (n2 < 32 ** 2))
+        on_edge = (n2 == 8 ** 2) | (n2 == 32 ** 2)
+        assert on_edge.sum() >= 4 and not mask[on_edge].any()
+
+    def test_radii_validated(self):
+        for radii in ((0.0, 1.0), (1.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="0 < inner < outer"):
+                AnnularRegion(*radii)
+        with pytest.raises(ValueError, match="positive"):
+            BallRegion(0.0)
 
 
 class TestCoarsen:

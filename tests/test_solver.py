@@ -35,7 +35,7 @@ def ball_spec(d, h, radius=2.0):
 def full_grid_bump(spec, region, seed, modes=6):
     """random_bump's defining formula, one cos pass per mode on the full coordinate mesh."""
     margin = max(2 * spec.h, 0.05)
-    a, b = region.inner.radius + margin, region.outer.radius - margin
+    a, b = region.inner + margin, region.outer - margin
     ramp = min(0.25 * (b - a), 0.2)
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(modes)
@@ -47,7 +47,7 @@ def full_grid_bump(spec, region, seed, modes=6):
         return t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
 
     x = spec.coords()
-    r = np.sqrt(((x - np.reshape(region.outer.center, (-1,) + (1,) * spec.d)) ** 2).sum(axis=0))
+    r = np.sqrt((x ** 2).sum(axis=0))
     window = smoothstep((r - a) / ramp) * smoothstep((b - r) / ramp)
     wave = np.zeros(spec.shape)
     for m in range(modes):
@@ -294,8 +294,8 @@ class TestLuOrdering:
 
 
 class TestRandomBump:
-    def annulus(self, d=2):
-        return AnnularRegion.origin(d, 0.5, 2.0)
+    def annulus(self):
+        return AnnularRegion(0.5, 2.0)
 
     def test_support_inside_annulus(self):
         spec = LatticeSpec.ball_box(2, 1 / 32, 2.0, pad_sites=4)
@@ -333,15 +333,15 @@ class TestRandomBump:
     def test_matches_full_grid_formula(self, d, h):
         spec = LatticeSpec.ball_box(d, h, 2.0, pad_sites=4)
         for seed in (0, 11, 2024):
-            u = random_bump(spec, self.annulus(d), seed).values
-            want = full_grid_bump(spec, self.annulus(d), seed)
+            u = random_bump(spec, self.annulus(), seed).values
+            want = full_grid_bump(spec, self.annulus(), seed)
             assert np.array_equal(u != 0.0, want != 0.0)
             assert np.abs(u - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_cached_window_is_read_only(self):
         spec = LatticeSpec.ball_box(2, 1 / 32, 2.0, pad_sites=4)
         # the a, b and ramp random_bump uses at h = 1/32: margin 2h, ramp 0.2
-        key = (spec, self.annulus(), 0.5625, 1.9375, 0.2)
+        key = (spec, 0.5625, 1.9375, 0.2)
         random_bump(spec, self.annulus(), seed=0)
         hits = _bump_window.cache_info().hits
         window = _bump_window(*key)
@@ -375,7 +375,7 @@ class TestRandomBump:
     def test_region_too_thin(self):
         spec = LatticeSpec.ball_box(2, 1 / 4, 2.0, pad_sites=2)
         with pytest.raises(ValueError, match="too thin"):
-            random_bump(spec, AnnularRegion.origin(2, 1.0, 1.5), seed=0)
+            random_bump(spec, AnnularRegion(1.0, 1.5), seed=0)
 
 
 class TestProblemValidation:

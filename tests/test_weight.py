@@ -15,7 +15,6 @@ from carlat import (
     varphi,
     weight_constants,
 )
-from carlat.weight import margin_closed_form
 
 # frozen against the 40-digit mpmath evaluation of the profile
 VARPHI_QUARTER = 1.3940461107139675
@@ -69,28 +68,32 @@ class TestMargin:
         for r in rng.uniform(0.26, 3.9, size=1000):
             derivative_form = varphi(r, 1, c_ps) ** 2 * (
                 varphi(r, 2, c_ps) + varphi(r, 1, c_ps) / r)
-            closed = pseudoconvexity_margin(np.array([r, 0.0]), c_ps)
+            closed = pseudoconvexity_margin(r, c_ps)
             assert closed == pytest.approx(derivative_form, rel=1e-12)
 
     def test_value_at_radius_one_is_exactly_cps(self):
         for c_ps in (0.0025, 0.01, 0.2):
-            assert pseudoconvexity_margin(np.array([1.0, 0.0]), c_ps) == c_ps
-            assert pseudoconvexity_margin(np.array([0.0, -1.0, 0.0]), c_ps) == c_ps
+            assert pseudoconvexity_margin(1.0, c_ps) == c_ps
+            assert pseudoconvexity_margin(np.linalg.norm([0.0, -1.0, 0.0]), c_ps) == c_ps
 
     def test_positive_on_one_to_four(self):
         rs = np.linspace(1.0, 4.0, 4000)
-        margins = [pseudoconvexity_margin(np.array([r]), 0.01) for r in rs[:10]]
+        margins = [pseudoconvexity_margin(r, 0.01) for r in rs[:10]]
         assert all(m > 0 for m in margins)
-        from carlat.weight import margin_closed_form
-        assert np.all(margin_closed_form(rs, 0.01) > 0.0)
+        assert np.all(pseudoconvexity_margin(rs, 0.01) > 0.0)
 
     def test_limiting_weight_has_zero_margin(self):
         for r in (0.3, 1.0, 2.5):
-            assert pseudoconvexity_margin(np.array([r, 0.0]), 0.0) == 0.0
+            assert pseudoconvexity_margin(r, 0.0) == 0.0
 
     def test_origin_rejected(self):
         with pytest.raises(ValueError, match="singularity"):
-            pseudoconvexity_margin(np.zeros(2), 0.01)
+            pseudoconvexity_margin(np.linalg.norm(np.zeros(2)), 0.01)
+
+    @pytest.mark.parametrize("r", [-0.5, [1.0, 0.0, 2.0], [[0.5], [-1.0]]])
+    def test_nonpositive_radius_rejected(self, r):
+        with pytest.raises(ValueError, match="singularity"):
+            pseudoconvexity_margin(r, 0.01)
 
 
 class TestPhiEval:
@@ -172,7 +175,7 @@ def sampled_admissible(c_ps):
     """The sampled check admissibility_check replaces: varphi' < 0 and a
     positive margin at 4096 radii of 1/4 <= r <= 4."""
     rs = np.linspace(0.25, 4.0, 4096)
-    return bool(varphi(rs, 1, c_ps).max() < 0 and margin_closed_form(rs, c_ps).min() > 0)
+    return bool(varphi(rs, 1, c_ps).max() < 0 and pseudoconvexity_margin(rs, c_ps).min() > 0)
 
 
 def admissible(c_ps):
