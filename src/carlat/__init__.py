@@ -10,7 +10,6 @@ from .conjugate import (
     antisym_apply,
     carleman_box,
     carleman_ratio,
-    commutator_apply,
     commutator_coeffs,
     commutator_form,
     conjugate_apply,

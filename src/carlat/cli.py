@@ -16,15 +16,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from .conjugate import CARLEMAN_ANNULUS, ConjugationContext, commutator_coeffs, \
-    commutator_form, antisym_apply, carleman_box, conjugate_apply, sym_apply
+from .conjugate import CARLEMAN_ANNULUS, ConjugationContext, carleman_box
 from .experiments import (
     SweepConfig,
     caccioppoli_sweep,
     carleman_sweep,
     coarsen_check,
+    commutator_check,
     h_sweep,
     localization_diagnostic,
     log_convexity_scan,
@@ -32,7 +30,6 @@ from .experiments import (
     three_balls_experiment,
     window_taus,
 )
-from .lattice import AnnularRegion, LatticeSpec, inner_product, l2_norm
 from .reports import ExperimentReport, FittedConstant, MeshAxis, csv_blocks, csv_workers
 from .solver import BALL_RADIUS, SolverError, ball_input, random_bump
 from .symbols import FrozenPoint, SymbolGrid, lower_bound_margin, scan_table
@@ -332,55 +329,8 @@ def cmd_symbol_scan(args) -> tuple:
 
 
 def cmd_commutator_check(args) -> ExperimentReport:
-    h, tau = args.h, args.tau
-    spec = carleman_box(args.d, h)
-    ctx = ConjugationContext.from_weight(spec, WeightParams(tau, args.c_ps))
-    report = ExperimentReport("commutator_check", {})
-    worst = {"split": 0.0, "energy": 0.0, "two_path": 0.0}
-    for s in range(args.samples):
-        f = random_bump(spec, CARLEMAN_ANNULUS, seed=args.seed * 7919 + s)
-        sf, af, lf = sym_apply(f, ctx), antisym_apply(f, ctx), conjugate_apply(f, ctx)
-        split = float(np.abs(sf.values + af.values - lf.values).max()
-                      / max(np.abs(lf.values).max(), 1e-300))
-        comm = commutator_form(f, ctx, "expansion")
-        comp = commutator_form(f, ctx, "composition")
-        two_path = abs(comm - comp) / max(abs(comm), abs(comp), 1e-300)
-        lhs = inner_product(lf, lf)
-        rhs = l2_norm(sf) ** 2 + l2_norm(af) ** 2 + comm
-        energy = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        report.add_row(seed=s, split_rel=split, energy_rel=energy,
-                       two_path_rel=two_path)
-        # np.maximum keeps a NaN, which then fails the verdict
-        measured = {"split": split, "energy": energy, "two_path": two_path}
-        worst = {key: float(np.maximum(worst[key], val)) for key, val in measured.items()}
-
-    # the draw below ends only if some site of the inner box is a coefficient site
-    inner = LatticeSpec(args.d, h, np.add(spec.lo, 2), np.add(spec.hi, -2))
-    coeff_site = AnnularRegion(0.45, 2.1).mask(inner)
-    if args.coeff_sites > 0 and not coeff_site.any():
-        raise ValueError("no site with 0.45 < |h n| < 2.1 for the coefficient identity")
-    rng = np.random.default_rng(args.seed)
-    coeff_worst = 0.0
-    sites = 0
-    while sites < args.coeff_sites:
-        n = rng.integers(inner.lo, np.add(inner.hi, 1))
-        if not coeff_site[tuple(np.subtract(n, inner.lo))]:
-            continue
-        j, k = (int(v) for v in rng.integers(1, args.d + 1, size=2))
-        c = commutator_coeffs(n, j, k, ctx)
-        err = float(np.max(np.abs(c.raw - c.simplified)))
-        scale = max(float(np.max(np.abs(c.simplified))), 1e-3)
-        coeff_worst = float(np.maximum(coeff_worst, err / scale))
-        sites += 1
-    for key, val in worst.items():
-        report.fit(f"max_{key}_rel", FittedConstant(val, n=len(report.rows)))
-    report.fit("max_coeff_rel", FittedConstant(coeff_worst, n=sites))
-    if not report.rows and not sites:
-        report.warn("nothing measured: no bump sample and no coefficient site")
-    else:
-        report.passed = bool(all(v <= args.tol for v in worst.values())
-                             and coeff_worst <= args.tol)
-    return report
+    return commutator_check(args.d, args.h, args.tau, args.c_ps, args.samples, args.seed,
+                            args.coeff_sites, args.tol)
 
 
 def cmd_caccioppoli(args) -> ExperimentReport:

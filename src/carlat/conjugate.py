@@ -29,6 +29,7 @@ from .lattice import (
     diff,
     dilate,
     inner_product,
+    l2_norm,
     schrodinger_stencil,
     shift_values,
     sym_diff_sum,
@@ -175,18 +176,6 @@ def conjugate_apply(f: LatticeFunction, ctx: ConjugationContext) -> LatticeFunct
     return f.with_values(_apply(f.values, ctx, "conj"))
 
 
-def commutator_apply(f: LatticeFunction, ctx: ConjugationContext) -> LatticeFunction:
-    """[S, A] f by operator composition.
-
-    Valid on the support of f (the outermost box layer of the result may not
-    be meaningful, which the inner product against f never sees).
-    """
-    ctx.check_support(f)
-    sa = _apply(_apply(f.values, ctx, "anti"), ctx, "sym")
-    as_ = _apply(_apply(f.values, ctx, "sym"), ctx, "anti")
-    return f.with_values(sa - as_)
-
-
 @dataclass(frozen=True, eq=False)
 class CommutatorCoeffs:
     """Coefficients of the four point operator h^4 [S_j, A_k] at one site.
@@ -255,7 +244,9 @@ def commutator_form(f: LatticeFunction, ctx: ConjugationContext,
     """
     ctx.check_support(f)
     if method == "composition":
-        return inner_product(f, commutator_apply(f, ctx))
+        sa = _apply(_apply(f.values, ctx, "anti"), ctx, "sym")
+        as_ = _apply(_apply(f.values, ctx, "sym"), ctx, "anti")
+        return inner_product(f, f.with_values(sa - as_))
     if method != "expansion":
         raise ValueError(f"unknown commutator form method {method!r}")
 
@@ -300,6 +291,21 @@ def _on_support(fa: np.ndarray, fb: np.ndarray, second: np.ndarray,
     w = np.zeros(fa.shape)
     w[live] = np.sinh(second[live]) * np.cosh(first[live])
     return w
+
+
+def identity_errors(f: LatticeFunction, ctx: ConjugationContext) -> dict:
+    """Relative errors of S + A = L ("split"), of |Lf|^2 = |Sf|^2 + |Af|^2 +
+    <f, [S,A] f> ("energy") and of the commutator form's two paths ("two_path")."""
+    sf, af, lf = sym_apply(f, ctx), antisym_apply(f, ctx), conjugate_apply(f, ctx)
+    split = float(np.abs(sf.values + af.values - lf.values).max()
+                  / max(np.abs(lf.values).max(), 1e-300))
+    comm = commutator_form(f, ctx, "expansion")
+    comp = commutator_form(f, ctx, "composition")
+    lhs = inner_product(lf, lf)
+    rhs = l2_norm(sf) ** 2 + l2_norm(af) ** 2 + comm
+    return {"split": split,
+            "energy": abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300),
+            "two_path": abs(comm - comp) / max(abs(comm), abs(comp), 1e-300)}
 
 
 @dataclass(frozen=True)

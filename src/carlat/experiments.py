@@ -21,10 +21,13 @@ from .conjugate import (
     antisym_apply,
     carleman_box,
     carleman_ratio,
+    commutator_coeffs,
     conjugate_apply,
+    identity_errors,
     sym_apply,
 )
 from .lattice import (
+    AnnularRegion,
     BallRegion,
     FieldData,
     LatticeFunction,
@@ -320,6 +323,47 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
             report.fit(f"growth_h={h:g}", FittedConstant(growth, n=len(ratios)))
         prev_max = rmax
     report.passed = growth_ok
+    return report
+
+
+def commutator_check(d: int, h: float, tau: float, c_ps: float = 0.01, samples: int = 5,
+                     seed: int = 0, coeff_sites: int = 200, tol: float = 1e-11) -> ExperimentReport:
+    """``identity_errors`` on ``samples`` seeded Carleman bumps, and raw against
+    simplified commutator coefficients, relative to max(|simplified|, 1e-3), at
+    ``coeff_sites`` sites in 0.45 < |h n| < 2.1.  np.maximum keeps a NaN, which fails."""
+    spec = carleman_box(d, h)
+    ctx = ConjugationContext.from_weight(spec, WeightParams(tau, c_ps))
+    report = ExperimentReport("commutator_check", dict(
+        d=d, h=h, tau=tau, c_ps=c_ps, samples=samples, seed=seed, coeff_sites=coeff_sites, tol=tol))
+    worst = dict.fromkeys(("split", "energy", "two_path", "coeff"), 0.0)
+    for s in range(samples):
+        errors = identity_errors(random_bump(spec, CARLEMAN_ANNULUS, seed=seed * 7919 + s), ctx)
+        report.add_row(seed=s, **{f"{key}_rel": val for key, val in errors.items()})
+        worst.update({key: float(np.maximum(worst[key], val)) for key, val in errors.items()})
+    # the draw below ends only if some site of the inner box is a coefficient site
+    inner = LatticeSpec(d, h, np.add(spec.lo, 2), np.add(spec.hi, -2))
+    coeff_site = AnnularRegion(0.45, 2.1).mask(inner)
+    if coeff_sites > 0 and not coeff_site.any():
+        raise ValueError("no site with 0.45 < |h n| < 2.1 for the coefficient identity")
+    rng = np.random.default_rng(seed)
+    sites = 0
+    while sites < coeff_sites:
+        n = rng.integers(inner.lo, np.add(inner.hi, 1))
+        if not coeff_site[tuple(np.subtract(n, inner.lo))]:
+            continue
+        j, k = (int(v) for v in rng.integers(1, d + 1, size=2))
+        c = commutator_coeffs(n, j, k, ctx)
+        err = float(np.max(np.abs(c.raw - c.simplified)))
+        scale = max(float(np.max(np.abs(c.simplified))), 1e-3)
+        worst["coeff"] = float(np.maximum(worst["coeff"], err / scale))
+        sites += 1
+    for key, val in worst.items():
+        report.fit(f"max_{key}_rel",
+                   FittedConstant(val, n=sites if key == "coeff" else len(report.rows)))
+    if not report.rows and not sites:
+        report.warn("nothing measured: no bump sample and no coefficient site")
+    else:
+        report.passed = bool(all(v <= tol for v in worst.values()))
     return report
 
 

@@ -14,7 +14,7 @@ import pytest
 import scipy
 
 import carlat
-from carlat import cli, reports, solver
+from carlat import cli, conjugate, experiments, reports, solver
 from carlat.cli import main, parse_number
 from carlat.conjugate import CommutatorCoeffs
 from carlat.lattice import MAX_SITES, BallRegion, LatticeSpec
@@ -515,14 +515,14 @@ class TestSubcommands:
 
     def test_commutator_check_tol_bounds_the_coefficient_identity(self, tmp_path, monkeypatch):
         # raw coefficients off by 1e-9 of their scale: inside --tol 1e-8, outside 1e-10
-        coeffs = cli.commutator_coeffs
+        coeffs = experiments.commutator_coeffs
 
         def perturbed(n, j, k, ctx):
             c = coeffs(n, j, k, ctx)
             scale = max(float(np.max(np.abs(c.simplified))), 1e-3)
             return CommutatorCoeffs(c.simplified, c.simplified + 1e-9 * scale)
 
-        monkeypatch.setattr(cli, "commutator_coeffs", perturbed)
+        monkeypatch.setattr(experiments, "commutator_coeffs", perturbed)
         verdicts = []
         for tol in ("1e-8", "1e-10"):
             out = tmp_path / tol
@@ -544,14 +544,24 @@ class TestSubcommands:
         assert run(argv + ["--strict", "1", "--out", str(tmp_path / "b")]) == 1
 
     def test_commutator_check_fails_on_nan(self, tmp_path, monkeypatch):
-        composition = cli.commutator_form
-        monkeypatch.setattr(cli, "commutator_form", lambda f, ctx, method: (
-            math.nan if method == "expansion" else composition(f, ctx, method)))
-        assert run(["commutator-check", *SUBCOMMAND_ARGV["commutator-check"],
-                    "--strict", "1", "--out", str(tmp_path)]) == 1
-        report = report_json(tmp_path)
-        assert report["passed"] is False
-        assert report["fitted"]["max_two_path_rel"]["value"] == "nan"
+        # one function identity_errors calls returns NaN for each identity in
+        # turn; A f is a stand-in, as a LatticeFunction holds finite values only
+        form = conjugate.commutator_form
+        breaks = {
+            "split": ("antisym_apply",
+                      lambda f, ctx: SimpleNamespace(spec=f.spec, values=f.values * math.nan)),
+            "energy": ("l2_norm", lambda f: math.nan),
+            "two_path": ("commutator_form", lambda f, ctx, method: (
+                math.nan if method == "composition" else form(f, ctx, method))),
+        }
+        for key, (name, broken) in breaks.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(conjugate, name, broken)
+                assert run(["commutator-check", *SUBCOMMAND_ARGV["commutator-check"],
+                            "--strict", "1", "--out", str(tmp_path / key)]) == 1
+            report = report_json(tmp_path / key)
+            assert report["passed"] is False
+            assert report["fitted"][f"max_{key}_rel"]["value"] == "nan"
 
     def test_three_balls_checks_the_sweep_before_any_solve(self, tmp_path, capsys,
                                                            monkeypatch):

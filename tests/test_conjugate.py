@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlat import (
-    AnnularRegion,
     ConjugationContext,
     LatticeFunction,
     LatticeSpec,
@@ -17,24 +16,20 @@ from carlat import (
     commutator_form,
     conjugate_apply,
     inner_product,
-    l2_norm,
     laplacian,
     random_bump,
     sym_apply,
     sym_diff_sum,
 )
-from carlat.conjugate import CARLEMAN_ANNULUS, PHI_OVERFLOW_LIMIT, carleman_box, weight_table
+from carlat.conjugate import (CARLEMAN_ANNULUS, PHI_OVERFLOW_LIMIT, carleman_box, identity_errors,
+                              weight_table)
 
-ANNULUS_SPECS = {
-    1: (LatticeSpec.ball_box(1, 1 / 32, 2.0, pad_sites=4), 1 / 32),
-    2: (LatticeSpec.ball_box(2, 1 / 24, 2.0, pad_sites=4), 1 / 24),
-    3: (LatticeSpec.ball_box(3, 1 / 12, 2.0, pad_sites=4), 1 / 12),
-}
+ANNULUS_SPECS = {d: (carleman_box(d, h), h) for d, h in ((1, 1 / 32), (2, 1 / 24), (3, 1 / 12))}
 
 
 def bump(d, seed):
     spec, _ = ANNULUS_SPECS[d]
-    return random_bump(spec, AnnularRegion(0.5, 2.0), seed)
+    return random_bump(spec, CARLEMAN_ANNULUS, seed)
 
 
 def ctx_for(d, tau=2.0, c_ps=0.01):
@@ -50,17 +45,6 @@ def guard_tau(spec, c_ps, load):
     """The tau whose peak |phi| on the box is ``load`` of the overflow guard."""
     peak_per_tau = np.abs(weight_table(spec, WeightParams(2.0, c_ps))[0]).max() / 2.0
     return load * PHI_OVERFLOW_LIMIT / peak_per_tau
-
-
-def identity_errors(f, ctx):
-    """Relative errors of S + A = L, the energy identity and the two paths."""
-    sf, af, lf = sym_apply(f, ctx), antisym_apply(f, ctx), conjugate_apply(f, ctx)
-    split = float(np.abs(sf.values + af.values - lf.values).max() / np.abs(lf.values).max())
-    expansion = commutator_form(f, ctx, "expansion")
-    composition = commutator_form(f, ctx, "composition")
-    lhs = inner_product(lf, lf)
-    rhs = l2_norm(sf) ** 2 + l2_norm(af) ** 2 + expansion
-    return {"split": split, "energy": rel(lhs, rhs), "two_path": rel(expansion, composition)}
 
 
 class TestZeroWeightLimit:
@@ -176,13 +160,11 @@ class TestCommutatorCoeffs:
 class TestCommutatorForm:
     @pytest.mark.parametrize("d,h", [(1, 1 / 32), (1, 1 / 64), (2, 1 / 32), (2, 1 / 64)])
     def test_two_path_equality(self, d, h, rng_seed):
-        spec = LatticeSpec.ball_box(d, h, 2.0, pad_sites=4)
+        spec = carleman_box(d, h)
         ctx = ConjugationContext.from_weight(spec, WeightParams(0.05 / h, 0.01))
         for s in range(5):
-            f = random_bump(spec, AnnularRegion(0.5, 2.0), rng_seed + s)
-            expansion = commutator_form(f, ctx, "expansion")
-            composition = commutator_form(f, ctx, "composition")
-            assert rel(expansion, composition) <= 1e-11
+            assert identity_errors(random_bump(spec, CARLEMAN_ANNULUS, rng_seed + s),
+                                   ctx)["two_path"] <= 1e-11
 
     @pytest.mark.parametrize("d,h", [(1, 1 / 64), (2, 1 / 16), (3, 1 / 8)])
     def test_expansion_finite_near_the_overflow_guard(self, d, h, rng_seed):
@@ -197,13 +179,7 @@ class TestCommutatorForm:
         for d in (1, 2):
             ctx = ctx_for(d, tau=1.8)
             for s in range(5):
-                f = bump(d, rng_seed + s)
-                lf = conjugate_apply(f, ctx)
-                lhs = inner_product(lf, lf)
-                rhs = (l2_norm(sym_apply(f, ctx)) ** 2
-                       + l2_norm(antisym_apply(f, ctx)) ** 2
-                       + commutator_form(f, ctx, "expansion"))
-                assert rel(lhs, rhs) <= 1e-11
+                assert identity_errors(bump(d, rng_seed + s), ctx)["energy"] <= 1e-11
 
     def test_one_dimensional_quadratic_form_identity(self, rng_seed):
         # d=1, j=k: the commutator form reduces to
