@@ -267,7 +267,7 @@ def cmd_log_convexity(args) -> ExperimentReport:
 
 
 def cmd_three_balls(args) -> ExperimentReport:
-    # the sweep is checked before any input is built: 'solve' runs one LU per h
+    # the sweep is checked before any input is built: 'solve' runs one solve per h
     solutions, inputs = zip(*(ball_input(args.d, h, args.input) for h in h_sweep(args.h)))
     report = three_balls_experiment(solutions, c_ps=args.c_ps,
                                     bound_constant=args.bound_constant)

@@ -1,23 +1,39 @@
 """Discrete Dirichlet problems and closed-form harmonic inputs.
 
 Solutions of P_h u = 0 on a ball are produced by assembling the stencil into
-a sparse matrix over the interior sites and factorizing it directly (SuperLU
-through scipy).  P_h's stencil is structurally symmetric (B only weights the
-forward differences), so the columns are ordered by minimum degree on A + A^T
-with diagonal pivots preferred: about half the L+U fill of SuperLU's default
-COLAMD ordering.  Threshold pivoting stays on for the non-symmetric B != 0
-case, and one step of iterative refinement brings the residual back below
-that of the default ordering.  Direct factorization keeps runs deterministic
-and leaves a residual certificate.
+a sparse matrix over the interior sites and solving it, by one of two paths
+chosen from the problem itself.
+
+Without fields, -P_h = -Lap/h^2 is symmetric positive definite, and the
+system is solved by conjugate gradients preconditioned with one multigrid
+V-cycle: geometric coarsening onto the sites with even indices (the
+sublattice of ``lattice.coarsen(., 2)``), linear interpolation, Galerkin
+coarse operators and damped Jacobi smoothing, with the coarsest level
+factored directly.  The iteration count does not grow as h shrinks, so
+d = 3 solves run past the direct solver's limit.
+
+With fields, B != 0 makes P_h non-symmetric and V can make it indefinite,
+so the system is factorized directly (SuperLU through scipy).  P_h's stencil
+is structurally symmetric (B only weights the forward differences), so the
+columns are ordered by minimum degree on A + A^T with diagonal pivots
+preferred: about half the L+U fill of SuperLU's default COLAMD ordering.
+Threshold pivoting stays on for the non-symmetric case, and one step of
+iterative refinement brings the residual back below that of the default
+ordering.
+
+Both paths are deterministic and leave the same residual certificate.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .lattice import (
@@ -36,8 +52,12 @@ from .lattice import (
 
 # d >= 3 LU fill grows about as unknowns^1.6.  On B_4 with deg3 data (2-core
 # VM, one BLAS thread): 57,747 unknowns (h = 1/6) factor in 17-18 s with
-# 44.5M L+U nonzeros, and 137k (h = 1/8) did not finish in 120 s
+# 44.5M L+U nonzeros, and 137k (h = 1/8) did not finish in 120 s.  Only
+# solves with fields take the LU path
 LU_MAX_UNKNOWNS_3D = 60_000
+
+# SuperLU's column ordering for P_h's structurally symmetric matrices
+LU_ORDERING = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
 
 
 class SolverError(RuntimeError):
@@ -90,18 +110,25 @@ class DirichletProblem:
 
 
 def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10,
-                    lu_stats: dict | None = None) -> LatticeFunction:
+                    stats: dict | None = None) -> LatticeFunction:
     """Solve P_h u = 0 inside, u = boundary data on the boundary ring.
 
-    The system is solved by direct sparse LU, ordered by minimum degree on
-    A + A^T (``MMD_AT_PLUS_A`` in SuperLU's symmetric mode), followed by one
-    step of iterative refinement x += LU^-1 (b - A x).  The result carries
-    the boundary data exactly and zero outside interior and boundary; a
-    residual above tol * max(1, sup|g|) raises SolverError with the
-    residual attached.  A ``lu_stats`` dict receives the factorization's
-    h, unknowns, L+U nonzeros (fill_nnz), factor time in seconds and the
-    residual.  For d >= 3 more than ``LU_MAX_UNKNOWNS_3D`` unknowns raise
-    SolverError before anything is assembled.
+    Without fields, -P_h = -Lap/h^2 is symmetric positive definite and the
+    system is solved by conjugate gradients preconditioned with one
+    multigrid V-cycle (``_hierarchy``), until sup|b - A x| is below
+    tol * scale / 10 or stops decreasing.  With fields it is solved by
+    direct sparse LU, ordered by minimum degree on A + A^T
+    (``MMD_AT_PLUS_A`` in SuperLU's symmetric mode), followed by one step of
+    iterative refinement x += LU^-1 (b - A x).  The result carries the
+    boundary data exactly and zero outside interior and boundary; a residual
+    above tol * scale, scale = max(1, sup|g|), raises SolverError with the
+    residual attached.  A ``stats`` dict receives h, the unknowns and the
+    residual, and for a multigrid solve the coarse ``levels``, the PCG
+    ``iterations`` and ``solve_s`` (seconds building the levels and
+    iterating), for an LU solve the L+U nonzeros ``fill_nnz`` and
+    ``factor_s``.  For d >= 3 an LU solve of more than
+    ``LU_MAX_UNKNOWNS_3D`` unknowns raises SolverError before anything is
+    assembled.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -110,23 +137,21 @@ def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10,
     n = inside.size
     if n == 0:
         raise SolverError("empty interior")
-    if spec.d >= 3 and n > LU_MAX_UNKNOWNS_3D:
+    if p.fields is not None and spec.d >= 3 and n > LU_MAX_UNKNOWNS_3D:
         raise SolverError(f"{n} interior unknowns exceed the d >= 3 direct-solve limit "
                           f"of {LU_MAX_UNKNOWNS_3D}")
     # P_h's interior rows: their boundary columns times the data go to the
-    # right side; the box rows are dropped before the factorization
+    # right side; the box rows are dropped before the solve
     rows = stencil_matrix(spec, *schrodinger_stencil(spec, p.fields))[inside]
     rhs = rows @ np.where(p.boundary, -p.boundary_values, 0.0).ravel()
-    mat = rows.tocsc()[:, inside]
-    del rows
-    try:
-        start = time.perf_counter()
-        lu = splu(mat, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-        factor_s = time.perf_counter() - start
-        x = lu.solve(rhs)
-        x += lu.solve(rhs - mat @ x)
-    except RuntimeError as exc:  # singular factorization
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    scale = max(1.0, float(np.abs(p.boundary_values[p.boundary]).max(initial=0.0)))
+    if p.fields is None:
+        x, facts = _multigrid_solve(spec.indices()[:, p.interior].T, -rows[:, inside],
+                                    -rhs, 0.1 * tol * scale)
+    else:
+        mat = rows.tocsc()[:, inside]
+        del rows
+        x, facts = _lu_solve(mat, rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("solver produced non-finite values")
 
@@ -135,14 +160,125 @@ def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10,
     out[p.boundary] = p.boundary_values[p.boundary]
     u = LatticeFunction(spec, out)
     res = residual(p, u)
-    if lu_stats is not None:
-        lu_stats.update(h=spec.h, residual=res, unknowns=n, fill_nnz=int(lu.nnz),
-                        factor_s=factor_s)
-    scale = max(1.0, float(np.abs(p.boundary_values[p.boundary]).max(initial=0.0)))
+    if stats is not None:
+        stats.update(h=spec.h, residual=res, unknowns=n, **facts)
     if res > tol * scale:
         raise SolverError(
             f"residual {res:.3e} exceeds tolerance {tol * scale:.3e}", residual=res)
     return u
+
+
+def _lu_solve(mat, rhs):
+    """x with mat x = rhs by one LU and one refinement step, and the LU facts."""
+    try:
+        start = time.perf_counter()
+        lu = splu(mat, **LU_ORDERING)
+        factor_s = time.perf_counter() - start
+        x = lu.solve(rhs)
+        x += lu.solve(rhs - mat @ x)
+    except RuntimeError as exc:  # singular factorization
+        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    return x, {"fill_nnz": int(lu.nnz), "factor_s": factor_s}
+
+
+# The multigrid of field-free solves.  Levels are coarsened until at most
+# COARSEST_UNKNOWNS remain, which one LU solves; each level above is smoothed
+# by JACOBI_SWEEPS damped Jacobi sweeps before and after its coarse correction
+COARSEST_UNKNOWNS = 4000
+JACOBI_OMEGA = 0.8
+JACOBI_SWEEPS = 2
+
+
+def _multigrid_solve(sites, a, b, target):
+    """x with sup|b - a x| <= target, by CG on the symmetric positive definite
+    ``a`` preconditioned with one V-cycle, and the multigrid facts.
+
+    ``sites`` holds the lattice indices of the unknowns, one row each, in the
+    order of ``a``'s rows.  The iteration also stops, keeping its best x, once
+    the true residual's sup stops decreasing: the rounding floor is reached.
+    """
+    start = time.perf_counter()
+    levels, coarsest = _hierarchy(sites, a)
+    x = np.zeros_like(b)
+    r = b.copy()
+    best = float(np.abs(r).max())
+    z = _vcycle(levels, coarsest, r)
+    direction = z
+    rz = r @ z
+    iterations = 0
+    while best > target:
+        x_new = x + (rz / (direction @ (a @ direction))) * direction
+        r = b - a @ x_new
+        iterations += 1
+        sup = float(np.abs(r).max())
+        if not sup < best:
+            break
+        x, best = x_new, sup
+        z = _vcycle(levels, coarsest, r)
+        rz, rz_old = r @ z, rz
+        direction = z + (rz / rz_old) * direction
+    return x, {"levels": len(levels), "iterations": iterations,
+               "solve_s": time.perf_counter() - start}
+
+
+def _hierarchy(sites, a):
+    """The multigrid levels of ``a`` on ``sites``: (a, prolongation, omega/diag a)
+    for each level that is coarsened, finest first, and the coarsest level's LU.
+
+    The coarse unknowns are the sites whose indices are all even, the
+    sublattice ``lattice.coarsen(., 2)`` keeps, reindexed by halving.  The
+    prolongation P interpolates tensor-product linearly: the coarse site at
+    fine offset o in {-1, 0, 1}^d has weight prod_j (1 - |o_j|/2).  The
+    coarse operator is the Galerkin product P^T a P, so every level stays
+    symmetric positive definite.
+    """
+    levels = []
+    while a.shape[0] > COARSEST_UNKNOWNS:
+        even = (sites % 2 == 0).all(axis=1)
+        if not even.any():
+            break
+        p = _prolongation(sites, even)
+        levels.append((a, p, JACOBI_OMEGA / a.diagonal()))
+        sites, a = sites[even] // 2, (p.T @ a @ p).tocsr()
+    return levels, splu(a.tocsc(), **LU_ORDERING)
+
+
+def _prolongation(sites, even):
+    """Linear interpolation from the ``even`` sites to all ``sites`` (a CSR matrix)."""
+    lo = sites.min(axis=0) - 1
+    number = np.full(tuple(sites.max(axis=0) - lo + 2), -1)
+    number[tuple((sites - lo).T)] = np.arange(len(sites))
+    coarse = sites[even] - lo
+    cols = np.arange(len(coarse))
+    rows, col_parts, vals = [], [], []
+    for off in itertools.product((-1, 0, 1), repeat=sites.shape[1]):
+        fine = number[tuple((coarse + off).T)]
+        hit = fine >= 0
+        rows.append(fine[hit])
+        col_parts.append(cols[hit])
+        vals.append(np.full(hit.sum(), math.prod(1 - abs(o) / 2 for o in off)))
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(col_parts))),
+        shape=(len(sites), len(coarse)))
+
+
+def _vcycle(levels, coarsest, r, k=0):
+    """One symmetric V-cycle for levels[k]'s matrix and right side r, from zero.
+
+    A module function over the level list, not a closure: a recursive closure
+    would form a reference cycle that keeps every level's matrices alive
+    until the cyclic garbage collector runs.
+    """
+    if k == len(levels):
+        return coarsest.solve(r)
+    a, p, smooth = levels[k]
+    x = smooth * r
+    for _ in range(JACOBI_SWEEPS - 1):
+        x += smooth * (r - a @ x)
+    x += p @ _vcycle(levels, coarsest, p.T @ (r - a @ x), k + 1)
+    for _ in range(JACOBI_SWEEPS):
+        x += smooth * (r - a @ x)
+    return x
 
 
 def residual(p: DirichletProblem, u: LatticeFunction) -> float:
@@ -162,7 +298,8 @@ def ball_input(d: int, h: float, kind: str, fields=None, tol: float = 1e-10):
     ``tol``.  ``fields``, a function from the box to its FieldData, puts V
     and B into P_h.  Every kind is measured on the same B_4 problem: the
     facts are ``h`` and ``residual``, the sup of P_h u inside B_4, and a
-    solve adds its LU facts as ``dirichlet_solve`` records them.
+    solve adds the facts of its path (multigrid, or LU with fields) as
+    ``dirichlet_solve`` records them.
     """
     spec = LatticeSpec.ball_box(d, h, BALL_RADIUS, pad_sites=2)
     poly = ("deg3" if d >= 2 else "linear_j") if kind == "solve" else kind
@@ -172,7 +309,7 @@ def ball_input(d: int, h: float, kind: str, fields=None, tol: float = 1e-10):
     if kind != "solve":
         return data, {"h": h, "residual": residual(problem, data)}
     facts = {}
-    return dirichlet_solve(problem, tol=tol, lu_stats=facts), facts
+    return dirichlet_solve(problem, tol=tol, stats=facts), facts
 
 
 def harmonic_polynomial(spec: LatticeSpec, kind: str) -> LatticeFunction:

@@ -413,20 +413,38 @@ class TestSubcommands:
         ("three-balls", ["--h", "1/16,1/32", "--input", "solve"], [1 / 16, 1 / 32]),
         ("coarsen-check", ["--h", "1/32", "--input", "solve", "--m", "2"], [1 / 32]),
         ("log-convexity", ["--h", "1/32", "--input", "solve", "--tau0", "1.0"], [1 / 32]),
+    ])
+    def test_field_free_solves_record_multigrid(self, sub, argv, hs, tmp_path):
+        assert run([sub, *argv, "--out", str(tmp_path)]) == 0
+        inputs = self.solve_inputs(tmp_path, hs)
+        for facts in inputs:
+            assert set(facts) == {"h", "residual", "unknowns", "levels", "iterations", "solve_s"}
+            assert facts["levels"] >= 1 and 0 < facts["iterations"] < 50
+            assert 0 < facts["unknowns"] and 0.0 < facts["solve_s"] < 60.0
+
+    @pytest.mark.parametrize("sub, argv, hs", [
         ("singular-potential", SUBCOMMAND_ARGV["singular-potential"], [1 / 8, 1 / 16]),
+        ("singular-potential", [*SUBCOMMAND_ARGV["singular-potential"], "--d", "1"],
+         [1 / 8, 1 / 16]),
     ])
     def test_solve_inputs_record_their_lu_in_the_sidecar(self, sub, argv, hs, tmp_path):
         assert run([sub, *argv, "--out", str(tmp_path)]) == 0
-        [meta_path] = tmp_path.glob("*.meta.json")
-        inputs = json.loads(meta_path.read_text())["inputs"]
-        assert [facts["h"] for facts in inputs] == hs
-        for facts in inputs:
+        for facts in self.solve_inputs(tmp_path, hs):
             assert set(facts) == {"h", "residual", "unknowns", "fill_nnz", "factor_s"}
             assert 0 < facts["unknowns"] < facts["fill_nnz"] and 0.0 < facts["factor_s"] < 60.0
-            assert 0.0 < facts["residual"] < 1e-6
-        for data in data_files(tmp_path):
+
+    @staticmethod
+    def solve_inputs(out_dir, hs):
+        """The sidecar's input records, one per h with a residual, kept out of the data files."""
+        [meta_path] = out_dir.glob("*.meta.json")
+        inputs = json.loads(meta_path.read_text())["inputs"]
+        assert [facts["h"] for facts in inputs] == hs
+        assert all(0.0 < facts["residual"] < 1e-6 for facts in inputs)
+        for data in data_files(out_dir):
             text = data.read_text()
-            assert not any(key in text for key in ("fill_nnz", "factor_s", "unknowns"))
+            assert not any(key in text for key in ("unknowns", "fill_nnz", "factor_s",
+                                                   "levels", "iterations", "solve_s"))
+        return inputs
 
     def test_polynomial_inputs_record_no_lu(self, tmp_path):
         assert run(["coarsen-check", *SUBCOMMAND_ARGV["coarsen-check"], "--out", str(tmp_path)]) == 0
@@ -605,13 +623,15 @@ class TestSubcommands:
         assert peak < 8 << 20
         assert not (tmp_path / "out").exists()
 
-    def test_three_balls_refuses_a_large_d3_solve_up_front(self, tmp_path, capsys, monkeypatch):
+    def test_singular_potential_refuses_a_large_d3_solve_up_front(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # the limit guards the LU, the path of solves with fields
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled past the d = 3 limit")
 
         monkeypatch.setattr(solver, "stencil_matrix", no_assembly)
-        code = run(["three-balls", "--d", "3", "--h", "1/8", "--input", "solve",
-                    "--out", str(tmp_path / "out")])
+        code = run(["singular-potential", *SUBCOMMAND_ARGV["singular-potential"], "--d", "3",
+                    "--h", "1/8", "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
         spec = LatticeSpec.ball_box(3, 1 / 8, solver.BALL_RADIUS, pad_sites=2)

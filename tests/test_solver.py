@@ -1,7 +1,9 @@
 """Dirichlet solves, closed-form harmonic polynomials, seeded bumps."""
 
+import gc
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -131,14 +133,26 @@ class TestBallInput:
             DirichletProblem.on_ball(u.spec, 4.0, harmonic_polynomial(u.spec, "deg3")), u)
 
     def test_large_d3_solve_fails_before_assembly(self, monkeypatch):
+        # the limit guards the LU, the path of solves with fields
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled past the d = 3 limit")
 
         monkeypatch.setattr(solver, "stencil_matrix", no_assembly)
         start = time.perf_counter()
         with pytest.raises(SolverError, match="interior unknowns exceed"):
-            ball_input(3, 1 / 8, "solve")
+            ball_input(3, 1 / 8, "solve", fields=FieldData.zero)
         assert time.perf_counter() - start < 1.0
+
+    def test_d3_solve_past_the_lu_limit_meets_its_certificate(self):
+        u, facts = ball_input(3, 1 / 8, "solve")
+        assert facts["unknowns"] == 137059 > solver.LU_MAX_UNKNOWNS_3D
+        assert facts["levels"] >= 1 and 0 < facts["iterations"] < 50
+        # deg3 data is discrete harmonic, so the solution is the data itself
+        data = harmonic_polynomial(u.spec, "deg3")
+        problem = DirichletProblem.on_ball(u.spec, 4.0, data)
+        scale = np.abs(data.values[problem.boundary]).max()
+        assert facts["residual"] == residual(problem, u) <= 1e-10 * scale
+        assert np.abs(u.values - data.values)[problem.interior].max() <= 1e-9 * scale
 
 
 class TestDirichletSolve:
@@ -243,18 +257,23 @@ class TestDirichletSolve:
 
     def test_d3_limit_counts_interior_unknowns(self, monkeypatch):
         spec = LatticeSpec.ball_box(3, 1 / 2, 4.0, pad_sites=2)
-        problem = DirichletProblem.on_ball(spec, 4.0, harmonic_polynomial(spec, "deg3"))
+        data = harmonic_polynomial(spec, "deg3")
+        problem = DirichletProblem.on_ball(spec, 4.0, data, FieldData.zero(spec))
         unknowns = int(problem.interior.sum())
         monkeypatch.setattr(solver, "LU_MAX_UNKNOWNS_3D", unknowns - 1)
         with pytest.raises(SolverError, match=f"{unknowns} interior unknowns"):
             dirichlet_solve(problem)
+        # field-free solves take the multigrid path, which the limit does not guard
+        stats = {}
+        dirichlet_solve(DirichletProblem.on_ball(spec, 4.0, data), stats=stats)
+        assert stats["unknowns"] == unknowns and "levels" in stats
         monkeypatch.setattr(solver, "LU_MAX_UNKNOWNS_3D", unknowns)
         stats = {}
-        dirichlet_solve(problem, lu_stats=stats)
-        assert stats["unknowns"] == unknowns
+        dirichlet_solve(problem, stats=stats)
+        assert stats["unknowns"] == unknowns and "fill_nnz" in stats
         # d = 2 solves never meet the limit
         monkeypatch.setattr(solver, "LU_MAX_UNKNOWNS_3D", 0)
-        _, facts = ball_input(2, 1 / 8, "solve")
+        _, facts = ball_input(2, 1 / 8, "solve", fields=FieldData.zero)
         assert facts["unknowns"] > 0
 
 
@@ -265,8 +284,9 @@ class TestLuOrdering:
     def test_matches_the_default_ordering(self, d, singular, rng_seed, monkeypatch):
         spec = LatticeSpec.ball_box(d, 1 / 16, 4.0, pad_sites=2)
         data = harmonic_polynomial(spec, "deg3" if d >= 2 else "linear_j")
-        # B != 0 makes the matrix non-symmetric, with the same sparsity pattern
-        fields = singular_field_data(spec, 1.0, rng_seed) if singular else None
+        # B != 0 makes the matrix non-symmetric, with the same sparsity pattern;
+        # zero fields keep the symmetric matrix on the LU path
+        fields = singular_field_data(spec, 1.0, rng_seed) if singular else FieldData.zero(spec)
         problem = DirichletProblem.on_ball(spec, 4.0, data, fields)
         # dirichlet_solve raises unless its residual certificate holds
         u = dirichlet_solve(problem)
@@ -285,12 +305,60 @@ class TestLuOrdering:
             return lu
 
         monkeypatch.setattr(solver, "splu", recording)
-        _, stats = ball_input(2, 1 / 32, "solve")
+        # fields keep the solve on the LU path; at singular-potential's default
+        # mu0 the fill is the one the field-free matrix had
+        _, stats = ball_input(2, 1 / 32, "solve",
+                              fields=lambda spec: singular_field_data(spec, 0.05, 0))
         # 2,716,308 with MMD on A + A^T; SuperLU's default ordering gives 5,194,276
         assert len(fills) == 1 and fills[0] <= 3.0e6
         assert stats["fill_nnz"] == fills[0]
         assert stats["unknowns"] == 51429 and stats["h"] == 1 / 32
         assert 0.0 < stats["factor_s"] < 60.0
+
+
+class TestMultigrid:
+    """Field-free solves: conjugate gradients preconditioned with a multigrid V-cycle."""
+
+    @pytest.mark.parametrize("d, h, levels", [(1, 1 / 64, 0), (2, 1 / 32, 2), (3, 1 / 4, 1)])
+    def test_matches_the_lu(self, d, h, levels):
+        spec = LatticeSpec.ball_box(d, h, 4.0, pad_sites=2)
+        data = harmonic_polynomial(spec, "deg3" if d >= 2 else "linear_j")
+        stats = {}
+        u = dirichlet_solve(DirichletProblem.on_ball(spec, 4.0, data), stats=stats)
+        # zero fields give the same operator, solved by the LU
+        reference = dirichlet_solve(DirichletProblem.on_ball(spec, 4.0, data, FieldData.zero(spec)))
+        assert stats["levels"] == levels and 0 < stats["iterations"] < 20
+        sup = np.abs(reference.values).max()
+        assert np.abs(u.values - reference.values).max() <= 1e-10 * sup
+
+    def test_impossible_tolerance_with_levels_raises_with_residual(self):
+        spec = LatticeSpec.ball_box(2, 1 / 32, 4.0, pad_sites=2)
+        problem = DirichletProblem.on_ball(spec, 4.0, harmonic_polynomial(spec, "deg3"))
+        stats = {}
+        start = time.perf_counter()
+        with pytest.raises(SolverError) as err:
+            dirichlet_solve(problem, tol=1e-30, stats=stats)
+        assert time.perf_counter() - start < 5.0
+        assert stats["levels"] >= 1
+        assert err.value.residual is not None and err.value.residual == stats["residual"] > 0
+
+    def test_repeated_solves_hold_no_memory(self):
+        # without the cyclic collector, levels caught in a reference cycle
+        # would stay allocated after each solve
+        spec = LatticeSpec.ball_box(2, 1 / 32, 4.0, pad_sites=2)
+        problem = DirichletProblem.on_ball(spec, 4.0, harmonic_polynomial(spec, "deg3"))
+        gc.disable()
+        tracemalloc.start()
+        try:
+            dirichlet_solve(problem)
+            one, _ = tracemalloc.get_traced_memory()
+            for _ in range(4):
+                dirichlet_solve(problem)
+            five, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert five - one < 2 << 20
 
 
 class TestRandomBump:
