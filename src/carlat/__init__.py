@@ -56,6 +56,7 @@ from .solver import (
     harmonic_polynomial,
     random_bump,
     residual,
+    rounding_floor,
 )
 from .symbols import (
     FrozenPoint,

@@ -175,7 +175,6 @@ _SUBCOMMANDS = {
         "delta0": ("float", 0.5, "tau window upper end is delta0/h"),
         "mu0": ("float", 0.05, "field strength: |V| <= mu0 h^-3/2, |B| <= mu0 h^-1/2"),
         "tau-fraction": ("float", 0.5, "tau = fraction * delta0 / h"),
-        "solve-tol": ("float", 1e-8, "Dirichlet residual tolerance"),
     },
 }
 
@@ -354,7 +353,7 @@ def cmd_localize(args) -> ExperimentReport:
 
 def cmd_singular_potential(args) -> ExperimentReport:
     return singular_potential_experiment(args.mu0, args.d, args.h, args.tau_fraction, args.tau0,
-                                         args.delta0, args.c_ps, args.seed, args.solve_tol)
+                                         args.delta0, args.c_ps, args.seed)
 
 
 _HANDLERS = {

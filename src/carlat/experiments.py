@@ -191,7 +191,9 @@ def three_balls_experiment(solutions, c_ps: float = 0.01,
     R(h) = |u|_B1 / (|u|_B1/2^alpha |u|_B2^(1-alpha)) with
     alpha = c2/(c1+c2).  Rows with R(h) > bound_constant feed a linear fit of
     log(excess/|u|_B2) against 1/h whose negated slope estimates the
-    correction exponent.
+    correction exponent.  With one or two such rows the rows are kept, no
+    exponent is fitted, a warning says the fit needs three, and the report
+    fails.
     """
     solutions = list(solutions)
     if not solutions:
@@ -218,9 +220,11 @@ def three_balls_experiment(solutions, c_ps: float = 0.01,
     ratios = [row["ratio"] for row in report.rows]
     report.fit("ratio_max", FittedConstant(max(ratios), n=len(ratios)))
     active = [row for row in report.rows if row["active"]]
-    if active:
-        if len(active) < 3:
-            raise ValueError("insufficient sweep")
+    if 0 < len(active) < 3:
+        report.warn(f"the exp(-c/h) fit needs three rows above bound_constant, "
+                    f"found {len(active)}")
+        report.passed = False
+    elif active:
         x = np.array([1.0 / row["h"] for row in active])
         y = np.log(np.maximum([row["excess_rel"] for row in active], 1e-300))
         slope, _, r2, rms = linear_fit(x, y)
@@ -532,7 +536,7 @@ def singular_field_data(spec: LatticeSpec, mu0: float, seed: int) -> FieldData:
 
 def singular_potential_experiment(mu0: float, d: int, h_grid, tau_fraction: float,
                                   tau0: float, delta0: float, c_ps: float = 0.01,
-                                  seed: int = 0, solve_tol: float = 1e-8) -> ExperimentReport:
+                                  seed: int = 0) -> ExperimentReport:
     """Convexity measurement with potentials growing as h^-3/2.
 
     At each h with tau = tau_fraction * delta0 / h inside ``in_window``, the
@@ -549,14 +553,14 @@ def singular_potential_experiment(mu0: float, d: int, h_grid, tau_fraction: floa
     report = ExperimentReport("singular_potential", {
         "d": d, "h_grid": list(hs), "tau_fraction": tau_fraction, "tau0": tau0,
         "delta0": delta0, "c_ps": c_ps, "seed": seed, "mu0": mu0,
-        "solve_tol": solve_tol, "c1": c1, "c2": c2,
+        "c1": c1, "c2": c2,
     })
     for ih, h in enumerate(hs):
         tau = tau_fraction * delta0 / h
         if not in_window(tau, h, tau0, delta0):
             report.warn(f"no admissible tau at h={h:g}; skipped")
             continue
-        u, facts = ball_input(d, h, "solve", tol=solve_tol,
+        u, facts = ball_input(d, h, "solve",
                               fields=lambda spec: singular_field_data(spec, mu0, _cell_seed(seed, ih)))
         report.meta.setdefault("inputs", []).append(facts)
         row = log_convexity_scan(u, (tau,), c_ps, tau0, delta0).rows[0]

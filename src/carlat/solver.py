@@ -21,7 +21,9 @@ Threshold pivoting stays on for the non-symmetric case, and one step of
 iterative refinement brings the residual back below that of the default
 ordering.
 
-Both paths are deterministic and leave the same residual certificate.
+Both paths are deterministic and pass the same certificate: sup|P_h u|
+over the interior is held against the float64 floor of evaluating P_h u,
+eps * ||P_h||_inf * sup|u|, so no residual tolerance is set anywhere.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ LU_MAX_UNKNOWNS_3D = 60_000
 
 # SuperLU's column ordering for P_h's structurally symmetric matrices
 LU_ORDERING = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+
+# The solve certificate admits sup|P_h u| up to FLOOR_MULTIPLE rounding
+# floors eps * ||P_h||_inf * sup|u|; the multigrid PCG stops at a tenth of
+# that (notes/decisions.md, "The solve certificate")
+FLOOR_MULTIPLE = 64.0
 
 
 class SolverError(RuntimeError):
@@ -109,29 +116,26 @@ class DirichletProblem:
         return cls(spec, interior, boundary, g, fields)
 
 
-def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10,
-                    stats: dict | None = None) -> LatticeFunction:
+def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFunction:
     """Solve P_h u = 0 inside, u = boundary data on the boundary ring.
 
     Without fields, -P_h = -Lap/h^2 is symmetric positive definite and the
     system is solved by conjugate gradients preconditioned with one
-    multigrid V-cycle (``_hierarchy``), until sup|b - A x| is below
-    tol * scale / 10 or stops decreasing.  With fields it is solved by
-    direct sparse LU, ordered by minimum degree on A + A^T
+    multigrid V-cycle (``_hierarchy``), until sup|b - A x| is below a tenth
+    of the certificate bound or stops decreasing.  With fields it is solved
+    by direct sparse LU, ordered by minimum degree on A + A^T
     (``MMD_AT_PLUS_A`` in SuperLU's symmetric mode), followed by one step of
     iterative refinement x += LU^-1 (b - A x).  The result carries the
     boundary data exactly and zero outside interior and boundary; a residual
-    above tol * scale, scale = max(1, sup|g|), raises SolverError with the
-    residual attached.  A ``stats`` dict receives h, the unknowns and the
-    residual, and for a multigrid solve the coarse ``levels``, the PCG
-    ``iterations`` and ``solve_s`` (seconds building the levels and
-    iterating), for an LU solve the L+U nonzeros ``fill_nnz`` and
-    ``factor_s``.  For d >= 3 an LU solve of more than
-    ``LU_MAX_UNKNOWNS_3D`` unknowns raises SolverError before anything is
-    assembled.
+    above the certificate bound FLOOR_MULTIPLE * ``rounding_floor(p, u)``
+    raises SolverError with the residual attached.  A ``stats`` dict
+    receives h, the unknowns, the residual and that ``residual_bound``, and
+    for a multigrid solve the coarse ``levels``, the PCG ``iterations`` and
+    ``solve_s`` (seconds building the levels and iterating), for an LU solve
+    the L+U nonzeros ``fill_nnz`` and ``factor_s``.  For d >= 3 an LU solve
+    of more than ``LU_MAX_UNKNOWNS_3D`` unknowns raises SolverError before
+    anything is assembled.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     spec = p.spec
     inside = np.flatnonzero(p.interior)
     n = inside.size
@@ -144,10 +148,11 @@ def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10,
     # right side; the box rows are dropped before the solve
     rows = stencil_matrix(spec, *schrodinger_stencil(spec, p.fields))[inside]
     rhs = rows @ np.where(p.boundary, -p.boundary_values, 0.0).ravel()
-    scale = max(1.0, float(np.abs(p.boundary_values[p.boundary]).max(initial=0.0)))
     if p.fields is None:
+        # the discrete maximum principle: sup|u| = sup|g| without fields
+        sup_g = float(np.abs(p.boundary_values[p.boundary]).max(initial=0.0))
         x, facts = _multigrid_solve(spec.indices()[:, p.interior].T, -rows[:, inside],
-                                    -rhs, 0.1 * tol * scale)
+                                    -rhs, 0.1 * FLOOR_MULTIPLE * _floor(p, sup_g))
     else:
         mat = rows.tocsc()[:, inside]
         del rows
@@ -159,12 +164,15 @@ def dirichlet_solve(p: DirichletProblem, tol: float = 1e-10,
     out[p.interior] = x
     out[p.boundary] = p.boundary_values[p.boundary]
     u = LatticeFunction(spec, out)
-    res = residual(p, u)
+    res, floor = residual(p, u), rounding_floor(p, u)
+    bound = FLOOR_MULTIPLE * floor
     if stats is not None:
-        stats.update(h=spec.h, residual=res, unknowns=n, **facts)
-    if res > tol * scale:
+        stats.update(h=spec.h, residual=res, residual_bound=bound, unknowns=n, **facts)
+    if res > bound:
         raise SolverError(
-            f"residual {res:.3e} exceeds tolerance {tol * scale:.3e}", residual=res)
+            f"residual {res:.3e} exceeds the certificate bound {bound:.3e}: it is "
+            f"{res / floor:.3g} rounding floors eps * ||P_h||_inf * sup|u| = {floor:.3e}, "
+            f"{FLOOR_MULTIPLE:g} are admitted", residual=res)
     return u
 
 
@@ -286,20 +294,38 @@ def residual(p: DirichletProblem, u: LatticeFunction) -> float:
     return float(np.abs(schrodinger_apply(u, p.fields).values[p.interior]).max())
 
 
+def rounding_floor(p: DirichletProblem, u: LatticeFunction) -> float:
+    """eps * ||P_h||_inf * sup|u|, the float64 error of evaluating P_h u,
+    with sup|u| over the interior and boundary sites that P_h reads."""
+    return _floor(p, float(np.abs(u.values[p.interior | p.boundary]).max()))
+
+
+def _floor(p: DirichletProblem, sup_u: float) -> float:
+    """eps * ||P_h||_inf * sup_u.  ||P_h||_inf, the largest interior row sum
+    of |stencil coefficients|, is 4d/h^2 without fields."""
+    spec = p.spec
+    if p.fields is None:
+        norm = 4.0 * spec.d / spec.h ** 2
+    else:
+        coeffs = schrodinger_stencil(spec, p.fields)[1]
+        norm = float(sum(np.abs(c[p.interior]) for c in coeffs).max())
+    return float(np.finfo(float).eps) * norm * sup_u
+
+
 HARMONIC_KINDS = ("const", "linear_j", "mixed_jk", "diff_squares", "deg3")
 BALL_RADIUS = 4.0
 
 
-def ball_input(d: int, h: float, kind: str, fields=None, tol: float = 1e-10):
+def ball_input(d: int, h: float, kind: str, fields=None):
     """An input u on the box of B_4, and its facts for the report's sidecar.
 
     ``kind`` names a harmonic polynomial or is ``"solve"``: the Dirichlet
-    solution on B_4 with deg3 data (linear_j for d = 1) and residual target
-    ``tol``.  ``fields``, a function from the box to its FieldData, puts V
-    and B into P_h.  Every kind is measured on the same B_4 problem: the
-    facts are ``h`` and ``residual``, the sup of P_h u inside B_4, and a
-    solve adds the facts of its path (multigrid, or LU with fields) as
-    ``dirichlet_solve`` records them.
+    solution on B_4 with deg3 data (linear_j for d = 1).  ``fields``, a
+    function from the box to its FieldData, puts V and B into P_h.  Every
+    kind is measured on the same B_4 problem: the facts are ``h``,
+    ``residual``, the sup of P_h u inside B_4, and ``residual_bound``, the
+    certificate's bound on it, and a solve adds the facts of its path
+    (multigrid, or LU with fields) as ``dirichlet_solve`` records them.
     """
     spec = LatticeSpec.ball_box(d, h, BALL_RADIUS, pad_sites=2)
     poly = ("deg3" if d >= 2 else "linear_j") if kind == "solve" else kind
@@ -307,9 +333,10 @@ def ball_input(d: int, h: float, kind: str, fields=None, tol: float = 1e-10):
     problem = DirichletProblem.on_ball(spec, BALL_RADIUS, data,
                                        None if fields is None else fields(spec))
     if kind != "solve":
-        return data, {"h": h, "residual": residual(problem, data)}
+        return data, {"h": h, "residual": residual(problem, data),
+                      "residual_bound": FLOOR_MULTIPLE * rounding_floor(problem, data)}
     facts = {}
-    return dirichlet_solve(problem, tol=tol, stats=facts), facts
+    return dirichlet_solve(problem, stats=facts), facts
 
 
 def harmonic_polynomial(spec: LatticeSpec, kind: str) -> LatticeFunction:

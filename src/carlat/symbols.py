@@ -152,16 +152,6 @@ def symbol_q(xi, fp: FrozenPoint):
     return out if np.ndim(out) else float(out)
 
 
-def symbol_q_taylor(xi, fp: FrozenPoint):
-    """Leading-order form 4 (xi.H xi + g.H g), the small-(h xi) limit of q."""
-    xi = np.asarray(xi, dtype=np.float64)
-    g = fp.grad_phi
-    hess = fp.hess_phi
-    quad = np.einsum("i...,ij,j...->...", xi, hess, xi)
-    out = 4.0 * (quad + float(g @ hess @ g))
-    return out if np.ndim(out) else float(out)
-
-
 def char_set_distance(xi, fp: FrozenPoint):
     """Euclidean distance to the equator set {|z| = |g|, g . z = 0}.
 

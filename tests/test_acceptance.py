@@ -290,7 +290,7 @@ def test_criterion_5_coarsening():
         cases.append(("poly", harmonic_polynomial(spec, "mixed_jk" if d == 2 else "linear_j"), None))
         g = harmonic_polynomial(spec, "deg3" if d == 2 else "linear_j")
         problem = DirichletProblem.on_ball(spec, 4.0, g)
-        u = dirichlet_solve(problem, tol=1e-10)
+        u = dirichlet_solve(problem)
         cases.append((f"solve_d{d}", u, 4.0))
     for label, u, radius in cases:
         report = coarsen_check(u, factors=(2, 3, 4), tol=1e-12, radius=radius)
@@ -364,7 +364,7 @@ def test_criterion_8_three_balls():
         spec = LatticeSpec.ball_box(2, h, 4.0, pad_sites=2)
         g = harmonic_polynomial(spec, "deg3")
         problem = DirichletProblem.on_ball(spec, 4.0, g)
-        u = dirichlet_solve(problem, tol=1e-9)
+        u = dirichlet_solve(problem)
         assert residual(problem, u) <= 1e-9 * np.abs(g.values).max()
         sols.append(u)
     report = three_balls_experiment(sols, c_ps=0.01, bound_constant=10.0)

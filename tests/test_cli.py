@@ -18,6 +18,7 @@ from carlat import cli, conjugate, experiments, reports, solver
 from carlat.cli import main, parse_number
 from carlat.conjugate import CommutatorCoeffs
 from carlat.lattice import MAX_SITES, BallRegion, LatticeSpec
+from carlat.solver import ball_input
 from carlat.symbols import (MAX_GRID_POINTS, SCAN_BYTES_PER_POINT, FrozenPoint, SymbolGrid,
                             scan_table)
 from carlat.weight import WeightParams
@@ -226,6 +227,19 @@ out = {}
             assert run(["caccioppoli", "--config", str(cfg)]) == 2
             assert f"'{key}'" in capsys.readouterr().err
 
+    def test_removed_solve_tol_exits_two(self, tmp_path, capsys):
+        # solves certify against their rounding floor; an old config that
+        # still sets a residual tolerance fails loudly instead of being ignored
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("solve_tol = 1e-8\n")
+        argv = ["singular-potential", *SUBCOMMAND_ARGV["singular-potential"]]
+        assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+        assert "unknown config field 'solve_tol'" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--solve-tol", "1e-8"])
+        assert exc.value.code == 2
+
     def test_subcommand_key_must_name_the_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("subcommand = three-balls\nr1 = 0.9\n")
@@ -292,6 +306,16 @@ class TestWindowAndStrict:
         report = json.loads([p for p in data_files(tmp_path)
                              if p.suffix == ".json"][0].read_text())
         assert report["warnings"]
+
+    def test_short_three_balls_sweep_above_the_bound_writes_its_report(self, tmp_path):
+        # one row above the bound: kept and reported, with no exp(-c/h) fit
+        argv = ["three-balls", "--h", "1/16", "--bound-constant", "1e-9"]
+        assert run([*argv, "--out", str(tmp_path / "a")]) == 0
+        report = report_json(tmp_path / "a")
+        assert [row["active"] for row in report["rows"]] == [True]
+        assert report["warnings"] and report["passed"] is False
+        assert "c0_emp" not in report["fitted"]
+        assert run([*argv, "--strict", "1", "--out", str(tmp_path / "b")]) == 1
 
     def test_carleman_sweep_defaults_lie_in_the_window(self, tmp_path):
         # tau = 0.5 * delta0 / h is 1.6 and 3.2, inside (tau0, delta0/h)
@@ -418,7 +442,8 @@ class TestSubcommands:
         assert run([sub, *argv, "--out", str(tmp_path)]) == 0
         inputs = self.solve_inputs(tmp_path, hs)
         for facts in inputs:
-            assert set(facts) == {"h", "residual", "unknowns", "levels", "iterations", "solve_s"}
+            assert set(facts) == {"h", "residual", "residual_bound", "unknowns", "levels",
+                                  "iterations", "solve_s"}
             assert facts["levels"] >= 1 and 0 < facts["iterations"] < 50
             assert 0 < facts["unknowns"] and 0.0 < facts["solve_s"] < 60.0
 
@@ -430,7 +455,8 @@ class TestSubcommands:
     def test_solve_inputs_record_their_lu_in_the_sidecar(self, sub, argv, hs, tmp_path):
         assert run([sub, *argv, "--out", str(tmp_path)]) == 0
         for facts in self.solve_inputs(tmp_path, hs):
-            assert set(facts) == {"h", "residual", "unknowns", "fill_nnz", "factor_s"}
+            assert set(facts) == {"h", "residual", "residual_bound", "unknowns", "fill_nnz",
+                                  "factor_s"}
             assert 0 < facts["unknowns"] < facts["fill_nnz"] and 0.0 < facts["factor_s"] < 60.0
 
     @staticmethod
@@ -439,11 +465,12 @@ class TestSubcommands:
         [meta_path] = out_dir.glob("*.meta.json")
         inputs = json.loads(meta_path.read_text())["inputs"]
         assert [facts["h"] for facts in inputs] == hs
-        assert all(0.0 < facts["residual"] < 1e-6 for facts in inputs)
+        assert all(0.0 < facts["residual"] <= facts["residual_bound"] < 1e-6 for facts in inputs)
         for data in data_files(out_dir):
             text = data.read_text()
-            assert not any(key in text for key in ("unknowns", "fill_nnz", "factor_s",
-                                                   "levels", "iterations", "solve_s"))
+            assert not any(key in text for key in ("residual_bound", "unknowns", "fill_nnz",
+                                                   "factor_s", "levels", "iterations",
+                                                   "solve_s"))
         return inputs
 
     def test_polynomial_inputs_record_no_lu(self, tmp_path):
@@ -451,7 +478,8 @@ class TestSubcommands:
         [meta_path] = tmp_path.glob("*.meta.json")
         meta = json.loads(meta_path.read_text())
         assert "lu" not in meta
-        assert meta["inputs"] == [{"h": 1 / 32, "residual": 0.0}]
+        assert meta["inputs"] == [ball_input(2, 1 / 32, "mixed_jk")[1]]
+        assert meta["inputs"][0]["residual"] == 0.0 < meta["inputs"][0]["residual_bound"]
 
     @pytest.mark.parametrize("sub, argv", [
         ("log-convexity", SUBCOMMAND_ARGV["log-convexity"]),

@@ -97,10 +97,15 @@ class TestThreeBalls:
         with pytest.raises(ValueError, match="strictly descending"):
             three_balls_experiment([u, u, u])
 
-    def test_insufficient_sweep_for_fit(self):
-        # a tiny bound constant forces the correction branch with too few rows
-        with pytest.raises(ValueError, match="insufficient sweep"):
-            three_balls_experiment([poly_on_ball(2, 1 / 16)], bound_constant=1e-9)
+    @pytest.mark.parametrize("hs", [(1 / 16,), (1 / 8, 1 / 16)])
+    def test_short_sweep_above_the_bound_warns_without_a_fit(self, hs):
+        # a tiny bound constant puts every row above it, with too few for the fit
+        report = three_balls_experiment([poly_on_ball(2, h) for h in hs], bound_constant=1e-9)
+        assert [row["h"] for row in report.rows] == list(hs)
+        assert all(row["active"] for row in report.rows)
+        assert report.warnings == [
+            f"the exp(-c/h) fit needs three rows above bound_constant, found {len(hs)}"]
+        assert "c0_emp" not in report.fitted and report.passed is False
 
     def test_fit_branch_produces_diagnostics(self):
         sols = [poly_on_ball(2, h, "deg3") for h in (1 / 8, 1 / 16, 1 / 32)]
@@ -331,7 +336,7 @@ class TestSingularPotential:
             def fields(spec):
                 return singular_field_data(spec, 0.05, _cell_seed(args["seed"], ih))
 
-            u, facts = ball_input(2, row["h"], "solve", fields=fields, tol=1e-8)
+            u, facts = ball_input(2, row["h"], "solve", fields=fields)
             scan = log_convexity_scan(u, [row["tau"]], tau0=args["tau0"],
                                       delta0=args["delta0"])
             assert scan.rows[0]["admissible"] and row["residual"] == facts["residual"]
@@ -386,7 +391,7 @@ class TestCoarsenCheck:
         spec = LatticeSpec.ball_box(2, 1 / 32, 4.0, pad_sites=2)
         g = harmonic_polynomial(spec, "deg3")
         problem = DirichletProblem.on_ball(spec, 4.0, g)
-        u = dirichlet_solve(problem, tol=1e-10)
+        u = dirichlet_solve(problem)
         report = coarsen_check(u, factors=(2, 3, 4), radius=4.0)
         assert report.passed is True
 

@@ -24,6 +24,7 @@ from carlat import (
     laplacian,
     random_bump,
     residual,
+    rounding_floor,
     schrodinger_apply,
 )
 from carlat.experiments import singular_field_data
@@ -100,7 +101,7 @@ class TestBallInput:
             v = LatticeFunction(spec, rng.uniform(-1.0, 1.0, spec.shape))
             return FieldData(v, (LatticeFunction.zeros(spec),) * spec.d)
 
-        u, facts = ball_input(1, 1 / 16, "solve", fields=fields, tol=1e-9)
+        u, facts = ball_input(1, 1 / 16, "solve", fields=fields)
         plain, _ = ball_input(1, 1 / 16, "solve")
         assert facts["residual"] <= 1e-9 * 5.0  # measured with V: linear_j data has sup|g| < 5 on B_4
         assert not np.array_equal(u.values, plain.values)
@@ -108,7 +109,8 @@ class TestBallInput:
     def test_polynomial_kinds_are_exact(self):
         u, facts = ball_input(2, 1 / 8, "mixed_jk")
         spec = LatticeSpec.ball_box(2, 1 / 8, 4.0, pad_sites=2)
-        assert facts == {"h": 1 / 8, "residual": 0.0}
+        bound = solver.FLOOR_MULTIPLE * rounding_floor(DirichletProblem.on_ball(spec, 4.0, u), u)
+        assert facts == {"h": 1 / 8, "residual": 0.0, "residual_bound": bound}
         assert np.array_equal(u.values, harmonic_polynomial(spec, "mixed_jk").values)
 
     def test_polynomial_residual_is_measured_on_b4(self):
@@ -117,6 +119,17 @@ class TestBallInput:
         problem = DirichletProblem.on_ball(u.spec, 4.0, u)
         assert facts["residual"] > 0.0
         assert facts["residual"] == residual(problem, u)
+
+    @pytest.mark.parametrize("h", [1 / 1024, 1 / 4096])
+    def test_fine_d1_solve_meets_its_certificate(self, h):
+        # the rounding floor of P_h u grows as h^-2: a residual target that
+        # stays fixed as h shrinks rejects these solves, exact as they are
+        u, facts = ball_input(1, h, "solve")
+        x1 = harmonic_polynomial(u.spec, "linear_j")
+        problem = DirichletProblem.on_ball(u.spec, 4.0, x1)
+        assert facts["residual"] <= facts["residual_bound"]
+        error = np.abs(u.values - x1.values)[problem.interior].max()
+        assert error <= 1e-12 * np.abs(u.values).max()
 
     def test_solve_applies_p_h_once(self, monkeypatch):
         calls = []
@@ -160,7 +173,7 @@ class TestDirichletSolve:
         spec = ball_spec(2, 1 / 16)
         g = harmonic_polynomial(spec, "mixed_jk")
         problem = DirichletProblem.on_ball(spec, 2.0, g)
-        u = dirichlet_solve(problem, tol=1e-10)
+        u = dirichlet_solve(problem)
         mask = problem.interior
         assert np.abs(u.values[mask] - g.values[mask]).max() <= 1e-10
 
@@ -168,14 +181,14 @@ class TestDirichletSolve:
         spec = ball_spec(2, 1 / 16)
         one = LatticeFunction(spec, np.ones(spec.shape))
         problem = DirichletProblem.on_ball(spec, 2.0, one)
-        u = dirichlet_solve(problem, tol=1e-12)
+        u = dirichlet_solve(problem)
         np.testing.assert_allclose(u.values[problem.interior], 1.0, rtol=1e-12)
 
     def test_reproduces_deg3_polynomial(self):
         spec = LatticeSpec.ball_box(2, 1 / 64, 2.0, pad_sites=2)
         g = harmonic_polynomial(spec, "deg3")
         problem = DirichletProblem.on_ball(spec, 2.0, g)
-        u = dirichlet_solve(problem, tol=1e-9)
+        u = dirichlet_solve(problem)
         mask = problem.interior
         scale = np.abs(g.values[mask]).max()
         assert np.abs(u.values[mask] - g.values[mask]).max() <= 1e-9 * scale
@@ -185,7 +198,7 @@ class TestDirichletSolve:
         spec = ball_spec(2, 1 / 12)
         data = LatticeFunction(spec, rng.uniform(-1.0, 2.0, spec.shape))
         problem = DirichletProblem.on_ball(spec, 2.0, data)
-        u = dirichlet_solve(problem, tol=1e-10)
+        u = dirichlet_solve(problem)
         g = problem.boundary_values[problem.boundary]
         assert u.values[problem.interior].min() >= g.min() - 1e-10
         assert u.values[problem.interior].max() <= g.max() + 1e-10
@@ -196,9 +209,9 @@ class TestDirichletSolve:
         g1 = LatticeFunction(spec, rng.standard_normal(spec.shape))
         g2 = LatticeFunction(spec, rng.standard_normal(spec.shape))
         combo = LatticeFunction(spec, 2.0 * g1.values - 0.5 * g2.values)
-        u1 = dirichlet_solve(DirichletProblem.on_ball(spec, 2.0, g1), tol=1e-10)
-        u2 = dirichlet_solve(DirichletProblem.on_ball(spec, 2.0, g2), tol=1e-10)
-        uc = dirichlet_solve(DirichletProblem.on_ball(spec, 2.0, combo), tol=1e-10)
+        u1 = dirichlet_solve(DirichletProblem.on_ball(spec, 2.0, g1))
+        u2 = dirichlet_solve(DirichletProblem.on_ball(spec, 2.0, g2))
+        uc = dirichlet_solve(DirichletProblem.on_ball(spec, 2.0, combo))
         np.testing.assert_allclose(uc.values, 2.0 * u1.values - 0.5 * u2.values,
                                    atol=1e-9)
 
@@ -211,7 +224,7 @@ class TestDirichletSolve:
         fields = FieldData(v, b)
         g = harmonic_polynomial(spec, "mixed_jk")
         problem = DirichletProblem.on_ball(spec, 2.0, g, fields)
-        u = dirichlet_solve(problem, tol=1e-8)
+        u = dirichlet_solve(problem)
         assert residual(problem, u) <= 1e-8 * max(1.0, np.abs(g.values).max())
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -227,12 +240,26 @@ class TestDirichletSolve:
         applied = schrodinger_apply(u, fields).values
         assert residual(problem, u) == np.abs(applied[problem.interior]).max()
 
-    def test_impossible_tolerance_raises_with_residual(self):
+    @pytest.mark.parametrize("d, h", [(1, 1 / 12), (2, 1 / 12), (3, 1 / 3)])
+    def test_floor_norm_is_the_largest_row_sum(self, d, h, rng_seed):
+        # ||P_h||_inf = 4d/h^2 without fields: the row sums of zero fields
+        spec = ball_spec(d, h)
+        u = LatticeFunction(spec, np.random.default_rng(rng_seed).standard_normal(spec.shape))
+        plain = DirichletProblem.on_ball(spec, 2.0, u)
+        zero = DirichletProblem.on_ball(spec, 2.0, u, FieldData.zero(spec))
+        eps = np.finfo(float).eps
+        sup = np.abs(u.values[plain.interior | plain.boundary]).max()
+        assert rounding_floor(plain, u) == eps * 4 * d / h ** 2 * sup
+        assert rounding_floor(zero, u) == pytest.approx(rounding_floor(plain, u), rel=1e-15)
+
+    def test_impossible_tolerance_raises_with_residual(self, monkeypatch):
+        # no rounding floor admitted: only an exact zero residual would pass
+        monkeypatch.setattr(solver, "FLOOR_MULTIPLE", 0.0)
         spec = ball_spec(2, 1 / 8)
         g = harmonic_polynomial(spec, "diff_squares")
         problem = DirichletProblem.on_ball(spec, 2.0, g)
-        with pytest.raises(SolverError) as err:
-            dirichlet_solve(problem, tol=1e-30)
+        with pytest.raises(SolverError, match="certificate bound 0.000e[+]00") as err:
+            dirichlet_solve(problem)
         assert err.value.residual is not None and err.value.residual > 0
 
     def test_boundary_values_off_the_boundary_are_ignored(self, rng_seed):
@@ -244,15 +271,15 @@ class TestDirichletSolve:
         clean = DirichletProblem.on_ball(spec, 2.0, harmonic_polynomial(spec, "deg3"), fields)
         dirty = np.where(clean.interior, np.nan, clean.boundary_values)
         noisy = DirichletProblem(spec, clean.interior, clean.boundary, dirty, fields)
-        u = dirichlet_solve(clean, tol=1e-10)
-        assert np.array_equal(dirichlet_solve(noisy, tol=1e-10).values, u.values)
+        u = dirichlet_solve(clean)
+        assert np.array_equal(dirichlet_solve(noisy).values, u.values)
 
     def test_deterministic(self):
         spec = ball_spec(2, 1 / 12)
         g = harmonic_polynomial(spec, "deg3")
         problem = DirichletProblem.on_ball(spec, 2.0, g)
-        a = dirichlet_solve(problem, tol=1e-10)
-        b = dirichlet_solve(problem, tol=1e-10)
+        a = dirichlet_solve(problem)
+        b = dirichlet_solve(problem)
         assert np.array_equal(a.values, b.values)
 
     def test_d3_limit_counts_interior_unknowns(self, monkeypatch):
@@ -331,13 +358,14 @@ class TestMultigrid:
         sup = np.abs(reference.values).max()
         assert np.abs(u.values - reference.values).max() <= 1e-10 * sup
 
-    def test_impossible_tolerance_with_levels_raises_with_residual(self):
+    def test_impossible_tolerance_with_levels_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(solver, "FLOOR_MULTIPLE", 0.0)
         spec = LatticeSpec.ball_box(2, 1 / 32, 4.0, pad_sites=2)
         problem = DirichletProblem.on_ball(spec, 4.0, harmonic_polynomial(spec, "deg3"))
         stats = {}
         start = time.perf_counter()
         with pytest.raises(SolverError) as err:
-            dirichlet_solve(problem, tol=1e-30, stats=stats)
+            dirichlet_solve(problem, stats=stats)
         assert time.perf_counter() - start < 5.0
         assert stats["levels"] >= 1
         assert err.value.residual is not None and err.value.residual == stats["residual"] > 0

@@ -26,7 +26,6 @@ from carlat.symbols import (
     _margin_terms,
     empirical_c1,
     margin_denominator,
-    symbol_q_taylor,
 )
 
 
@@ -34,6 +33,16 @@ def frozen(d=2, tau=20.0, h=1 / 128, c_ps=0.01, x_bar=None):
     if x_bar is None:
         x_bar = (1.0,) + (0.0,) * (d - 1)
     return FrozenPoint.from_weight(x_bar, WeightParams(tau, c_ps), h)
+
+
+def symbol_q_taylor(xi, fp: FrozenPoint):
+    """Leading-order form 4 (xi.H xi + g.H g), the small-(h xi) limit of q."""
+    xi = np.asarray(xi, dtype=np.float64)
+    g = fp.grad_phi
+    hess = fp.hess_phi
+    quad = np.einsum("i...,ij,j...->...", xi, hess, xi)
+    out = 4.0 * (quad + float(g @ hess @ g))
+    return out if np.ndim(out) else float(out)
 
 
 # -- periodic-box oracle ----------------------------------------------------
