@@ -51,7 +51,13 @@ def apply_stencil_const(values, offsets, weights):
         if pair is None:
             continue
         dst, src = pair
-        out[dst] += w * values[src]
+        # weights +-1 add or subtract in place, with no product temporary
+        if w == 1.0:
+            out[dst] += values[src]
+        elif w == -1.0:
+            out[dst] -= values[src]
+        else:
+            out[dst] += w * values[src]
     return out
 
 

@@ -16,6 +16,7 @@ sinh * cosh) evaluation; both are provided and must agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ from .weight import WeightParams, varphi
 PHI_OVERFLOW_LIMIT = 700.0
 # sites between an operand's support and the box edge or a singular site
 SUPPORT_REACH = 2
+# sites per slab of axis-0 rows in carleman_ratio: its temporaries stay
+# slab-sized, not box-sized
+SLAB_SITES = 2 ** 15
 
 # S, A and L weight P_h's coefficient at offset o by w(x) of the step
 # x = phi(n + o) - phi(n), as e^phi(n) e^-phi(n + o) = e^-x; L goes through exp
@@ -119,10 +123,14 @@ class ConjugationContext:
             # e^phi, the weight of carleman_ratio's norms; 0 at singular sites
             val = np.exp(self.phi)
             val[self.singular] = 0.0
-        elif name == "annulus":
-            # the support region carleman_ratio accepts
-            val = CARLEMAN_ANNULUS.mask(self.spec)
-            val.flags.writeable = False
+        elif name == "outside_annulus":
+            # flat indices of the sites outside the support carleman_ratio accepts
+            val = np.flatnonzero(~CARLEMAN_ANNULUS.mask(self.spec))
+        elif name == "near_singular":
+            # flat indices of the sites within SUPPORT_REACH steps of a singular
+            # site; dilation by unit steps inside the box is symmetric, so f
+            # is nonzero here iff its dilated support touches a singular site
+            val = np.flatnonzero(dilate(self.singular, SUPPORT_REACH))
         elif name in _STEP_WEIGHTS:
             offsets, coeffs = schrodinger_stencil(self.spec, None)
             if name == "anti":  # A has no centre term, the stencil's last
@@ -139,17 +147,16 @@ class ConjugationContext:
     def check_support(self, f: LatticeFunction):
         if f.spec != self.spec:
             raise ValueError("function and context lattice specs differ")
-        nz = f.values != 0.0
-        if not nz.any():
-            return
+        v = f.values
+        # only the SUPPORT_REACH-wide frame of the box is read
         for a, size in enumerate(self.spec.shape):
-            axis_any = np.moveaxis(nz, a, 0).reshape(size, -1).any(axis=1)
-            hit = np.nonzero(axis_any)[0]
-            if hit[0] < SUPPORT_REACH or hit[-1] > size - 1 - SUPPORT_REACH:
+            head = (slice(None),) * a
+            if (v[head + (slice(0, SUPPORT_REACH),)].any()
+                    or v[head + (slice(max(size - SUPPORT_REACH, 0), size),)].any()):
                 raise ValueError(
                     "support too close to the box boundary "
                     f"(need a margin of {SUPPORT_REACH} sites)")
-        if self.singular.any() and (dilate(nz, SUPPORT_REACH) & self.singular).any():
+        if v.ravel()[self._table("near_singular")].any():
             raise ValueError("weight singularity: support touches the singular site")
 
 
@@ -321,7 +328,13 @@ class CarlemanRatio:
 
 
 # the context tables carleman_ratio reads
-RATIO_TABLES = ("annulus", "exp")
+RATIO_TABLES = ("outside_annulus", "near_singular", "exp")
+
+
+def slab_rows(spec: LatticeSpec) -> int:
+    """Axis-0 rows per slab of ``carleman_ratio``: about SLAB_SITES sites,
+    at least one row and at most the box."""
+    return min(spec.shape[0], max(1, SLAB_SITES // math.prod(spec.shape[1:])))
 
 
 def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
@@ -332,12 +345,17 @@ def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
     rhs = |e^phi g|^2 with g = h^-2 Lap u.  D is the summed symmetric
     difference by default; forward/backward variants are exposed through
     ``ds_mode``.
+
+    The box is walked in slabs of ``slab_rows`` axis-0 rows.  D and Lap
+    reach one row, so D^2 u on a slab's rows is exact on the sub-box of the
+    slab and two halo rows each side (clipped to the box, where u's zero
+    extension is the box's own); only the slab's rows are summed.
     """
     if ctx.params is None:
         raise ValueError("carleman_ratio needs a context built from weight parameters")
     if u.spec != ctx.spec:
         raise ValueError("function and context lattice specs differ")
-    if np.any(u.values[~ctx._table("annulus")] != 0.0):
+    if u.values.ravel()[ctx._table("outside_annulus")].any():
         raise ValueError("support outside annulus")
     spec = u.spec
     ctx.check_support(u)
@@ -350,24 +368,41 @@ def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
         if ds_mode == "symmetric":
             return sym_diff_sum(g)
         if ds_mode in ("forward", "backward"):
-            acc = np.zeros(spec.shape)
+            acc = np.zeros(g.spec.shape)
             for j in range(1, spec.d + 1):
                 acc += diff(g, j, ds_mode).values
             return g.with_values(acc)
         raise ValueError(f"unknown ds_mode {ds_mode!r}")
 
-    def wnorm2(values):
-        return float(h ** spec.d * np.sum((exp_phi * values) ** 2))
+    rows, step = spec.shape[0], slab_rows(spec)
+    buf = np.empty((step,) + spec.shape[1:])
+    # sums of (e^phi u)^2, (e^phi h^-1 D u)^2, (e^phi h^-2 D^2 u)^2, (e^phi g)^2
+    sums = [0.0] * 4
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        lo, hi = max(r0 - 2, 0), min(r1 + 2, rows)
+        sub = LatticeFunction(
+            LatticeSpec(spec.d, h, (spec.lo[0] + lo,) + spec.lo[1:],
+                        (spec.lo[0] + hi - 1,) + spec.hi[1:]),
+            u.values[lo:hi])
+        du = dop(sub)
+        d2u = dop(du)
+        own = slice(r0 - lo, r1 - lo)
+        weight, out = exp_phi[r0:r1], buf[:r1 - r0]
+        for k, (values, scale) in enumerate(((sub.values, 1.0), (du.values, h),
+                                             (d2u.values, h ** 2),
+                                             (laplacian(sub).values, h ** 2))):
+            np.divide(values[own], scale, out=out)
+            out *= weight
+            out *= out
+            sums[k] += float(out.sum())
 
-    du = dop(u)
-    d2u = dop(du)
-    g = laplacian(u).values / h ** 2
-
-    term_l2 = tau ** 3 * wnorm2(u.values)
-    term_d1 = tau * wnorm2(du.values / h)
-    term_d2 = tau ** -1 * wnorm2(d2u.values / h ** 2)
+    norm2 = [h ** spec.d * total for total in sums]
+    term_l2 = tau ** 3 * norm2[0]
+    term_d1 = tau * norm2[1]
+    term_d2 = tau ** -1 * norm2[2]
     lhs = term_l2 + term_d1 + term_d2
-    rhs = wnorm2(g)
+    rhs = norm2[3]
     if rhs == 0.0:
         ratio = 0.0 if lhs == 0.0 else float("inf")
     else:

@@ -9,6 +9,7 @@ c1, c2 and the interpolation exponent alpha come from the weight module.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -24,6 +25,7 @@ from .conjugate import (
     commutator_coeffs,
     conjugate_apply,
     identity_errors,
+    slab_rows,
     sym_apply,
 )
 from .lattice import (
@@ -274,6 +276,8 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
 
     The cells run on ``jobs`` threads.  The context tables they read are
     built on the calling thread first, because ``_cache`` has no lock.
+    The sidecar (``report.meta["per_h"]``) records, per h, the bump and
+    ratio seconds summed over its cells and ``carleman_ratio``'s slab rows.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -298,9 +302,11 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
     def run_cell(cell):
         ih, h, tau, s = cell
         ctx = contexts[ih, tau]
+        start = time.perf_counter()
         u = random_bump(ctx.spec, CARLEMAN_ANNULUS, _cell_seed(cfg.seed, ih, s))
+        bumped = time.perf_counter()
         r = carleman_ratio(u, ctx, ds_mode=cfg.ds_mode)
-        return cell, r
+        return cell, r, bumped - start, time.perf_counter() - bumped
 
     for ctx in contexts.values():
         ctx.build_tables(*RATIO_TABLES)
@@ -308,10 +314,17 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
         results = list(pool.map(run_cell, cells))
 
     per_h = {}
-    for (ih, h, tau, s), r in results:
+    timings = {}
+    for (ih, h, tau, s), r, bump_s, ratio_s in results:
         report.add_row(h=h, tau=tau, admissible=True, seed=s,
                        ratio=r.ratio, lhs=r.lhs, rhs=r.rhs)
         per_h.setdefault((ih, h), []).append(r.ratio)
+        t = timings.setdefault(ih, {"h": h, "slab_rows": slab_rows(contexts[ih, tau].spec),
+                                    "cells": 0, "bump_s": 0.0, "ratio_s": 0.0})
+        t["cells"] += 1
+        t["bump_s"] += bump_s
+        t["ratio_s"] += ratio_s
+    report.meta["per_h"] = list(timings.values())
 
     growth_ok = None
     prev_max = None

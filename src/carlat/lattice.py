@@ -71,7 +71,17 @@ class LatticeSpec:
 
     def radii(self):
         """Euclidean distance of every site from the origin."""
-        return np.sqrt((self.coords() ** 2).sum(axis=0))
+        r = self._squared_radii()
+        return np.sqrt(r, out=r)
+
+    def _squared_radii(self):
+        """|h n|^2 of every site, summed axis by axis in the order of
+        ``(coords() ** 2).sum(axis=0)``, without the (d,) + shape mesh."""
+        r2 = 0.0
+        for a, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            x = np.arange(lo, hi + 1, dtype=np.int64) * self.h
+            r2 = r2 + (x ** 2).reshape((-1,) + (1,) * (self.d - 1 - a))
+        return r2
 
     def covers(self, other: "LatticeSpec") -> bool:
         return (self.d == other.d and self.h == other.h
@@ -126,7 +136,7 @@ class BallRegion:
             raise ValueError("radius must be positive")
 
     def mask(self, spec: LatticeSpec) -> np.ndarray:
-        return (spec.coords() ** 2).sum(axis=0) < self.radius ** 2
+        return spec._squared_radii() < self.radius ** 2
 
 
 @dataclass(frozen=True)
@@ -246,8 +256,11 @@ def sym_diff_sum(f: LatticeFunction) -> LatticeFunction:
     offsets, weights = [], []
     for j in range(1, d + 1):
         offsets += [unit_offset(d, j), -unit_offset(d, j)]
-        weights += [0.5, -0.5]
-    return f.with_values(apply_stencil_const(f.values, np.stack(offsets), weights))
+        weights += [1.0, -1.0]
+    out = apply_stencil_const(f.values, np.stack(offsets), weights)
+    # halving the +-1 sum is exact, so this equals the +-0.5 weights' sum
+    out *= 0.5
+    return f.with_values(out)
 
 
 def _fields_on(fields: FieldData, spec: LatticeSpec):

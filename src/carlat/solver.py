@@ -418,8 +418,11 @@ def random_bump(spec: LatticeSpec, region: AnnularRegion, seed: int) -> LatticeF
     freqs = rng.uniform(-1.0, 1.0, size=(modes, spec.d)) * (2 * np.pi / region.width)
     phases = rng.uniform(0.0, 2 * np.pi, size=modes)
 
-    wave = _plane_wave_sum(spec, amps, freqs, phases)
-    # exp keeps the modulation strictly positive: the support is exactly
-    # the window's, which site-counting tests rely on
-    field = np.exp(wave / np.sqrt(modes))
-    return LatticeFunction(spec, _bump_window(spec, a, b, ramp) * field)
+    # the wave, divided, exponentiated and windowed in place: exp keeps the
+    # modulation strictly positive, so the support is exactly the window's,
+    # which site-counting tests rely on
+    field = _plane_wave_sum(spec, amps, freqs, phases)
+    field /= np.sqrt(modes)
+    np.exp(field, out=field)
+    field *= _bump_window(spec, a, b, ramp)
+    return LatticeFunction(spec, field)

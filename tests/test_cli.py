@@ -297,6 +297,30 @@ class TestDeterminism:
             if pa.suffix == ".csv":
                 assert pa.read_bytes() == pb.read_bytes()
 
+    def test_carleman_sweep_sidecar_records_stage_times_per_h(self, tmp_path, monkeypatch):
+        argv = ["carleman-sweep", "--h", "1/32,1/64", "--tau-fraction", "0.5",
+                "--tau0", "1.0", "--samples", "3", "--seed", "3"]
+        assert run(argv + ["--out", str(tmp_path / "a")]) == 0
+        # a clock that jumps 1000 s per reading changes the timings and no data byte
+        ticks = iter(range(0, 10 ** 6, 1000))
+        monkeypatch.setattr(experiments, "time",
+                            SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        assert run(argv + ["--out", str(tmp_path / "b")]) == 0
+        metas = [json.loads(next((tmp_path / side).glob("*.meta.json")).read_text())
+                 for side in "ab"]
+        for meta in metas:
+            assert [(t["h"], t["cells"], t["slab_rows"]) for t in meta["per_h"]] == [
+                (h, 3, conjugate.slab_rows(conjugate.carleman_box(2, h)))
+                for h in (1 / 32, 1 / 64)]
+        assert all(0.0 < t["bump_s"] < 60.0 and 0.0 < t["ratio_s"] < 60.0
+                   for t in metas[0]["per_h"])
+        assert all(t["bump_s"] == t["ratio_s"] == 3000.0 for t in metas[1]["per_h"])
+        files_a, files_b = data_files(tmp_path / "a"), data_files(tmp_path / "b")
+        assert [p.name for p in files_a] == [p.name for p in files_b]
+        for pa, pb in zip(files_a, files_b):
+            assert pa.read_bytes() == pb.read_bytes()
+            assert "bump_s" not in pa.read_text()
+
 
 class TestWindowAndStrict:
     def test_out_of_window_tau_warns_but_succeeds(self, tmp_path):

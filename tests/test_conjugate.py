@@ -1,5 +1,8 @@
 """Conjugated operator identities: split, symmetry, commutators, ratios."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,14 +18,17 @@ from carlat import (
     commutator_coeffs,
     commutator_form,
     conjugate_apply,
+    diff,
     inner_product,
     laplacian,
     random_bump,
     sym_apply,
     sym_diff_sum,
 )
-from carlat.conjugate import (CARLEMAN_ANNULUS, PHI_OVERFLOW_LIMIT, carleman_box, identity_errors,
-                              weight_table)
+from carlat import conjugate
+from carlat.conjugate import (CARLEMAN_ANNULUS, PHI_OVERFLOW_LIMIT, RATIO_TABLES, SUPPORT_REACH,
+                              carleman_box, identity_errors, slab_rows, weight_table)
+from carlat.lattice import dilate
 
 ANNULUS_SPECS = {d: (carleman_box(d, h), h) for d, h in ((1, 1 / 32), (2, 1 / 24), (3, 1 / 12))}
 
@@ -209,7 +215,76 @@ class TestCommutatorForm:
         assert abs(commutator_form(f, ctx, "composition")) <= 1e-20
 
 
+def support_oracle(f, ctx):
+    """The whole-box support rule: the support's extent along every axis,
+    then its SUPPORT_REACH dilation against the singular sites."""
+    if f.spec != ctx.spec:
+        raise ValueError("function and context lattice specs differ")
+    nz = f.values != 0.0
+    if not nz.any():
+        return
+    for a, size in enumerate(ctx.spec.shape):
+        axis_any = np.moveaxis(nz, a, 0).reshape(size, -1).any(axis=1)
+        hit = np.nonzero(axis_any)[0]
+        if hit[0] < SUPPORT_REACH or hit[-1] > size - 1 - SUPPORT_REACH:
+            raise ValueError(
+                "support too close to the box boundary "
+                f"(need a margin of {SUPPORT_REACH} sites)")
+    if ctx.singular.any() and (dilate(nz, SUPPORT_REACH) & ctx.singular).any():
+        raise ValueError("weight singularity: support touches the singular site")
+
+
+def raised(check, *args):
+    """The message of the ValueError check(*args) raises, None if it returns."""
+    try:
+        check(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@st.composite
+def supports(draw):
+    """A small box, a context on it with or without a singular site, and a
+    few nonzero sites, drawn mostly 0 to 3 sites from an edge or the origin."""
+    d = draw(st.integers(1, 3))
+    lo = [draw(st.integers(-6, 2)) for _ in range(d)]
+    hi = [draw(st.integers(max(a, -2), 6)) for a in lo]
+    spec = LatticeSpec(d, 1 / 8, lo, hi)
+    if draw(st.booleans()):
+        ctx = ConjugationContext.from_weight(spec, WeightParams(1.5, 0.01))
+    else:
+        ctx = ConjugationContext.from_table(spec, np.zeros(spec.shape))
+    near = [sorted({n for n in (a, a + 1, a + 2, a + 3, b - 3, b - 2, b - 1, b, -3, -2, -1,
+                                0, 1, 2, 3) if a <= n <= b}) for a, b in zip(lo, hi)]
+    site = st.tuples(*[st.one_of(st.sampled_from(ns), st.integers(a, b))
+                       for ns, a, b in zip(near, lo, hi)])
+    v = np.zeros(spec.shape)
+    for n in draw(st.lists(site, max_size=4)):
+        v[tuple(np.subtract(n, lo))] = draw(st.sampled_from((1.0, -2.5, 1e-300)))
+    return LatticeFunction(spec, v), ctx
+
+
 class TestSupportChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(case=supports())
+    def test_frame_and_table_checks_match_the_dilation_rule(self, case):
+        f, ctx = case
+        assert raised(ctx.check_support, f) == raised(support_oracle, f, ctx)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_spikes_beside_the_edge_and_the_origin(self, d, steps):
+        spec = LatticeSpec(d, 1 / 8, (-6,) * d, (6,) * d)
+        ctxs = (ConjugationContext.from_weight(spec, WeightParams(1.5, 0.01)),
+                ConjugationContext.from_table(spec, np.zeros(spec.shape)))
+        for ctx in ctxs:
+            for index in (steps - 1, 6 + steps, spec.shape[0] - steps):
+                v = np.zeros(spec.shape)
+                v[(index,) + (6,) * (d - 1)] = 1.0
+                f = LatticeFunction(spec, v)
+                assert raised(ctx.check_support, f) == raised(support_oracle, f, ctx)
+
     def test_support_near_edge_rejected(self):
         spec = LatticeSpec(1, 0.5, (-6,), (6,))
         ctx = ConjugationContext.from_table(spec, np.zeros(spec.shape))
@@ -295,6 +370,75 @@ class TestCarlemanRatio:
         ctx = ConjugationContext.from_table(spec, np.zeros(spec.shape))
         with pytest.raises(ValueError, match="weight parameters"):
             carleman_ratio(bump(2, rng_seed), ctx)
+
+
+def ratio_oracle(u, ctx, ds_mode):
+    """carleman_ratio's defining formula evaluated on the whole box at once:
+    (lhs, rhs, ratio)."""
+    spec, h, tau = u.spec, u.spec.h, ctx.params.tau
+    exp_phi = np.exp(ctx.phi)
+    exp_phi[ctx.singular] = 0.0
+
+    def dop(g):
+        if ds_mode == "symmetric":
+            return sym_diff_sum(g)
+        acc = np.zeros(spec.shape)
+        for j in range(1, spec.d + 1):
+            acc += diff(g, j, ds_mode).values
+        return g.with_values(acc)
+
+    def wnorm2(values):
+        return float(h ** spec.d * np.sum((exp_phi * values) ** 2))
+
+    du = dop(u)
+    d2u = dop(du)
+    lhs = (tau ** 3 * wnorm2(u.values) + tau * wnorm2(du.values / h)
+           + tau ** -1 * wnorm2(d2u.values / h ** 2))
+    rhs = wnorm2(laplacian(u).values / h ** 2)
+    return lhs, rhs, lhs / rhs
+
+
+def assert_matches_oracle(u, ctx, ds_mode="symmetric"):
+    got = carleman_ratio(u, ctx, ds_mode)
+    np.testing.assert_allclose((got.lhs, got.rhs, got.ratio), ratio_oracle(u, ctx, ds_mode),
+                               rtol=1e-13, atol=0)
+
+
+class TestBlockedRatio:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("ds_mode", ["symmetric", "forward", "backward"])
+    @pytest.mark.parametrize("rows", [None, 1, 2, 8])
+    def test_matches_the_whole_box_formula(self, d, ds_mode, rows, monkeypatch, rng_seed):
+        # rows=None keeps SLAB_SITES; 2 and 8 rows divide none of the boxes' row counts
+        ctx = ctx_for(d, tau=1.5)
+        if rows is not None:
+            monkeypatch.setattr(conjugate, "SLAB_SITES", rows * math.prod(ctx.spec.shape[1:]))
+            assert slab_rows(ctx.spec) == rows
+        for s in range(2):
+            assert_matches_oracle(bump(d, rng_seed + s), ctx, ds_mode)
+
+    def test_spikes_on_the_first_and_last_rows_of_a_slab(self):
+        spec = carleman_box(2, 1 / 128)
+        ctx = ConjugationContext.from_weight(spec, WeightParams(6.4, 0.01))
+        step = slab_rows(spec)
+        assert step == 62 and spec.shape[0] % step != 0
+        for row in (4 * step - 1, 4 * step, 5 * step - 1, 5 * step):
+            v = np.zeros(spec.shape)
+            v[row, 128 - spec.lo[1]] = 1.0  # |h n| between 1 and 1.1
+            assert_matches_oracle(LatticeFunction(spec, v), ctx)
+
+    def test_one_call_allocates_less_than_one_box_array(self):
+        spec = carleman_box(2, 1 / 128)
+        ctx = ConjugationContext.from_weight(spec, WeightParams(6.4, 0.01))
+        ctx.build_tables(*RATIO_TABLES)
+        u = random_bump(spec, CARLEMAN_ANNULUS, 7)
+        tracemalloc.start()
+        try:
+            carleman_ratio(u, ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < u.values.nbytes
 
 
 # -- identities up to the overflow guard --------------------------------------

@@ -288,6 +288,20 @@ class TestRegions:
         on_edge = (n2 == 8 ** 2) | (n2 == 32 ** 2)
         assert on_edge.sum() >= 4 and not mask[on_edge].any()
 
+    @pytest.mark.parametrize("d,inv_h", [(1, 4), (1, 128), (2, 4), (2, 32), (2, 128),
+                                         (3, 4), (3, 16)])
+    def test_radii_and_masks_are_the_mesh_formula_bit_for_bit(self, d, inv_h):
+        # the Carleman box about the origin, and one off the origin
+        for spec in (LatticeSpec.ball_box(d, 1 / inv_h, 2.0, pad_sites=4),
+                     LatticeSpec(d, 1 / inv_h, (-3,) + (1,) * (d - 1), (7,) + (9,) * (d - 1))):
+            r2 = (spec.coords() ** 2).sum(axis=0)
+            mesh = np.sqrt(r2)
+            radii = spec.radii()
+            assert radii.shape == spec.shape and radii.tobytes() == mesh.tobytes()
+            assert np.array_equal(BallRegion(1.3).mask(spec), r2 < 1.3 ** 2)
+            assert np.array_equal(AnnularRegion(0.5, 2.0).mask(spec),
+                                  (r2 < 2.0 ** 2) & (mesh > 0.5))
+
     def test_radii_validated(self):
         for radii in ((0.0, 1.0), (1.0, 1.0), (2.0, 1.0)):
             with pytest.raises(ValueError, match="0 < inner < outer"):

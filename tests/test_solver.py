@@ -446,6 +446,19 @@ class TestRandomBump:
         with pytest.raises(ValueError, match="read-only"):
             window[0, 0] = 1.0
 
+    def test_one_bump_allocates_less_than_one_and_a_half_box_arrays(self):
+        # the wave is divided, exponentiated and windowed in place; the
+        # window is cached by the first call
+        spec = LatticeSpec.ball_box(2, 1 / 128, 2.0, pad_sites=4)
+        random_bump(spec, self.annulus(), seed=0)
+        tracemalloc.start()
+        try:
+            u = random_bump(spec, self.annulus(), seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * u.values.nbytes
+
     def test_writing_a_bump_leaves_the_next_one_alone(self):
         spec = LatticeSpec.ball_box(2, 1 / 32, 2.0, pad_sites=4)
         u = random_bump(spec, self.annulus(), seed=3)

@@ -16,7 +16,8 @@ sys.path.insert(0, str(PERFBENCH))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-from carlat import conjugate  # noqa: E402
+from carlat import conjugate, solver  # noqa: E402
+from carlat.lattice import LatticeSpec  # noqa: E402
 
 
 def _lookup(owner, attr):
@@ -51,7 +52,20 @@ def test_sweep_spans_are_recorded(tmp_path):
     bumps = len(wl.cfg.h_grid) * wl.cfg.n_samples
     assert m["solver.random_bump.calls"] == bumps
     assert m["conjugate.carleman_ratio.calls"] == bumps
-    assert m["lattice.coords.calls"] > 0
+    # radii and region masks are summed axis by axis: the sweep builds no
+    # coordinate mesh (the ball inputs still do, see below)
+    assert m["lattice.coords.calls"] == 0
     assert "lattice.annulus_mask" in tracer.names
     assert m["solver.random_bump.busy_s"] > 0
 
+
+def test_coords_spans_are_recorded_by_the_ball_inputs():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        solver.harmonic_polynomial(LatticeSpec(2, 1 / 8, (-4, -4), (4, 4)), "deg3")
+        tracer.enabled = False
+    finally:
+        tracer.uninstall()
+    assert tracer.summary(wall=0.0)["lattice.coords.calls"] == 1
