@@ -13,6 +13,7 @@ from .conjugate import (
     commutator_coeffs,
     commutator_form,
     conjugate_apply,
+    random_bump,
     sym_apply,
     weight_table,
 )
@@ -54,7 +55,6 @@ from .solver import (
     ball_input,
     dirichlet_solve,
     harmonic_polynomial,
-    random_bump,
     residual,
     rounding_floor,
 )

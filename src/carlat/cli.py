@@ -16,7 +16,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .conjugate import CARLEMAN_ANNULUS, ConjugationContext, carleman_box
 from .experiments import (
     SweepConfig,
     caccioppoli_sweep,
@@ -31,7 +30,7 @@ from .experiments import (
     window_taus,
 )
 from .reports import ExperimentReport, FittedConstant, MeshAxis, csv_blocks, csv_workers
-from .solver import BALL_RADIUS, SolverError, ball_input, random_bump
+from .solver import BALL_RADIUS, SolverError, ball_input
 from .symbols import FrozenPoint, SymbolGrid, lower_bound_margin, scan_table
 from .weight import WeightParams, admissibility_check
 
@@ -345,10 +344,7 @@ def cmd_coarsen_check(args) -> ExperimentReport:
 
 
 def cmd_localize(args) -> ExperimentReport:
-    spec = carleman_box(args.d, args.h)
-    ctx = ConjugationContext.from_weight(spec, WeightParams(args.tau, args.c_ps))
-    f = random_bump(spec, CARLEMAN_ANNULUS, seed=args.seed)
-    return localization_diagnostic(f, ctx, args.eps0)
+    return localization_diagnostic(args.d, args.h, args.tau, args.eps0, args.c_ps, args.seed)
 
 
 def cmd_singular_potential(args) -> ExperimentReport:

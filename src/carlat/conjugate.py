@@ -11,11 +11,13 @@ for the lattice step h e_j.  S is symmetric and A antisymmetric for the h^d
 weighted inner product on compactly supported functions.  The commutator
 h^4 [S_j, A_k] is a four point operator whose coefficients admit both a raw
 (products of cosh/sinh at neighboring sites) and a simplified (single
-sinh * cosh) evaluation; both are provided and must agree.
+sinh * cosh) evaluation; both are provided and must agree.  The Carleman
+setting these act on, its box, annulus and seeded test functions, lives here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +59,71 @@ CARLEMAN_ANNULUS = AnnularRegion(0.5, 2.0)
 def carleman_box(d: int, h: float) -> LatticeSpec:
     """The box of the Carleman measurements: B_2 and four sites to spare."""
     return LatticeSpec.ball_box(d, h, 2.0, pad_sites=4)
+
+
+def _smoothstep(t):
+    t = np.clip(t, 0.0, 1.0)
+    return t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
+
+
+@functools.lru_cache(maxsize=8)
+def _bump_window(spec: LatticeSpec, a: float, b: float, ramp: float) -> np.ndarray:
+    """Read-only smoothstep window of ``random_bump``; it does not depend on the seed."""
+    r = spec.radii()
+    window = _smoothstep((r - a) / ramp) * _smoothstep((b - r) / ramp)
+    window.flags.writeable = False
+    return window
+
+
+def _plane_wave_sum(spec: LatticeSpec, amps, freqs, phases) -> np.ndarray:
+    """sum_m amps[m] cos(freqs[m] . x + phases[m]) on the box, axis by axis.
+
+    Each mode is Re(amps[m] e^{i phases[m]} prod_j e^{i freqs[m, j] x_j}):
+    outer products of per-axis factors build the leading axes, and one real
+    matmul contracts the modes against the last axis.
+    """
+    x = spec.axes()
+    lead = (amps * np.exp(1j * phases))[:, None]
+    for f, xa in zip(freqs.T[:-1], x[:-1]):
+        factor = np.exp(1j * np.outer(f, xa))
+        lead = (lead[:, :, None] * factor[:, None, :]).reshape(len(amps), -1)
+    last = np.exp(1j * np.outer(freqs[:, -1], x[-1]))
+    # Re(lead^T last) = Re lead^T Re last - Im lead^T Im last, as one real product
+    wave = np.hstack([lead.real.T, -lead.imag.T]) @ np.vstack([last.real, last.imag])
+    return wave.reshape(spec.shape)
+
+
+def random_bump(spec: LatticeSpec, seed: int) -> LatticeFunction:
+    """Seeded smooth bump supported strictly inside ``CARLEMAN_ANNULUS``.
+
+    The profile vanishes within max(2h, 0.05) of the annulus boundary, so
+    second differences of the result stay supported in the annulus; for
+    h > 1/4 the annulus is under 6h wide and refused.  The random part is
+    a fixed small sum of plane waves whose parameters depend only on the
+    seed, not on h: refining the lattice samples the same underlying
+    function, which keeps h-sweeps comparable.
+    """
+    if CARLEMAN_ANNULUS.width < 6 * spec.h:
+        raise ValueError("annulus too thin for h: width < 6h")
+    margin = max(2 * spec.h, 0.05)
+    a = CARLEMAN_ANNULUS.inner + margin
+    b = CARLEMAN_ANNULUS.outer - margin
+    ramp = min(0.25 * (b - a), 0.2)
+
+    rng = np.random.default_rng(seed)
+    modes = 6
+    amps = rng.standard_normal(modes)
+    freqs = rng.uniform(-1.0, 1.0, size=(modes, spec.d)) * (2 * np.pi / CARLEMAN_ANNULUS.width)
+    phases = rng.uniform(0.0, 2 * np.pi, size=modes)
+
+    # the wave, divided, exponentiated and windowed in place: exp keeps the
+    # modulation strictly positive, so the support is exactly the window's,
+    # which site-counting tests rely on
+    field = _plane_wave_sum(spec, amps, freqs, phases)
+    field /= np.sqrt(modes)
+    np.exp(field, out=field)
+    field *= _bump_window(spec, a, b, ramp)
+    return LatticeFunction(spec, field)
 
 
 def weight_table(spec: LatticeSpec, params: WeightParams):
@@ -199,9 +266,6 @@ class CommutatorCoeffs:
 def commutator_coeffs(n, j: int, k: int, ctx: ConjugationContext) -> CommutatorCoeffs:
     """Raw and simplified commutator coefficients at multi-index n."""
     spec = ctx.spec
-    for jj in (j, k):
-        if not 1 <= jj <= spec.d:
-            raise ValueError("direction out of range")
     n = np.asarray(n, dtype=np.int64)
     if np.any(n - 2 < spec.lo) or np.any(n + 2 > spec.hi):
         raise ValueError("commutator stencil neighbors outside box")

@@ -8,6 +8,8 @@ c1, c2 and the interpolation exponent alpha come from the weight module.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -16,15 +18,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .conjugate import (
-    CARLEMAN_ANNULUS,
     RATIO_TABLES,
     ConjugationContext,
+    _smoothstep,
     antisym_apply,
     carleman_box,
     carleman_ratio,
     commutator_coeffs,
     conjugate_apply,
     identity_errors,
+    random_bump,
     slab_rows,
     sym_apply,
 )
@@ -41,7 +44,7 @@ from .lattice import (
     stretch,
 )
 from .reports import ExperimentReport, FittedConstant, linear_fit
-from .solver import _smoothstep, ball_input, harmonic_polynomial, random_bump
+from .solver import ball_input, harmonic_polynomial
 from .weight import WeightParams, weight_constants
 
 
@@ -303,7 +306,7 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
         ih, h, tau, s = cell
         ctx = contexts[ih, tau]
         start = time.perf_counter()
-        u = random_bump(ctx.spec, CARLEMAN_ANNULUS, _cell_seed(cfg.seed, ih, s))
+        u = random_bump(ctx.spec, _cell_seed(cfg.seed, ih, s))
         bumped = time.perf_counter()
         r = carleman_ratio(u, ctx, ds_mode=cfg.ds_mode)
         return cell, r, bumped - start, time.perf_counter() - bumped
@@ -354,7 +357,7 @@ def commutator_check(d: int, h: float, tau: float, c_ps: float = 0.01, samples: 
         d=d, h=h, tau=tau, c_ps=c_ps, samples=samples, seed=seed, coeff_sites=coeff_sites, tol=tol))
     worst = dict.fromkeys(("split", "energy", "two_path", "coeff"), 0.0)
     for s in range(samples):
-        errors = identity_errors(random_bump(spec, CARLEMAN_ANNULUS, seed=seed * 7919 + s), ctx)
+        errors = identity_errors(random_bump(spec, seed=seed * 7919 + s), ctx)
         report.add_row(seed=s, **{f"{key}_rel": val for key, val in errors.items()})
         worst.update({key: float(np.maximum(worst[key], val)) for key, val in errors.items()})
     # the draw below ends only if some site of the inner box is a coefficient site
@@ -455,63 +458,44 @@ def _axis_profile(t):
 
 
 def partition_pieces(f: LatticeFunction, scale: float):
-    """Cubic partition-of-unity pieces of the given scale covering supp f."""
-    spec = f.spec
-    x = spec.coords()
+    """Yield the cubic partition-of-unity pieces of the given scale that meet
+    supp f, each the outer product of its axis profiles, in
+    ``itertools.product`` order of the integer labels k."""
     nz = f.values != 0.0
     if not nz.any():
-        return []
-    pieces = []
-    ranges = []
-    for a in range(spec.d):
-        vals = x[a][nz]
-        k_lo = int(math.floor(vals.min() / scale - 0.75)) + 1
-        k_hi = int(math.ceil(vals.max() / scale + 0.75)) - 1
-        ranges.append(range(k_lo, k_hi + 1))
-    grid = np.meshgrid(*[np.array(list(r)) for r in ranges], indexing="ij")
-    ks = np.stack([g.ravel() for g in grid], axis=-1) if ranges else np.zeros((1, 0))
-    for k in ks:
-        psi = np.ones(spec.shape)
-        for a in range(spec.d):
-            psi = psi * _axis_profile(x[a] / scale - float(k[a]))
-        if np.any(psi[nz] != 0.0):
-            pieces.append((tuple(int(c) for c in k), psi))
-    return pieces
+        return
+    d = f.spec.d
+    profiles = []
+    for a, x in enumerate(f.spec.axes()):
+        # the support's extent along axis a
+        on = x[nz.any(axis=tuple(b for b in range(d) if b != a))]
+        k_lo = int(math.floor(on.min() / scale - 0.75)) + 1
+        k_hi = int(math.ceil(on.max() / scale + 0.75)) - 1
+        profiles.append([_axis_profile(x / scale - float(k)) for k in range(k_lo, k_hi + 1)])
+    for factors in itertools.product(*profiles):
+        psi = functools.reduce(np.multiply.outer, factors)
+        if psi.any(where=nz):
+            yield psi
 
 
-def localization_diagnostic(f: LatticeFunction, ctx: ConjugationContext,
-                            eps0: float) -> ExperimentReport:
+def localization_diagnostic(d: int, h: float, tau: float, eps0: float, c_ps: float = 0.01,
+                            seed: int = 0) -> ExperimentReport:
     """Partition-of-unity localization constants for S, A and L.
 
-    Builds the cubic partition at scale eps0^-1 tau^-1/2, splits f into the
-    pieces, and reports sum_k |Op f_k| against |Op f| plus the derivative and
-    L2 norms that bound the localization error; the empirical constant is
-    the ratio of the left side to the summed right side.  When the scale
-    exceeds the support a single piece covers it and the sum is exact.
+    The cubic partition at scale eps0^-1 tau^-1/2 splits the bump
+    f = ``random_bump(carleman_box(d, h), seed)`` into pieces, formed and
+    used one at a time; the report gives sum_k |Op f_k| against |Op f| plus
+    the derivative and L2 norms that bound the localization error, and the
+    empirical constant is the ratio of the left side to the summed right
+    side.  When the scale exceeds the support a single piece covers it and
+    the sum is exact.
     """
-    if ctx.params is None:
-        raise ValueError("localization needs a context built from weight parameters")
     if not 0 < eps0 < 1:
         raise ValueError("eps0 must lie in (0, 1)")
-    tau = ctx.params.tau
-    h = ctx.spec.h
+    spec = carleman_box(d, h)
+    ctx = ConjugationContext.from_weight(spec, WeightParams(tau, c_ps))
+    f = random_bump(spec, seed)
     scale = 1.0 / (eps0 * math.sqrt(tau))
-    pieces = partition_pieces(f, scale)
-    if not pieces:
-        raise ValueError("degenerate input: f vanishes")
-    total = np.zeros(ctx.spec.shape)
-    for _, psi in pieces:
-        total += psi
-    nz = f.values != 0.0
-    if not np.allclose(total[nz], 1.0, rtol=0, atol=1e-12):
-        raise AssertionError("partition pieces do not sum to 1 on supp f")
-
-    norm_f = l2_norm(f)
-    t_ds = sum(l2_norm(diff(f, j, "symmetric")) / h for j in range(1, ctx.spec.d + 1))
-    report = ExperimentReport("localization", {
-        "eps0": eps0, "tau": tau, "h": h, "scale": scale,
-        "n_pieces": len(pieces), "d": ctx.spec.d,
-    })
     ops = {
         "S": (sym_apply, [("norm_op", 1.0), ("ds", math.sqrt(tau) * eps0),
                           ("l2", tau * eps0 + tau ** 2.5 * h * eps0)]),
@@ -519,17 +503,33 @@ def localization_diagnostic(f: LatticeFunction, ctx: ConjugationContext,
         "L": (conjugate_apply, [("norm_op", 1.0), ("ds", math.sqrt(tau) * eps0),
                                 ("l2", tau * eps0 + tau ** 1.5 * eps0 + tau ** 2.5 * h * eps0)]),
     }
+    total = np.zeros(spec.shape)
+    split = dict.fromkeys(ops, 0.0)
+    n_pieces = 0
+    for psi in partition_pieces(f, scale):
+        total += psi
+        piece = f.with_values(f.values * psi)
+        for name, (op, _) in ops.items():
+            split[name] += l2_norm(op(piece, ctx))
+        n_pieces += 1
+    if not np.allclose(total[f.values != 0.0], 1.0, rtol=0, atol=1e-12):
+        raise AssertionError("partition pieces do not sum to 1 on supp f")
+
+    norm_f = l2_norm(f)
+    t_ds = sum(l2_norm(diff(f, j, "symmetric")) / h for j in range(1, d + 1))
+    report = ExperimentReport("localization", {
+        "eps0": eps0, "tau": tau, "h": h, "scale": scale,
+        "n_pieces": n_pieces, "d": d, "c_ps": c_ps, "seed": seed,
+    })
     for name, (op, weights) in ops.items():
         whole = l2_norm(op(f, ctx))
-        split = sum(l2_norm(op(f.with_values(f.values * psi), ctx))
-                    for _, psi in pieces)
         ingredients = {"norm_op": whole, "ds": t_ds, "l2": norm_f}
         denom = sum(w * ingredients[key] for key, w in weights)
-        c_emp = split / denom if denom > 0 else float("inf")
-        report.add_row(op=name, norm_whole=whole, sum_pieces=split,
+        c_emp = split[name] / denom if denom > 0 else float("inf")
+        report.add_row(op=name, norm_whole=whole, sum_pieces=split[name],
                        c_emp=c_emp,
-                       minkowski_ok=bool(whole <= split * (1 + 1e-12) + 1e-300))
-        report.fit(f"c_emp_{name}", FittedConstant(c_emp, n=len(pieces)))
+                       minkowski_ok=bool(whole <= split[name] * (1 + 1e-12) + 1e-300))
+        report.fit(f"c_emp_{name}", FittedConstant(c_emp, n=n_pieces))
     return report
 
 

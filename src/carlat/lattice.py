@@ -74,12 +74,16 @@ class LatticeSpec:
         r = self._squared_radii()
         return np.sqrt(r, out=r)
 
+    def axes(self):
+        """The d coordinate axes h*n as 1-D arrays; ``coords()`` is their mesh."""
+        return tuple(np.arange(lo, hi + 1, dtype=np.int64) * self.h
+                     for lo, hi in zip(self.lo, self.hi))
+
     def _squared_radii(self):
         """|h n|^2 of every site, summed axis by axis in the order of
         ``(coords() ** 2).sum(axis=0)``, without the (d,) + shape mesh."""
         r2 = 0.0
-        for a, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            x = np.arange(lo, hi + 1, dtype=np.int64) * self.h
+        for a, x in enumerate(self.axes()):
             r2 = r2 + (x ** 2).reshape((-1,) + (1,) * (self.d - 1 - a))
         return r2
 
@@ -186,14 +190,18 @@ class FieldData:
 
 
 def unit_offset(d: int, j: int) -> np.ndarray:
+    """e_j in d dimensions; directions are 1-based, 1 <= j <= d."""
+    if not 1 <= j <= d:
+        raise ValueError("direction out of range")
     off = np.zeros(d, dtype=np.int64)
     off[j - 1] = 1
     return off
 
 
-def _check_direction(spec: LatticeSpec, j: int):
-    if not 1 <= j <= spec.d:
-        raise ValueError("direction out of range")
+def stencil_offsets(d: int) -> np.ndarray:
+    """P_h's stencil offsets: +e_j, -e_j for j = 1..d, then the centre."""
+    return np.stack([s * unit_offset(d, j) for j in range(1, d + 1) for s in (1, -1)]
+                    + [np.zeros(d, dtype=np.int64)])
 
 
 def shift_values(values: np.ndarray, off) -> np.ndarray:
@@ -225,9 +233,7 @@ def diff(f: LatticeFunction, j: int, mode: str = "forward") -> LatticeFunction:
     backward:  f(n) - f(n-h e_j)
     symmetric: (f(n+h e_j) - f(n-h e_j)) / 2
     """
-    _check_direction(f.spec, j)
-    d = f.spec.d
-    e = unit_offset(d, j)
+    e = unit_offset(f.spec.d, j)
     if mode == "forward":
         offsets, weights = np.stack([e, 0 * e]), [1.0, -1.0]
     elif mode == "backward":
@@ -253,11 +259,8 @@ def laplacian(f: LatticeFunction) -> LatticeFunction:
 def sym_diff_sum(f: LatticeFunction) -> LatticeFunction:
     """Summed symmetric difference sum_j (f(n+h e_j) - f(n-h e_j)) / 2."""
     d = f.spec.d
-    offsets, weights = [], []
-    for j in range(1, d + 1):
-        offsets += [unit_offset(d, j), -unit_offset(d, j)]
-        weights += [1.0, -1.0]
-    out = apply_stencil_const(f.values, np.stack(offsets), weights)
+    # P_h's offsets less the centre: +e_j, -e_j for j = 1..d
+    out = apply_stencil_const(f.values, stencil_offsets(d)[:-1], [1.0, -1.0] * d)
     # halving the +-1 sum is exact, so this equals the +-0.5 weights' sum
     out *= 0.5
     return f.with_values(out)
@@ -276,20 +279,19 @@ def _fields_on(fields: FieldData, spec: LatticeSpec):
 def schrodinger_stencil(spec: LatticeSpec, fields: FieldData | None):
     """Offsets and per-site coefficient arrays of P_h on the box of spec.
 
-    The order is +e_j, -e_j for j = 1..d, then the centre
-    -2d/h^2 + V - sum_j B_j/h.  ``fields=None`` stands for V = 0, B = 0;
-    given fields must cover the box.
+    The order is that of ``stencil_offsets``: +e_j, -e_j for j = 1..d, then
+    the centre -2d/h^2 + V - sum_j B_j/h.  ``fields=None`` stands for V = 0,
+    B = 0; given fields must cover the box.
     """
     d, h = spec.d, spec.h
     v, bs = (0.0, (0.0,) * d) if fields is None else _fields_on(fields, spec)
     center = np.full(spec.shape, -2.0 * d / h ** 2) + v
-    offsets, coeffs = [], []
+    coeffs = []
     for j in range(1, d + 1):
         b = bs[j - 1] / h
         center = center - b
-        offsets += [unit_offset(d, j), -unit_offset(d, j)]
         coeffs += [np.full(spec.shape, 1.0 / h ** 2) + b, np.full(spec.shape, 1.0 / h ** 2)]
-    return np.stack(offsets + [np.zeros(d, dtype=np.int64)]), coeffs + [center]
+    return stencil_offsets(d), coeffs + [center]
 
 
 def stencil_matrix(spec: LatticeSpec, offsets, coeffs) -> sparse.csr_matrix:

@@ -28,7 +28,6 @@ eps * ||P_h||_inf * sup|u|, so no residual tolerance is set anywhere.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -39,7 +38,6 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .lattice import (
-    AnnularRegion,
     BallRegion,
     FieldData,
     LatticeFunction,
@@ -49,6 +47,7 @@ from .lattice import (
     schrodinger_stencil,
     shift_values,
     stencil_matrix,
+    stencil_offsets,
 )
 
 
@@ -96,7 +95,7 @@ class DirichletProblem:
             raise ValueError("boundary data must be finite")
         # every stencil neighbor of an interior site must carry a value
         known = self.interior | self.boundary
-        for off in schrodinger_stencil(self.spec, None)[0]:
+        for off in stencil_offsets(self.spec.d):
             if (self.interior & ~shift_values(known, off)).any():
                 raise ValueError("interior site with an uncovered stencil neighbor")
 
@@ -361,68 +360,3 @@ def harmonic_polynomial(spec: LatticeSpec, kind: str) -> LatticeFunction:
         return LatticeFunction(spec, x[0] ** 2 - x[1] ** 2)
     return LatticeFunction(spec, x[0] ** 3 - 3.0 * x[0] * x[1] ** 2)
 
-
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-@functools.lru_cache(maxsize=8)
-def _bump_window(spec: LatticeSpec, a: float, b: float, ramp: float) -> np.ndarray:
-    """Read-only smoothstep window of ``random_bump``; it does not depend on the seed."""
-    r = spec.radii()
-    window = _smoothstep((r - a) / ramp) * _smoothstep((b - r) / ramp)
-    window.flags.writeable = False
-    return window
-
-
-def _plane_wave_sum(spec: LatticeSpec, amps, freqs, phases) -> np.ndarray:
-    """sum_m amps[m] cos(freqs[m] . x + phases[m]) on the box, axis by axis.
-
-    Each mode is Re(amps[m] e^{i phases[m]} prod_j e^{i freqs[m, j] x_j}):
-    outer products of per-axis factors build the leading axes, and one real
-    matmul contracts the modes against the last axis.
-    """
-    x = [spec.h * np.arange(lo, hi + 1) for lo, hi in zip(spec.lo, spec.hi)]
-    lead = (amps * np.exp(1j * phases))[:, None]
-    for f, xa in zip(freqs.T[:-1], x[:-1]):
-        factor = np.exp(1j * np.outer(f, xa))
-        lead = (lead[:, :, None] * factor[:, None, :]).reshape(len(amps), -1)
-    last = np.exp(1j * np.outer(freqs[:, -1], x[-1]))
-    # Re(lead^T last) = Re lead^T Re last - Im lead^T Im last, as one real product
-    wave = np.hstack([lead.real.T, -lead.imag.T]) @ np.vstack([last.real, last.imag])
-    return wave.reshape(spec.shape)
-
-
-def random_bump(spec: LatticeSpec, region: AnnularRegion, seed: int) -> LatticeFunction:
-    """Seeded smooth bump supported strictly inside the annulus.
-
-    The profile vanishes within max(2h, 0.05) of the annulus boundary, so
-    second differences of the result stay supported in the annulus.  The
-    random part is a fixed small sum of plane waves whose parameters depend
-    only on the seed, not on h: refining the lattice samples the same
-    underlying function, which keeps h-sweeps comparable.
-    """
-    if region.width < 6 * spec.h:
-        raise ValueError("region too thin (< 6h)")
-    margin = max(2 * spec.h, 0.05)
-    a = region.inner + margin
-    b = region.outer - margin
-    if not a < b:
-        raise ValueError("region too thin (< 6h)")
-    ramp = min(0.25 * (b - a), 0.2)
-
-    rng = np.random.default_rng(seed)
-    modes = 6
-    amps = rng.standard_normal(modes)
-    freqs = rng.uniform(-1.0, 1.0, size=(modes, spec.d)) * (2 * np.pi / region.width)
-    phases = rng.uniform(0.0, 2 * np.pi, size=modes)
-
-    # the wave, divided, exponentiated and windowed in place: exp keeps the
-    # modulation strictly positive, so the support is exactly the window's,
-    # which site-counting tests rely on
-    field = _plane_wave_sum(spec, amps, freqs, phases)
-    field /= np.sqrt(modes)
-    np.exp(field, out=field)
-    field *= _bump_window(spec, a, b, ramp)
-    return LatticeFunction(spec, field)

@@ -35,7 +35,7 @@ from carlat import (
     weight_constants,
 )
 from carlat.cli import main as cli_main
-from carlat.conjugate import CARLEMAN_ANNULUS, carleman_box, identity_errors
+from carlat.conjugate import carleman_box, identity_errors
 from conftest import record_acceptance
 
 
@@ -55,7 +55,7 @@ def test_criterion_1_operator_identities():
             spec = carleman_box(d, h)
             ctx = ConjugationContext.from_weight(spec, WeightParams(0.5 * 0.1 / h, 0.01))
             for s in range(25):
-                f = random_bump(spec, CARLEMAN_ANNULUS, seed=1000 * d + s)
+                f = random_bump(spec, seed=1000 * d + s)
                 errors = identity_errors(f, ctx)
                 # np.maximum keeps a NaN error; Python max(0.0, nan) is 0.0
                 worst = {key: float(np.maximum(worst[key], errors[key])) for key in worst}

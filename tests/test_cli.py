@@ -155,6 +155,32 @@ class TestParsing:
         # the report_io benchmark workload passes --jobs 1 to symbol-scan
         assert unread == ["symbol-scan --jobs"]
 
+    def test_handlers_build_no_carleman_or_ball_input(self):
+        # the box, weight context and bump of the Carleman setting, and the
+        # lattice and polynomial of a ball input, are built by the library
+        # call a handler makes, not by the handler or a cli helper it calls
+        tree = ast.parse(Path(cli.__file__).read_text())
+        functions = {node.name: node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)}
+        builders = {"carleman_box", "ConjugationContext", "from_weight", "random_bump",
+                    "LatticeSpec", "harmonic_polynomial"}
+
+        def names(name, seen):
+            seen.add(name)
+            found = set()
+            for n in ast.walk(functions[name]):
+                if isinstance(n, ast.Name):
+                    found.add(n.id)
+                    if n.id in functions and n.id not in seen:
+                        found |= names(n.id, seen)
+                elif isinstance(n, ast.Attribute):
+                    found.add(n.attr)
+            return found
+
+        built = {sub: sorted(names(handler.__name__, set()) & builders)
+                 for sub, handler in cli._HANDLERS.items() if sub != "symbol-scan"}
+        assert built == {sub: [] for sub in built}
+
     def test_every_library_parameter_is_read_by_its_function(self):
         # a parameter its function never reads does nothing; closures and
         # nested functions count as the body that reads it

@@ -26,8 +26,8 @@ from carlat import (
     sym_diff_sum,
 )
 from carlat import conjugate
-from carlat.conjugate import (CARLEMAN_ANNULUS, PHI_OVERFLOW_LIMIT, RATIO_TABLES, SUPPORT_REACH,
-                              carleman_box, identity_errors, slab_rows, weight_table)
+from carlat.conjugate import (PHI_OVERFLOW_LIMIT, RATIO_TABLES, SUPPORT_REACH, carleman_box,
+                              identity_errors, slab_rows, weight_table)
 from carlat.lattice import dilate
 
 ANNULUS_SPECS = {d: (carleman_box(d, h), h) for d, h in ((1, 1 / 32), (2, 1 / 24), (3, 1 / 12))}
@@ -35,7 +35,7 @@ ANNULUS_SPECS = {d: (carleman_box(d, h), h) for d, h in ((1, 1 / 32), (2, 1 / 24
 
 def bump(d, seed):
     spec, _ = ANNULUS_SPECS[d]
-    return random_bump(spec, CARLEMAN_ANNULUS, seed)
+    return random_bump(spec, seed)
 
 
 def ctx_for(d, tau=2.0, c_ps=0.01):
@@ -169,7 +169,7 @@ class TestCommutatorForm:
         spec = carleman_box(d, h)
         ctx = ConjugationContext.from_weight(spec, WeightParams(0.05 / h, 0.01))
         for s in range(5):
-            assert identity_errors(random_bump(spec, CARLEMAN_ANNULUS, rng_seed + s),
+            assert identity_errors(random_bump(spec, rng_seed + s),
                                    ctx)["two_path"] <= 1e-11
 
     @pytest.mark.parametrize("d,h", [(1, 1 / 64), (2, 1 / 16), (3, 1 / 8)])
@@ -178,7 +178,7 @@ class TestCommutatorForm:
         # overflows from a peak |phi| of about 355; the form never needs them
         spec = carleman_box(d, h)
         ctx = ConjugationContext.from_weight(spec, WeightParams(guard_tau(spec, 0.01, 0.96), 0.01))
-        errors = identity_errors(random_bump(spec, CARLEMAN_ANNULUS, rng_seed), ctx)
+        errors = identity_errors(random_bump(spec, rng_seed), ctx)
         assert all(err <= 1e-11 for err in errors.values()), errors
 
     def test_energy_identity(self, rng_seed):
@@ -431,7 +431,7 @@ class TestBlockedRatio:
         spec = carleman_box(2, 1 / 128)
         ctx = ConjugationContext.from_weight(spec, WeightParams(6.4, 0.01))
         ctx.build_tables(*RATIO_TABLES)
-        u = random_bump(spec, CARLEMAN_ANNULUS, 7)
+        u = random_bump(spec, 7)
         tracemalloc.start()
         try:
             carleman_ratio(u, ctx)
@@ -456,5 +456,5 @@ def test_operator_identities_up_to_the_overflow_guard(dim_inv_h, c_ps, load, see
     spec = carleman_box(d, 1.0 / inv_h)
     tau = 1.0 + load * (guard_tau(spec, c_ps, 0.99) - 1.0)
     ctx = ConjugationContext.from_weight(spec, WeightParams(tau, c_ps))
-    errors = identity_errors(random_bump(spec, CARLEMAN_ANNULUS, seed), ctx)
+    errors = identity_errors(random_bump(spec, seed), ctx)
     assert all(err <= 1e-11 for err in errors.values()), errors

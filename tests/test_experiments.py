@@ -1,17 +1,17 @@
 """Experiment harness behavior at small desk scale."""
 
+import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from carlat import (
-    AnnularRegion,
     ConjugationContext,
     LatticeFunction,
     LatticeSpec,
     SweepConfig,
-    WeightParams,
     caccioppoli_ratio,
     caccioppoli_sweep,
     carleman_sweep,
@@ -27,7 +27,9 @@ from carlat import (
     singular_potential_experiment,
     three_balls_experiment,
 )
-from carlat.experiments import _cell_seed, ball_norms, singular_field_data
+from carlat.conjugate import carleman_box
+from carlat.experiments import (_axis_profile, _cell_seed, ball_norms, partition_pieces,
+                                 singular_field_data)
 from carlat.solver import DirichletProblem, dirichlet_solve
 
 
@@ -277,35 +279,86 @@ class TestCarlemanSweep:
         assert builders and all(builders)
 
 
+def mesh_partition_pieces(f, scale):
+    """The partition from the coordinate mesh, one full-box product per piece."""
+    spec = f.spec
+    x = spec.coords()
+    nz = f.values != 0.0
+    ranges = []
+    for a in range(spec.d):
+        vals = x[a][nz]
+        k_lo = int(math.floor(vals.min() / scale - 0.75)) + 1
+        k_hi = int(math.ceil(vals.max() / scale + 0.75)) - 1
+        ranges.append(range(k_lo, k_hi + 1))
+    grid = np.meshgrid(*[np.array(list(r)) for r in ranges], indexing="ij")
+    pieces = []
+    for k in np.stack([g.ravel() for g in grid], axis=-1):
+        psi = np.ones(spec.shape)
+        for a in range(spec.d):
+            psi = psi * _axis_profile(x[a] / scale - float(k[a]))
+        if np.any(psi[nz] != 0.0):
+            pieces.append(psi)
+    return pieces
+
+
 class TestLocalization:
-    def ctx_and_bump(self, tau, h=1 / 24, seed=3):
-        spec = LatticeSpec.ball_box(2, h, 2.0, pad_sites=4)
-        ctx = ConjugationContext.from_weight(spec, WeightParams(tau, 0.01))
-        f = random_bump(spec, AnnularRegion(0.5, 2.0), seed)
-        return ctx, f
+    # the bump of random_bump(carleman_box(2, 1/24), 3) under c_ps = 0.01
+    INPUT = dict(d=2, h=1 / 24, c_ps=0.01, seed=3)
 
     def test_single_piece_is_exact(self):
         # scale = 1/(eps0 sqrt(tau)) = 8 >= 4*r_out: the support sits inside
         # one plateau, where the piece is identically one
-        ctx, f = self.ctx_and_bump(tau=4.0)
-        report = localization_diagnostic(f, ctx, eps0=1 / 16)
+        report = localization_diagnostic(tau=4.0, eps0=1 / 16, **self.INPUT)
         assert report.config["n_pieces"] == 1
         for row in report.rows:
             assert row["sum_pieces"] == pytest.approx(row["norm_whole"], rel=1e-14)
 
     def test_minkowski_direction_and_bounded_constants(self):
         for tau in (4.0, 9.0, 16.0):
-            ctx, f = self.ctx_and_bump(tau=tau)
-            report = localization_diagnostic(f, ctx, eps0=0.5)
+            report = localization_diagnostic(tau=tau, eps0=0.5, **self.INPUT)
             assert report.config["n_pieces"] > 1
             for row in report.rows:
                 assert row["minkowski_ok"]
                 assert 0 < row["c_emp"] < 10.0
 
     def test_eps0_validation(self):
-        ctx, f = self.ctx_and_bump(tau=4.0)
         with pytest.raises(ValueError, match="eps0"):
-            localization_diagnostic(f, ctx, eps0=1.5)
+            localization_diagnostic(tau=4.0, eps0=1.5, **self.INPUT)
+
+    @pytest.mark.parametrize("d,h,cases", [
+        (1, 1 / 64, [(16.0, 0.5), (9.0, 0.4), (4.0, 0.25), (4.0, 1 / 16)]),
+        (2, 1 / 24, [(16.0, 0.5), (9.0, 0.4), (4.0, 0.25), (4.0, 1 / 16)]),
+        (3, 1 / 8, [(4.0, 0.5), (4.0, 1 / 16)]),
+    ])
+    def test_pieces_are_the_mesh_formula_bit_for_bit(self, d, h, cases):
+        for seed in (0, 3):
+            f = random_bump(carleman_box(d, h), seed)
+            for tau, eps0 in cases:
+                scale = 1.0 / (eps0 * math.sqrt(tau))
+                streamed = list(partition_pieces(f, scale))
+                want = mesh_partition_pieces(f, scale)
+                assert len(streamed) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(streamed, want))
+
+    def test_a_vanishing_function_has_no_piece(self):
+        assert list(partition_pieces(LatticeFunction.zeros(carleman_box(2, 1 / 8)), 1.0)) == []
+
+    def test_memory_does_not_grow_with_the_piece_count(self):
+        spec = carleman_box(2, 1 / 64)
+        random_bump(spec, 0)  # the bump window is cached by the first bump
+        peaks, pieces = [], []
+        for tau, eps0 in ((16.0, 0.5), (4.0, 1 / 16)):
+            tracemalloc.start()
+            try:
+                report = localization_diagnostic(2, 1 / 64, tau, eps0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+            pieces.append(report.config["n_pieces"])
+        assert pieces == [68, 1]
+        box_array = 8 * math.prod(spec.shape)
+        assert abs(peaks[0] - peaks[1]) < 3 * box_array
 
 
 class TestSingularPotential:

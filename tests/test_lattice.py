@@ -20,7 +20,7 @@ from carlat import (
     schrodinger_apply,
 )
 from carlat.lattice import (MAX_SITES, dilate, schrodinger_stencil, shift_values,
-                            stencil_matrix)
+                            stencil_matrix, stencil_offsets, unit_offset)
 from carlat.solver import harmonic_polynomial
 
 
@@ -64,6 +64,14 @@ class TestDiff:
             diff(f, 3)
         with pytest.raises(ValueError, match="direction out of range"):
             diff(f, 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unit_offset_takes_directions_one_to_d(self, d):
+        for j in range(1, d + 1):
+            assert np.array_equal(unit_offset(d, j), np.eye(d, dtype=np.int64)[j - 1])
+        for j in (0, -1, d + 1):
+            with pytest.raises(ValueError, match="direction out of range"):
+                unit_offset(d, j)
 
     def test_unknown_mode(self):
         spec = LatticeSpec(1, 1.0, (0,), (3,))
@@ -135,6 +143,12 @@ class TestProductRule:
 
 
 class TestSchrodinger:
+    def test_stencil_offsets_are_the_stencil_order(self):
+        assert stencil_offsets(2).tolist() == [[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]]
+        for d in (1, 2, 3):
+            spec = LatticeSpec(d, 0.5, (-2,) * d, (2,) * d)
+            assert np.array_equal(schrodinger_stencil(spec, None)[0], stencil_offsets(d))
+
     def test_harmonic_with_zero_fields(self):
         spec = LatticeSpec(2, 0.5, (-5, -5), (5, 5))
         f = harmonic_polynomial(spec, "mixed_jk")
@@ -301,6 +315,12 @@ class TestRegions:
             assert np.array_equal(BallRegion(1.3).mask(spec), r2 < 1.3 ** 2)
             assert np.array_equal(AnnularRegion(0.5, 2.0).mask(spec),
                                   (r2 < 2.0 ** 2) & (mesh > 0.5))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_axes_are_the_mesh_axes(self, d):
+        spec = LatticeSpec(d, 1 / 12, (-3,) + (1,) * (d - 1), (7,) + (9,) * (d - 1))
+        mesh = np.stack(np.meshgrid(*spec.axes(), indexing="ij"))
+        assert mesh.tobytes() == spec.coords().tobytes()
 
     def test_radii_validated(self):
         for radii in ((0.0, 1.0), (1.0, 1.0), (2.0, 1.0)):

@@ -12,7 +12,6 @@ import scipy.sparse.linalg
 
 from carlat import solver
 from carlat import (
-    AnnularRegion,
     DirichletProblem,
     FieldData,
     LatticeFunction,
@@ -27,16 +26,17 @@ from carlat import (
     rounding_floor,
     schrodinger_apply,
 )
+from carlat.conjugate import CARLEMAN_ANNULUS, _bump_window
 from carlat.experiments import singular_field_data
-from carlat.solver import _bump_window
 
 
 def ball_spec(d, h, radius=2.0):
     return LatticeSpec.ball_box(d, h, radius, pad_sites=2)
 
 
-def full_grid_bump(spec, region, seed, modes=6):
+def full_grid_bump(spec, seed, modes=6):
     """random_bump's defining formula, one cos pass per mode on the full coordinate mesh."""
+    region = CARLEMAN_ANNULUS
     margin = max(2 * spec.h, 0.05)
     a, b = region.inner + margin, region.outer - margin
     ramp = min(0.25 * (b - a), 0.2)
@@ -390,12 +390,9 @@ class TestMultigrid:
 
 
 class TestRandomBump:
-    def annulus(self):
-        return AnnularRegion(0.5, 2.0)
-
     def test_support_inside_annulus(self):
         spec = LatticeSpec.ball_box(2, 1 / 32, 2.0, pad_sites=4)
-        u = random_bump(spec, self.annulus(), seed=5)
+        u = random_bump(spec, seed=5)
         r = spec.radii()
         h = spec.h
         nz = u.values != 0.0
@@ -404,16 +401,16 @@ class TestRandomBump:
 
     def test_seed_determinism(self):
         spec = LatticeSpec.ball_box(2, 1 / 32, 2.0, pad_sites=4)
-        a = random_bump(spec, self.annulus(), seed=123)
-        b = random_bump(spec, self.annulus(), seed=123)
-        c = random_bump(spec, self.annulus(), seed=124)
+        a = random_bump(spec, seed=123)
+        b = random_bump(spec, seed=123)
+        c = random_bump(spec, seed=124)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
     def test_site_count_matches_enumeration(self):
         h = 1 / 64
         spec = LatticeSpec.ball_box(2, h, 2.0, pad_sites=4)
-        u = random_bump(spec, self.annulus(), seed=9)
+        u = random_bump(spec, seed=9)
         # oracle: window is positive strictly between the shrunk radii
         margin = max(2 * h, 0.05)
         a, b = 0.5 + margin, 2.0 - margin
@@ -429,8 +426,8 @@ class TestRandomBump:
     def test_matches_full_grid_formula(self, d, h):
         spec = LatticeSpec.ball_box(d, h, 2.0, pad_sites=4)
         for seed in (0, 11, 2024):
-            u = random_bump(spec, self.annulus(), seed).values
-            want = full_grid_bump(spec, self.annulus(), seed)
+            u = random_bump(spec, seed).values
+            want = full_grid_bump(spec, seed)
             assert np.array_equal(u != 0.0, want != 0.0)
             assert np.abs(u - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -438,7 +435,7 @@ class TestRandomBump:
         spec = LatticeSpec.ball_box(2, 1 / 32, 2.0, pad_sites=4)
         # the a, b and ramp random_bump uses at h = 1/32: margin 2h, ramp 0.2
         key = (spec, 0.5625, 1.9375, 0.2)
-        random_bump(spec, self.annulus(), seed=0)
+        random_bump(spec, seed=0)
         hits = _bump_window.cache_info().hits
         window = _bump_window(*key)
         assert _bump_window.cache_info().hits == hits + 1
@@ -450,10 +447,10 @@ class TestRandomBump:
         # the wave is divided, exponentiated and windowed in place; the
         # window is cached by the first call
         spec = LatticeSpec.ball_box(2, 1 / 128, 2.0, pad_sites=4)
-        random_bump(spec, self.annulus(), seed=0)
+        random_bump(spec, seed=0)
         tracemalloc.start()
         try:
-            u = random_bump(spec, self.annulus(), seed=1)
+            u = random_bump(spec, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -461,33 +458,51 @@ class TestRandomBump:
 
     def test_writing_a_bump_leaves_the_next_one_alone(self):
         spec = LatticeSpec.ball_box(2, 1 / 32, 2.0, pad_sites=4)
-        u = random_bump(spec, self.annulus(), seed=3)
+        u = random_bump(spec, seed=3)
         before = u.values.copy()
         u.values[...] = 7.0
-        assert np.array_equal(random_bump(spec, self.annulus(), seed=3).values, before)
+        assert np.array_equal(random_bump(spec, seed=3).values, before)
 
     def test_threads_sharing_the_window_cache(self):
         spec = LatticeSpec.ball_box(2, 1 / 32, 2.0, pad_sites=4)
         seeds = range(16)
-        serial = [random_bump(spec, self.annulus(), s).values for s in seeds]
+        serial = [random_bump(spec, s).values for s in seeds]
         _bump_window.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(random_bump, spec, self.annulus(), s) for s in seeds]
+                futures = [pool.submit(random_bump, spec, s) for s in seeds]
                 threaded = [f.result(timeout=60).values for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
     def test_region_too_thin(self):
-        spec = LatticeSpec.ball_box(2, 1 / 4, 2.0, pad_sites=2)
+        # the annulus 1/2 < |x| < 2 is 1.5 wide, under 6h for h > 1/4
+        spec = LatticeSpec.ball_box(2, 0.26, 2.0, pad_sites=4)
         with pytest.raises(ValueError, match="too thin"):
-            random_bump(spec, AnnularRegion(1.0, 1.5), seed=0)
+            random_bump(spec, seed=0)
+
+    def test_h_one_quarter_is_accepted(self):
+        u = random_bump(LatticeSpec.ball_box(2, 1 / 4, 2.0, pad_sites=4), seed=0)
+        assert (u.values != 0.0).any()
 
 
 class TestProblemValidation:
+    def test_on_ball_allocates_no_stencil_coefficients(self):
+        # the coverage check reads P_h's offsets only; its 2d + 1 coefficient
+        # arrays would be 7 box arrays here
+        spec = LatticeSpec.ball_box(3, 1 / 8, 4.0, pad_sites=2)
+        data = harmonic_polynomial(spec, "deg3")
+        tracemalloc.start()
+        try:
+            DirichletProblem.on_ball(spec, 4.0, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * data.values.nbytes
+
     def test_masks_must_not_overlap(self):
         spec = LatticeSpec(1, 0.5, (-4,), (4,))
         m = np.zeros(spec.shape, dtype=bool)
