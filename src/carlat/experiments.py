@@ -115,6 +115,8 @@ class SweepConfig:
         if self.tau_rule == "fraction" and taus:
             raise ValueError("tau_grid is only read by the 'grid' tau rule")
         _check_fraction_rule(self.tau_fraction, self.tau0, self.delta0)
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1: a sweep without bumps measures nothing")
         object.__setattr__(self, "h_grid", hs)
         object.__setattr__(self, "tau_grid", taus)
 
@@ -159,6 +161,11 @@ def log_convexity_scan(u: LatticeFunction, tau_grid, c_ps: float = 0.01,
     ``in_window`` contribute to the fitted maximum.
     """
     c1, c2, alpha = weight_constants(c_ps)
+    limit = math.log(np.finfo(float).max)  # math.exp raises past it
+    if any(max(c1 * t, -c2 * t) > limit for t in tau_grid):
+        raise ValueError(f"a tau outside [{-limit / c2:.6g}, {limit / c1:.6g}] overflows "
+                         f"e^(c1 tau) or e^(-c2 tau): its exponent passes log(float max) "
+                         f"= {limit:.6g}")
     h = u.spec.h
     n_half, n_one, n_two = ball_norms(u)
     if n_two == 0.0:
@@ -351,6 +358,8 @@ def commutator_check(d: int, h: float, tau: float, c_ps: float = 0.01, samples: 
     """``identity_errors`` on ``samples`` seeded Carleman bumps, and raw against
     simplified commutator coefficients, relative to max(|simplified|, 1e-3), at
     ``coeff_sites`` sites in 0.45 < |h n| < 2.1.  np.maximum keeps a NaN, which fails."""
+    if samples < 0 or coeff_sites < 0:
+        raise ValueError("samples and coeff_sites must be nonnegative")
     spec = carleman_box(d, h)
     ctx = ConjugationContext.from_weight(spec, WeightParams(tau, c_ps))
     report = ExperimentReport("commutator_check", dict(

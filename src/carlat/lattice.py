@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ._kernels import apply_stencil_const, apply_stencil_var, overlap_slices
 
@@ -216,12 +215,10 @@ def shift_values(values: np.ndarray, off) -> np.ndarray:
 
 def dilate(mask: np.ndarray, steps: int = 1) -> np.ndarray:
     """mask grown by ``steps`` unit-neighbour steps, clipped to the box."""
-    d = mask.ndim
     for _ in range(steps):
         grown = mask.copy()
-        for j in range(1, d + 1):
-            for s in (1, -1):
-                grown |= shift_values(mask, s * unit_offset(d, j))
+        for off in stencil_offsets(mask.ndim)[:-1]:
+            grown |= shift_values(mask, off)
         mask = grown
     return mask
 
@@ -248,12 +245,9 @@ def diff(f: LatticeFunction, j: int, mode: str = "forward") -> LatticeFunction:
 def laplacian(f: LatticeFunction) -> LatticeFunction:
     """Unscaled discrete Laplacian sum_j f(n+h e_j) + f(n-h e_j) - 2 f(n)."""
     d = f.spec.d
-    offsets = [np.zeros(d, dtype=np.int64)]
-    weights = [-2.0 * d]
-    for j in range(1, d + 1):
-        offsets += [unit_offset(d, j), -unit_offset(d, j)]
-        weights += [1.0, 1.0]
-    return f.with_values(apply_stencil_const(f.values, np.stack(offsets), weights))
+    # P_h's offsets, centre first: the summation order of the recorded Carleman ratios
+    offsets = np.roll(stencil_offsets(d), 1, axis=0)
+    return f.with_values(apply_stencil_const(f.values, offsets, [-2.0 * d] + [1.0] * (2 * d)))
 
 
 def sym_diff_sum(f: LatticeFunction) -> LatticeFunction:
@@ -292,24 +286,6 @@ def schrodinger_stencil(spec: LatticeSpec, fields: FieldData | None):
         center = center - b
         coeffs += [np.full(spec.shape, 1.0 / h ** 2) + b, np.full(spec.shape, 1.0 / h ** 2)]
     return stencil_offsets(d), coeffs + [center]
-
-
-def stencil_matrix(spec: LatticeSpec, offsets, coeffs) -> sparse.csr_matrix:
-    """The CSR matrix M on the C-ordered sites of the box with
-    M @ f.ravel() == apply_stencil_var(f, offsets, coeffs).ravel()."""
-    sites = np.arange(math.prod(spec.shape)).reshape(spec.shape)
-    rows, cols, vals = [], [], []
-    for off, coeff in zip(offsets, coeffs):
-        pair = overlap_slices(spec.shape, off)
-        if pair is None:
-            continue
-        dst, src = pair
-        rows.append(sites[dst].ravel())
-        cols.append(sites[src].ravel())
-        vals.append(coeff[dst].ravel())
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(sites.size, sites.size))
 
 
 def schrodinger_apply(f: LatticeFunction, fields: FieldData | None) -> LatticeFunction:

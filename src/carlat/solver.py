@@ -46,7 +46,6 @@ from .lattice import (
     schrodinger_apply,
     schrodinger_stencil,
     shift_values,
-    stencil_matrix,
     stencil_offsets,
 )
 
@@ -143,19 +142,19 @@ def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFu
     if p.fields is not None and spec.d >= 3 and n > LU_MAX_UNKNOWNS_3D:
         raise SolverError(f"{n} interior unknowns exceed the d >= 3 direct-solve limit "
                           f"of {LU_MAX_UNKNOWNS_3D}")
-    # P_h's interior rows: their boundary columns times the data go to the
-    # right side; the box rows are dropped before the solve
-    rows = stencil_matrix(spec, *schrodinger_stencil(spec, p.fields))[inside]
+    # -P_h's interior rows: their boundary columns times the data go to the
+    # right side, and the interior columns are the system both paths solve
+    rows = _interior_rows(p)
     rhs = rows @ np.where(p.boundary, -p.boundary_values, 0.0).ravel()
+    mat = rows[:, inside]
+    del rows
     if p.fields is None:
         # the discrete maximum principle: sup|u| = sup|g| without fields
         sup_g = float(np.abs(p.boundary_values[p.boundary]).max(initial=0.0))
-        x, facts = _multigrid_solve(spec.indices()[:, p.interior].T, -rows[:, inside],
-                                    -rhs, 0.1 * FLOOR_MULTIPLE * _floor(p, sup_g))
+        x, facts = _multigrid_solve(np.argwhere(p.interior) + spec.lo, mat, rhs,
+                                    0.1 * FLOOR_MULTIPLE * _floor(p, sup_g))
     else:
-        mat = rows.tocsc()[:, inside]
-        del rows
-        x, facts = _lu_solve(mat, rhs)
+        x, facts = _lu_solve(mat.tocsc(), rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("solver produced non-finite values")
 
@@ -173,6 +172,21 @@ def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFu
             f"{res / floor:.3g} rounding floors eps * ||P_h||_inf * sup|u| = {floor:.3e}, "
             f"{FLOOR_MULTIPLE:g} are admitted", residual=res)
     return u
+
+
+def _interior_rows(p: DirichletProblem) -> sparse.csr_matrix:
+    """-P_h's rows at the interior sites, over the box's C-ordered sites.  The
+    coverage check keeps each row's 2d+1 columns in the box, so an offset is one
+    fixed step of the flat index; sorted steps give a canonical CSR's order."""
+    spec = p.spec
+    offsets, coeffs = schrodinger_stencil(spec, p.fields)
+    steps = offsets @ [math.prod(spec.shape[k + 1:]) for k in range(spec.d)]
+    order = np.argsort(steps)
+    data = np.stack([-coeffs[k][p.interior] for k in order], axis=1)
+    indices = np.flatnonzero(p.interior)[:, None] + steps[order]
+    return sparse.csr_matrix(
+        (data.ravel(), indices.ravel(), np.arange(0, data.size + 1, len(order))),
+        shape=(len(indices), math.prod(spec.shape)))
 
 
 def _lu_solve(mat, rhs):

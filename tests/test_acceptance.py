@@ -281,14 +281,17 @@ def test_margin_positive_below_critical_coupling():
 
 def test_criterion_5_coarsening():
     """Coarsenings of certified discrete-harmonic functions stay harmonic
-    with residual <= 1e-12 * |u| for m in {2,3,4}, d in {1,2}."""
+    with residual <= 1e-12 * |u| for m in {2,3,4}, d in {1,2,3}; the d = 3
+    solve is at h = 1/8, the others at h = 1/32."""
     ok = True
     details = []
     cases = []
-    for d in (1, 2):
-        spec = LatticeSpec.ball_box(d, 1 / 32, 4.0, pad_sites=2)
-        cases.append(("poly", harmonic_polynomial(spec, "mixed_jk" if d == 2 else "linear_j"), None))
-        g = harmonic_polynomial(spec, "deg3" if d == 2 else "linear_j")
+    for d, h in ((1, 1 / 32), (2, 1 / 32), (3, 1 / 8)):
+        spec = LatticeSpec.ball_box(d, h, 4.0, pad_sites=2)
+        if d < 3:
+            cases.append(("poly", harmonic_polynomial(spec, "mixed_jk" if d == 2 else "linear_j"),
+                          None))
+        g = harmonic_polynomial(spec, "deg3" if d >= 2 else "linear_j")
         problem = DirichletProblem.on_ball(spec, 4.0, g)
         u = dirichlet_solve(problem)
         cases.append((f"solve_d{d}", u, 4.0))

@@ -582,6 +582,23 @@ class TestSubcommands:
                              if p.suffix == ".json"][0].read_text())
         assert [row["tau"] for row in report["rows"]] == [6.0, 12.0]
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_carleman_sweep_without_samples_exits_1(self, samples, tmp_path, capsys):
+        assert run(["carleman-sweep", "--h", "1/32,1/64", "--samples", samples,
+                    "--strict", "1", "--out", str(tmp_path)]) == 1
+        assert "n_samples must be >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_log_convexity_refuses_a_tau_past_the_overflow_limit(self, tmp_path, capsys):
+        # e^{c1 tau} overflows from tau = 1754 at the default c_ps
+        assert run(["log-convexity", "--h", "1/16", "--tau", "3000",
+                    "--out", str(tmp_path / "big")]) == 1
+        assert "log(float max) = 709.783" in capsys.readouterr().err
+        assert not (tmp_path / "big").exists()
+        assert run(["log-convexity", "--h", "1/16", "--tau", "1754",
+                    "--out", str(tmp_path / "near")]) == 0
+        assert [row["tau"] for row in report_json(tmp_path / "near")["rows"]] == [1754.0]
+
     def test_carleman_sweep_tau_list(self, tmp_path):
         assert run(["carleman-sweep", "--h", "1/16", "--tau0", "1", "--tau", "2,3",
                     "--delta0", "0.25", "--samples", "2", "--out", str(tmp_path)]) == 0
@@ -629,7 +646,15 @@ class TestSubcommands:
             verdicts.append(report["passed"])
         assert verdicts == [True, False]
 
-    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["--samples", "--coeff-sites"])
+    def test_commutator_check_refuses_a_negative_count(self, flag, tmp_path, capsys):
+        # a negative count used to measure nothing and exit 0
+        assert run(["commutator-check", "--h", "1/16", flag, "-3",
+                    "--out", str(tmp_path)]) == 1
+        assert "must be nonnegative" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("samples", ["0"])
     def test_commutator_check_measuring_nothing_has_no_verdict(self, samples, tmp_path):
         argv = ["commutator-check", "--h", "1/16", "--samples", samples, "--coeff-sites", "0"]
         assert run(argv + ["--out", str(tmp_path / "a")]) == 0
@@ -707,7 +732,7 @@ class TestSubcommands:
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled past the d = 3 limit")
 
-        monkeypatch.setattr(solver, "stencil_matrix", no_assembly)
+        monkeypatch.setattr(solver, "_interior_rows", no_assembly)
         code = run(["singular-potential", *SUBCOMMAND_ARGV["singular-potential"], "--d", "3",
                     "--h", "1/8", "--out", str(tmp_path / "out")])
         assert code == 1

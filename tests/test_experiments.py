@@ -1,6 +1,7 @@
 """Experiment harness behavior at small desk scale."""
 
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -26,10 +27,11 @@ from carlat import (
     rescaled_three_balls,
     singular_potential_experiment,
     three_balls_experiment,
+    weight_constants,
 )
 from carlat.conjugate import carleman_box
-from carlat.experiments import (_axis_profile, _cell_seed, ball_norms, partition_pieces,
-                                 singular_field_data)
+from carlat.experiments import (_axis_profile, _cell_seed, ball_norms, commutator_check,
+                                 partition_pieces, singular_field_data)
 from carlat.solver import DirichletProblem, dirichlet_solve
 
 
@@ -67,6 +69,18 @@ class TestLogConvexity:
         spec = LatticeSpec.ball_box(2, 1 / 16, 4.0, pad_sites=2)
         with pytest.raises(ValueError, match="degenerate"):
             log_convexity_scan(LatticeFunction.zeros(spec), tau_grid=[6.0])
+
+    def test_tau_past_the_overflow_limit_is_refused(self):
+        # at c_ps = 0.01, e^{c1 tau} overflows from tau = 1754 and e^{-c2 tau} below -509
+        u = poly_on_ball(2, 1 / 16, "mixed_jk")
+        c1, c2, _ = weight_constants(0.01)
+        limit = math.log(sys.float_info.max)
+        for tau in (3000.0, limit / c1 * (1 + 1e-12), -limit / c2 * (1 + 1e-12)):
+            with pytest.raises(ValueError, match="log\\(float max\\) = 709.783"):
+                log_convexity_scan(u, tau_grid=[6.0, tau])
+        near = limit / c1 * (1 - 1e-12)
+        [row] = log_convexity_scan(u, tau_grid=[near]).rows
+        assert row["tau"] == near and row["c_emp"] >= 0.0
 
     def test_scale_invariance(self):
         u = poly_on_ball(2, 1 / 16, "deg3")
@@ -214,11 +228,11 @@ class TestCaccioppoli:
 
 class TestCarlemanSweep:
     def test_empty_sample_count(self):
-        cfg = SweepConfig(d=2, h_grid=(1 / 16,), tau_rule="grid", tau_grid=(1.5,),
-                          tau0=1.0, n_samples=0)
-        report = carleman_sweep(cfg)
-        assert report.rows == []
-        assert report.passed is None
+        # a sweep without bumps would report no row, no fit and no verdict
+        for n_samples in (0, -2):
+            with pytest.raises(ValueError, match="n_samples must be >= 1"):
+                SweepConfig(d=2, h_grid=(1 / 16,), tau_rule="grid", tau_grid=(1.5,),
+                            tau0=1.0, n_samples=n_samples)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"tau_rule": "fixed"}, "unknown tau rule"),
@@ -299,6 +313,13 @@ def mesh_partition_pieces(f, scale):
         if np.any(psi[nz] != 0.0):
             pieces.append(psi)
     return pieces
+
+
+@pytest.mark.parametrize("count", ["samples", "coeff_sites"])
+def test_commutator_check_refuses_a_negative_count(count):
+    # a negative count used to measure nothing
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        commutator_check(2, 1 / 16, 1.5, **{count: -1})
 
 
 class TestLocalization:

@@ -20,8 +20,8 @@ from carlat import (
     schrodinger_apply,
 )
 from carlat.lattice import (MAX_SITES, dilate, schrodinger_stencil, shift_values,
-                            stencil_matrix, stencil_offsets, unit_offset)
-from carlat.solver import harmonic_polynomial
+                            stencil_offsets, unit_offset)
+from carlat.solver import DirichletProblem, _interior_rows, harmonic_polynomial
 
 
 def interior(values, margin=1):
@@ -213,9 +213,12 @@ class TestSchrodinger:
             oracle[pos] = acc
         out = schrodinger_apply(f, fields).values
         assert np.abs(out - oracle).max() <= 1e-13 * np.abs(oracle).max()
-        matrix = stencil_matrix(spec, *schrodinger_stencil(spec, fields))
-        flat = (matrix @ f.values.ravel()).reshape(spec.shape)
-        assert np.abs(flat - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        # the solver's matrix: -P_h's rows at the sites off the box edge
+        inside = np.zeros(spec.shape, dtype=bool)
+        inside[tuple(slice(1, -1) for _ in range(d))] = True
+        rows = _interior_rows(DirichletProblem(spec, inside, ~inside, f.values, fields))
+        flat = -(rows @ f.values.ravel())
+        assert np.abs(flat - oracle[inside]).max() <= 1e-13 * np.abs(oracle).max()
 
 
 class TestDilate:

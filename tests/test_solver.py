@@ -1,6 +1,7 @@
 """Dirichlet solves, closed-form harmonic polynomials, seeded bumps."""
 
 import gc
+import math
 import sys
 import time
 import tracemalloc
@@ -8,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 
 from carlat import solver
@@ -26,12 +28,33 @@ from carlat import (
     rounding_floor,
     schrodinger_apply,
 )
+from carlat._kernels import overlap_slices
 from carlat.conjugate import CARLEMAN_ANNULUS, _bump_window
 from carlat.experiments import singular_field_data
+from carlat.lattice import schrodinger_stencil
 
 
 def ball_spec(d, h, radius=2.0):
     return LatticeSpec.ball_box(d, h, radius, pad_sites=2)
+
+
+def box_matrix(spec, offsets, coeffs):
+    """The CSR matrix M on the C-ordered sites of the whole box with
+    M @ f.ravel() == apply_stencil_var(f, offsets, coeffs).ravel(), assembled
+    offset by offset through COO."""
+    sites = np.arange(math.prod(spec.shape)).reshape(spec.shape)
+    rows, cols, vals = [], [], []
+    for off, coeff in zip(offsets, coeffs):
+        pair = overlap_slices(spec.shape, off)
+        if pair is None:
+            continue
+        dst, src = pair
+        rows.append(sites[dst].ravel())
+        cols.append(sites[src].ravel())
+        vals.append(coeff[dst].ravel())
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(sites.size, sites.size))
 
 
 def full_grid_bump(spec, seed, modes=6):
@@ -150,7 +173,7 @@ class TestBallInput:
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled past the d = 3 limit")
 
-        monkeypatch.setattr(solver, "stencil_matrix", no_assembly)
+        monkeypatch.setattr(solver, "_interior_rows", no_assembly)
         start = time.perf_counter()
         with pytest.raises(SolverError, match="interior unknowns exceed"):
             ball_input(3, 1 / 8, "solve", fields=FieldData.zero)
@@ -302,6 +325,59 @@ class TestDirichletSolve:
         monkeypatch.setattr(solver, "LU_MAX_UNKNOWNS_3D", 0)
         _, facts = ball_input(2, 1 / 8, "solve", fields=FieldData.zero)
         assert facts["unknowns"] > 0
+
+
+class TestInteriorRows:
+    """-P_h's interior rows against the whole-box matrix, assembled through COO."""
+
+    @pytest.mark.parametrize("d, lo, hi", [(1, (-5,), (6,)),
+                                           (2, (-3, -2), (4, 3)),
+                                           (3, (-2, -1, -2), (2, 3, 1))])
+    @pytest.mark.parametrize("with_fields", [False, True])
+    def test_equal_the_negated_box_rows(self, d, lo, hi, with_fields, rng_seed):
+        rng = np.random.default_rng(rng_seed + d)
+        spec = LatticeSpec(d, 1 / 3, lo, hi)
+        fields = None
+        if with_fields:
+            fields = FieldData(LatticeFunction(spec, rng.uniform(-9.0, 9.0, spec.shape)),
+                               tuple(LatticeFunction(spec, rng.uniform(-3.0, 3.0, spec.shape))
+                                     for _ in range(d)))
+        # every site one step from the box edge is interior, the edge is boundary
+        interior = np.zeros(spec.shape, dtype=bool)
+        interior[tuple(slice(1, -1) for _ in range(d))] = True
+        problem = DirichletProblem(spec, interior, ~interior,
+                                   rng.standard_normal(spec.shape), fields)
+        rows = solver._interior_rows(problem)
+        expected = -box_matrix(spec, *schrodinger_stencil(spec, fields))[
+            np.flatnonzero(interior)]
+        assert rows.shape == expected.shape == (interior.sum(), interior.size)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(rows, part), getattr(expected, part))
+
+    @pytest.mark.parametrize("d, h", [(1, 1 / 16), (2, 1 / 8), (3, 1 / 4)])
+    def test_equal_the_negated_box_rows_on_b4(self, d, h, rng_seed):
+        spec = LatticeSpec.ball_box(d, h, 4.0, pad_sites=2)
+        data = harmonic_polynomial(spec, "deg3" if d >= 2 else "linear_j")
+        fields = singular_field_data(spec, 0.3, rng_seed)
+        for problem in (DirichletProblem.on_ball(spec, 4.0, data),
+                        DirichletProblem.on_ball(spec, 4.0, data, fields)):
+            rows = solver._interior_rows(problem)
+            expected = -box_matrix(spec, *schrodinger_stencil(spec, problem.fields))[
+                np.flatnonzero(problem.interior)]
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(rows, part), getattr(expected, part))
+
+    def test_d3_solve_allocates_less_than_32_box_arrays(self):
+        # the whole-box assembly of P_h peaked at 59 box arrays here
+        spec = LatticeSpec.ball_box(3, 1 / 8, 4.0, pad_sites=2)
+        problem = DirichletProblem.on_ball(spec, 4.0, harmonic_polynomial(spec, "deg3"))
+        tracemalloc.start()
+        try:
+            dirichlet_solve(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * problem.boundary_values.nbytes
 
 
 class TestLuOrdering:
