@@ -286,6 +286,9 @@ def cmd_symbol_scan(args) -> tuple:
     })
     # every grid is checked against the size guard before any scan runs
     grids = [SymbolGrid(args.d, args.h, res) for res in args.resolution]
+    if any(a >= b for a, b in zip(args.resolution, args.resolution[1:])):
+        raise ValueError(f"resolutions {','.join(map(str, args.resolution))} are not strictly "
+                         "ascending: the refinement check compares each grid with a finer one")
     scans = []
     report.meta["scans"] = []
     for grid in grids:

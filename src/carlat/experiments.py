@@ -156,15 +156,15 @@ def log_convexity_scan(u: LatticeFunction, tau_grid, c_ps: float = 0.01,
                        tau0: float = 5.0, delta0: float = 0.1) -> ExperimentReport:
     """Two-term convexity constants C_emp(tau) over a tau grid.
 
-    C_emp(tau) = |u|_B1 / (e^{c1 tau} |u|_B1/2 + e^{-c2 tau} |u|_B2) with
+    C_emp(tau) = |u|_B1 / (e^{c2 tau} |u|_B1/2 + e^{-c1 tau} |u|_B2) with
     c1, c2 evaluated from the weight profile.  Only taus inside
     ``in_window`` contribute to the fitted maximum.
     """
     c1, c2, alpha = weight_constants(c_ps)
     limit = math.log(np.finfo(float).max)  # math.exp raises past it
-    if any(max(c1 * t, -c2 * t) > limit for t in tau_grid):
-        raise ValueError(f"a tau outside [{-limit / c2:.6g}, {limit / c1:.6g}] overflows "
-                         f"e^(c1 tau) or e^(-c2 tau): its exponent passes log(float max) "
+    if any(max(c2 * t, -c1 * t) > limit for t in tau_grid):
+        raise ValueError(f"a tau outside [{-limit / c1:.6g}, {limit / c2:.6g}] overflows "
+                         f"e^(c2 tau) or e^(-c1 tau): its exponent passes log(float max) "
                          f"= {limit:.6g}")
     h = u.spec.h
     n_half, n_one, n_two = ball_norms(u)
@@ -178,7 +178,7 @@ def log_convexity_scan(u: LatticeFunction, tau_grid, c_ps: float = 0.01,
     for tau in tau_grid:
         tau = float(tau)
         admissible = in_window(tau, h, tau0, delta0)
-        denom = math.exp(c1 * tau) * n_half + math.exp(-c2 * tau) * n_two
+        denom = math.exp(c2 * tau) * n_half + math.exp(-c1 * tau) * n_two
         c_emp = n_one / denom
         report.add_row(tau=tau, admissible=admissible, c_emp=c_emp,
                        norm_half=n_half, norm_one=n_one, norm_two=n_two)
@@ -201,7 +201,7 @@ def three_balls_experiment(solutions, c_ps: float = 0.01,
     exponential-correction fit.
 
     R(h) = |u|_B1 / (|u|_B1/2^alpha |u|_B2^(1-alpha)) with
-    alpha = c2/(c1+c2).  Rows with R(h) > bound_constant feed a linear fit of
+    alpha = c1/(c1+c2).  Rows with R(h) > bound_constant feed a linear fit of
     log(excess/|u|_B2) against 1/h whose negated slope estimates the
     correction exponent.  With one or two such rows the rows are kept, no
     exponent is fitted, a warning says the fit needs three, and the report
@@ -564,7 +564,8 @@ def singular_potential_experiment(mu0: float, d: int, h_grid, tau_fraction: floa
     At each h with tau = tau_fraction * delta0 / h inside ``in_window``, the
     B_4 Dirichlet problem with h-saturating random fields is solved and
     ``log_convexity_scan`` gives C_emp at tau.  The exponents per 1/h,
-    chat_i = c_i * tau * h, do not depend on h under this tau rule.  The
+    chat_i = c_i * tau * h, do not depend on h under this tau rule; the
+    verdict asks chat1, the decay rate of the B_2 term, to be positive.  The
     facts of each solve go to the sidecar, ``report.meta["inputs"]``.
     """
     if mu0 < 0:
@@ -590,11 +591,11 @@ def singular_potential_experiment(mu0: float, d: int, h_grid, tau_fraction: floa
                        chat1=c1 * tau * h, chat2=c2 * tau * h,
                        **{k: row[k] for k in ("c_emp", "norm_half", "norm_one", "norm_two")})
     if report.rows:
-        chat2_min = min(row["chat2"] for row in report.rows)
+        chat1_min = min(row["chat1"] for row in report.rows)
         report.fit("c_emp_max", FittedConstant(
             max(row["c_emp"] for row in report.rows), n=len(report.rows)))
-        report.fit("chat2_min", FittedConstant(chat2_min, n=len(report.rows)))
-        report.passed = bool(chat2_min > 0)
+        report.fit("chat1_min", FittedConstant(chat1_min, n=len(report.rows)))
+        report.passed = bool(chat1_min > 0)
     return report
 
 

@@ -274,18 +274,19 @@ def schrodinger_stencil(spec: LatticeSpec, fields: FieldData | None):
     """Offsets and per-site coefficient arrays of P_h on the box of spec.
 
     The order is that of ``stencil_offsets``: +e_j, -e_j for j = 1..d, then
-    the centre -2d/h^2 + V - sum_j B_j/h.  ``fields=None`` stands for V = 0,
-    B = 0; given fields must cover the box.
+    the centre -2d/h^2 + V - sum_j B_j/h, all read-only; a constant one (each
+    without fields, -e_j's always) is its value broadcast over the box.
+    ``fields=None`` stands for V = 0, B = 0; given fields must cover the box.
     """
     d, h = spec.d, spec.h
     v, bs = (0.0, (0.0,) * d) if fields is None else _fields_on(fields, spec)
-    center = np.full(spec.shape, -2.0 * d / h ** 2) + v
+    center = -2.0 * d / h ** 2 + v
     coeffs = []
     for j in range(1, d + 1):
         b = bs[j - 1] / h
         center = center - b
-        coeffs += [np.full(spec.shape, 1.0 / h ** 2) + b, np.full(spec.shape, 1.0 / h ** 2)]
-    return stencil_offsets(d), coeffs + [center]
+        coeffs += [1.0 / h ** 2 + b, 1.0 / h ** 2]
+    return stencil_offsets(d), [np.broadcast_to(c, spec.shape) for c in coeffs + [center]]
 
 
 def schrodinger_apply(f: LatticeFunction, fields: FieldData | None) -> LatticeFunction:

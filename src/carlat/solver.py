@@ -135,8 +135,7 @@ def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFu
     anything is assembled.
     """
     spec = p.spec
-    inside = np.flatnonzero(p.interior)
-    n = inside.size
+    n = int(np.count_nonzero(p.interior))
     if n == 0:
         raise SolverError("empty interior")
     if p.fields is not None and spec.d >= 3 and n > LU_MAX_UNKNOWNS_3D:
@@ -146,12 +145,12 @@ def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFu
     # right side, and the interior columns are the system both paths solve
     rows = _interior_rows(p)
     rhs = rows @ np.where(p.boundary, -p.boundary_values, 0.0).ravel()
-    mat = rows[:, inside]
+    mat = rows[:, p.interior.ravel()]
     del rows
     if p.fields is None:
         # the discrete maximum principle: sup|u| = sup|g| without fields
         sup_g = float(np.abs(p.boundary_values[p.boundary]).max(initial=0.0))
-        x, facts = _multigrid_solve(np.argwhere(p.interior) + spec.lo, mat, rhs,
+        x, facts = _multigrid_solve(p.interior, spec.lo, mat, rhs,
                                     0.1 * FLOOR_MULTIPLE * _floor(p, sup_g))
     else:
         x, facts = _lu_solve(mat.tocsc(), rhs)
@@ -175,18 +174,25 @@ def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFu
 
 
 def _interior_rows(p: DirichletProblem) -> sparse.csr_matrix:
-    """-P_h's rows at the interior sites, over the box's C-ordered sites.  The
-    coverage check keeps each row's 2d+1 columns in the box, so an offset is one
-    fixed step of the flat index; sorted steps give a canonical CSR's order."""
-    spec = p.spec
-    offsets, coeffs = schrodinger_stencil(spec, p.fields)
-    steps = offsets @ [math.prod(spec.shape[k + 1:]) for k in range(spec.d)]
+    """-P_h's rows at the interior sites, over the box's C-ordered sites; the
+    coverage check keeps each row's 2d+1 columns in the box."""
+    offsets, coeffs = schrodinger_stencil(p.spec, p.fields)
+    return _stencil_rows(p.interior, offsets, [-c[p.interior] for c in coeffs])
+
+
+def _stencil_rows(mask, offsets, data) -> sparse.csr_matrix:
+    """The rows at the sites of ``mask``, over its box's C-ordered sites, of
+    the stencil with data[k] (one per row, or one number) at offsets[k].
+    Every neighbour lies in the box, so an offset is one fixed step of the
+    flat index; sorted steps give a canonical CSR's order."""
+    steps = offsets @ [math.prod(mask.shape[k + 1:]) for k in range(mask.ndim)]
     order = np.argsort(steps)
-    data = np.stack([-coeffs[k][p.interior] for k in order], axis=1)
-    indices = np.flatnonzero(p.interior)[:, None] + steps[order]
+    sites = np.flatnonzero(mask)
+    data = np.stack([np.broadcast_to(data[k], sites.shape) for k in order], axis=1)
+    indices = sites[:, None] + steps[order]
     return sparse.csr_matrix(
         (data.ravel(), indices.ravel(), np.arange(0, data.size + 1, len(order))),
-        shape=(len(indices), math.prod(spec.shape)))
+        shape=(len(sites), mask.size))
 
 
 def _lu_solve(mat, rhs):
@@ -210,16 +216,16 @@ JACOBI_OMEGA = 0.8
 JACOBI_SWEEPS = 2
 
 
-def _multigrid_solve(sites, a, b, target):
+def _multigrid_solve(mask, lo, a, b, target):
     """x with sup|b - a x| <= target, by CG on the symmetric positive definite
     ``a`` preconditioned with one V-cycle, and the multigrid facts.
 
-    ``sites`` holds the lattice indices of the unknowns, one row each, in the
-    order of ``a``'s rows.  The iteration also stops, keeping its best x, once
-    the true residual's sup stops decreasing: the rounding floor is reached.
+    ``a``'s rows are the sites of ``mask``, a box with lower corner ``lo``, in
+    C order.  The iteration also stops, keeping its best x, once the true
+    residual's sup stops decreasing: the rounding floor is reached.
     """
     start = time.perf_counter()
-    levels, coarsest = _hierarchy(sites, a)
+    levels, coarsest = _hierarchy(mask, lo, a)
     x = np.zeros_like(b)
     r = b.copy()
     best = float(np.abs(r).max())
@@ -242,45 +248,40 @@ def _multigrid_solve(sites, a, b, target):
                "solve_s": time.perf_counter() - start}
 
 
-def _hierarchy(sites, a):
-    """The multigrid levels of ``a`` on ``sites``: (a, prolongation, omega/diag a)
-    for each level that is coarsened, finest first, and the coarsest level's LU.
+def _hierarchy(mask, lo, a):
+    """The multigrid levels of ``a`` on the unknowns ``mask`` of a box with
+    lower corner ``lo``: (a, prolongation, omega/diag a) for each level that
+    is coarsened, finest first, and the coarsest level's LU.
 
     The coarse unknowns are the sites whose indices are all even, the
-    sublattice ``lattice.coarsen(., 2)`` keeps, reindexed by halving.  The
-    prolongation P interpolates tensor-product linearly: the coarse site at
-    fine offset o in {-1, 0, 1}^d has weight prod_j (1 - |o_j|/2).  The
-    coarse operator is the Galerkin product P^T a P, so every level stays
-    symmetric positive definite.
+    sublattice ``lattice.coarsen(., 2)`` keeps, on the box whose corner is
+    the even corner halved.  The prolongation P interpolates tensor-product
+    linearly: the coarse site at fine offset o in {-1, 0, 1}^d has weight
+    prod_j (1 - |o_j|/2).  The coarse operator is the Galerkin product
+    P^T a P, so every level stays symmetric positive definite.
     """
     levels = []
     while a.shape[0] > COARSEST_UNKNOWNS:
-        even = (sites % 2 == 0).all(axis=1)
-        if not even.any():
+        start = [-l % 2 for l in lo]
+        coarse = mask[tuple(slice(s, None, 2) for s in start)]
+        if not coarse.any():
             break
-        p = _prolongation(sites, even)
+        p = _prolongation(mask, start, coarse)
         levels.append((a, p, JACOBI_OMEGA / a.diagonal()))
-        sites, a = sites[even] // 2, (p.T @ a @ p).tocsr()
+        mask, lo, a = coarse, [(l + s) // 2 for l, s in zip(lo, start)], (p.T @ a @ p).tocsr()
     return levels, splu(a.tocsc(), **LU_ORDERING)
 
 
-def _prolongation(sites, even):
-    """Linear interpolation from the ``even`` sites to all ``sites`` (a CSR matrix)."""
-    lo = sites.min(axis=0) - 1
-    number = np.full(tuple(sites.max(axis=0) - lo + 2), -1)
-    number[tuple((sites - lo).T)] = np.arange(len(sites))
-    coarse = sites[even] - lo
-    cols = np.arange(len(coarse))
-    rows, col_parts, vals = [], [], []
-    for off in itertools.product((-1, 0, 1), repeat=sites.shape[1]):
-        fine = number[tuple((coarse + off).T)]
-        hit = fine >= 0
-        rows.append(fine[hit])
-        col_parts.append(cols[hit])
-        vals.append(np.full(hit.sum(), math.prod(1 - abs(o) / 2 for o in off)))
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(col_parts))),
-        shape=(len(sites), len(coarse)))
+def _prolongation(fine, start, coarse):
+    """Linear interpolation from the ``coarse`` unknowns, fine[start::2], to the
+    ``fine`` ones, as rows of its transpose on the fine box padded by one site:
+    coarse unknown j sits at 2j + start + 1 there (``at``), and keeping the
+    columns of fine unknowns drops the neighbours that are not."""
+    at = np.zeros(np.add(fine.shape, 2), dtype=bool)
+    at[tuple(slice(s + 1, s + 1 + 2 * n, 2) for s, n in zip(start, coarse.shape))] = coarse
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=fine.ndim)))
+    rows = _stencil_rows(at, offsets, np.prod(1 - np.abs(offsets) / 2, axis=1))
+    return rows[:, np.pad(fine, 1).ravel()].T.tocsr()
 
 
 def _vcycle(levels, coarsest, r, k=0):
@@ -314,15 +315,10 @@ def rounding_floor(p: DirichletProblem, u: LatticeFunction) -> float:
 
 
 def _floor(p: DirichletProblem, sup_u: float) -> float:
-    """eps * ||P_h||_inf * sup_u.  ||P_h||_inf, the largest interior row sum
-    of |stencil coefficients|, is 4d/h^2 without fields."""
-    spec = p.spec
-    if p.fields is None:
-        norm = 4.0 * spec.d / spec.h ** 2
-    else:
-        coeffs = schrodinger_stencil(spec, p.fields)[1]
-        norm = float(sum(np.abs(c[p.interior]) for c in coeffs).max())
-    return float(np.finfo(float).eps) * norm * sup_u
+    """eps * ||P_h||_inf * sup_u, with ||P_h||_inf the largest interior row
+    sum of |stencil coefficients|."""
+    norm = sum(np.abs(c[p.interior]) for c in schrodinger_stencil(p.spec, p.fields)[1]).max()
+    return float(np.finfo(float).eps) * float(norm) * sup_u
 
 
 HARMONIC_KINDS = ("const", "linear_j", "mixed_jk", "diff_squares", "deg3")

@@ -125,8 +125,12 @@ def admissibility_check(c_ps: float) -> None:
 
 def weight_constants(c_ps: float = DEFAULT_C_PS):
     """Convexity exponents c1 = |varphi(3/2) - varphi(1)|, c2 = varphi(1/4) - varphi(1)
-    and the interpolation exponent alpha = c2/(c1+c2)."""
+    and the interpolation exponent alpha = c1/(c1+c2) of the small ball.
+
+    e^phi is largest at small radii, so the Carleman bound reads
+    |u|_B1 <= e^{c2 tau}|u|_B1/2 + e^{-c1 tau}|u|_B2, and its minimum over
+    tau puts alpha on B_1/2 (notes/decisions.md, "The two-term exponents")."""
     base = varphi(1.0, 0, c_ps)
     c1 = abs(varphi(1.5, 0, c_ps) - base)
     c2 = varphi(0.25, 0, c_ps) - base
-    return c1, c2, c2 / (c1 + c2)
+    return c1, c2, c1 / (c1 + c2)

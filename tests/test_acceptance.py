@@ -12,11 +12,13 @@ from carlat import (
     ConjugationContext,
     DirichletProblem,
     FrozenPoint,
+    LatticeFunction,
     LatticeSpec,
     SweepConfig,
     SymbolGrid,
     WeightParams,
     admissibility_check,
+    ball_input,
     caccioppoli_sweep,
     carleman_sweep,
     coarsen_check,
@@ -347,11 +349,13 @@ def test_criterion_7_carleman_stability():
 # -- criterion 8 -------------------------------------------------------------
 
 def test_criterion_8_three_balls():
-    """With alpha = c2/(c1+c2) from the weight, R(h) stays below the fixed
+    """With alpha = c1/(c1+c2) from the weight, R(h) stays below the fixed
     bound for every certified harmonic input, or the excess decays like
-    exp(-c/h) with a positive fitted rate and R^2 >= 0.9."""
+    exp(-c/h) with a positive fitted rate and R^2 >= 0.9.  The inputs include
+    Re z^7 and Re z^9, whose R grows as 2^((2 alpha - 1)(k + 1)) for alpha > 1/2,
+    and the deg3 solve in d = 3."""
     c1, c2, alpha = weight_constants(0.01)
-    alpha_ok = abs(alpha - 0.7750253371607894) <= 1e-10
+    alpha_ok = abs(alpha - 0.2249746628392106) <= 1e-10
     h_grid = (1 / 32, 1 / 64, 1 / 128)
     ok = alpha_ok
     details = [f"alpha={alpha:.4f}"]
@@ -373,6 +377,21 @@ def test_criterion_8_three_balls():
     report = three_balls_experiment(sols, c_ps=0.01, bound_constant=10.0)
     ok = ok and report.passed is True
     details.append(f"solve R_max {report.fitted['ratio_max'].value:.2f}")
+    for k in (7, 9):
+        sols = []
+        for h in (1 / 32, 1 / 64):
+            spec = LatticeSpec.ball_box(2, h, 4.0, pad_sites=2)
+            x = spec.coords()
+            g = LatticeFunction(spec, np.real((x[0] + 1j * x[1]) ** k))
+            problem = DirichletProblem.on_ball(spec, 4.0, g)
+            sols.append(dirichlet_solve(problem))
+        report = three_balls_experiment(sols, c_ps=0.01, bound_constant=10.0)
+        ok = ok and report.passed is True
+        details.append(f"Re z^{k} solve R_max {report.fitted['ratio_max'].value:.3f}")
+    sols = [ball_input(3, h, "solve")[0] for h in (1 / 8, 1 / 12)]
+    report = three_balls_experiment(sols, c_ps=0.01, bound_constant=10.0)
+    ok = ok and report.passed is True
+    details.append(f"d=3 solve R_max {report.fitted['ratio_max'].value:.2f}")
     record_acceptance(8, "three-balls interpolation bound", ok, ", ".join(details))
     assert ok
 

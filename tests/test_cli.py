@@ -590,14 +590,14 @@ class TestSubcommands:
         assert not any(tmp_path.iterdir())
 
     def test_log_convexity_refuses_a_tau_past_the_overflow_limit(self, tmp_path, capsys):
-        # e^{c1 tau} overflows from tau = 1754 at the default c_ps
+        # e^{c2 tau} overflows from tau = 509.2 at the default c_ps
         assert run(["log-convexity", "--h", "1/16", "--tau", "3000",
                     "--out", str(tmp_path / "big")]) == 1
         assert "log(float max) = 709.783" in capsys.readouterr().err
         assert not (tmp_path / "big").exists()
-        assert run(["log-convexity", "--h", "1/16", "--tau", "1754",
+        assert run(["log-convexity", "--h", "1/16", "--tau", "509",
                     "--out", str(tmp_path / "near")]) == 0
-        assert [row["tau"] for row in report_json(tmp_path / "near")["rows"]] == [1754.0]
+        assert [row["tau"] for row in report_json(tmp_path / "near")["rows"]] == [509.0]
 
     def test_carleman_sweep_tau_list(self, tmp_path):
         assert run(["carleman-sweep", "--h", "1/16", "--tau0", "1", "--tau", "2,3",
@@ -709,6 +709,30 @@ class TestSubcommands:
         assert f"{points * SCAN_BYTES_PER_POINT} bytes" in err
         assert peak < 8 << 20  # one 512^3 float64 grid alone is 1 GiB
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("resolution", ["64,64", "128,64"])
+    def test_symbol_scan_refuses_resolutions_that_do_not_ascend(self, resolution, tmp_path,
+                                                                 capsys, monkeypatch):
+        # a grid compared with itself passed with refinement_agreement 0.0
+        scans = []
+        monkeypatch.setattr(cli, "lower_bound_margin", lambda *a, **k: scans.append(a))
+        assert run(["symbol-scan", "--resolution", resolution, "--grid-csv", "0",
+                    "--out", str(tmp_path / "out")]) == 1
+        assert f"resolutions {resolution} are not strictly ascending" in capsys.readouterr().err
+        assert scans == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("resolution", ["64,128", "64"])
+    def test_symbol_scan_runs_ascending_resolutions(self, resolution, tmp_path):
+        assert run(["symbol-scan", "--h", "1/64", "--tau", "10", "--c0", "0.0025",
+                    "--resolution", resolution, "--grid-csv", "0", "--out", str(tmp_path)]) == 0
+        report = report_json(tmp_path)
+        assert [row["resolution"] for row in report["rows"]] == [
+            int(r) for r in resolution.split(",")]
+        # one resolution refines nothing, so it gets no verdict
+        refined = "," in resolution
+        assert ("refinement_agreement" in report["fitted"]) is refined
+        assert (report["passed"] is not None) is refined
 
     def test_three_balls_refuses_an_oversized_box_up_front(self, tmp_path, capsys):
         h = 1 / 100000

@@ -35,6 +35,14 @@ from carlat.experiments import (_axis_profile, _cell_seed, ball_norms, commutato
 from carlat.solver import DirichletProblem, dirichlet_solve
 
 
+def re_zk_solution(h, k):
+    """The B_4 Dirichlet solve, d = 2, with boundary data Re (x_1 + i x_2)^k."""
+    spec = LatticeSpec.ball_box(2, h, 4.0, pad_sites=2)
+    x = spec.coords()
+    data = LatticeFunction(spec, np.real((x[0] + 1j * x[1]) ** k))
+    return dirichlet_solve(DirichletProblem.on_ball(spec, 4.0, data))
+
+
 def poly_on_ball(d, h, kind="mixed_jk", radius=4.0):
     spec = LatticeSpec.ball_box(d, h, radius, pad_sites=2)
     return harmonic_polynomial(spec, kind)
@@ -45,14 +53,14 @@ class TestLogConvexity:
         u = poly_on_ball(2, 1 / 16, "const")
         report = log_convexity_scan(u, tau_grid=[6.0, 10.0, 30.0, 80.0],
                                     tau0=5.0, delta0=0.1)
-        # large tau: e^{c1 tau} |u|_{B_1/2} alone dominates |u|_{B_1}
+        # large tau: e^{c2 tau} |u|_{B_1/2} alone dominates |u|_{B_1}
         big_tau_rows = [r for r in report.rows if r["tau"] >= 30.0]
         assert all(r["c_emp"] <= 1.0 for r in big_tau_rows)
 
     def test_window_enforcement(self):
         # window at h=1/64 is (5, 6.4): only tau=6 contributes
         u = poly_on_ball(2, 1 / 64, "mixed_jk")
-        report = log_convexity_scan(u, tau_grid=[0.5, 6.0, 1000.0],
+        report = log_convexity_scan(u, tau_grid=[0.5, 6.0, 500.0],
                                     tau0=5.0, delta0=0.1)
         admissible = [r for r in report.rows if r["admissible"]]
         assert [r["tau"] for r in admissible] == [6.0]
@@ -61,7 +69,7 @@ class TestLogConvexity:
 
     def test_no_admissible_tau_warns(self):
         u = poly_on_ball(2, 1 / 16, "mixed_jk")
-        report = log_convexity_scan(u, tau_grid=[1000.0], tau0=5.0, delta0=0.1)
+        report = log_convexity_scan(u, tau_grid=[500.0], tau0=5.0, delta0=0.1)
         assert report.warnings and "admissible" in report.warnings[0]
         assert "c_emp_max" not in report.fitted
 
@@ -71,14 +79,14 @@ class TestLogConvexity:
             log_convexity_scan(LatticeFunction.zeros(spec), tau_grid=[6.0])
 
     def test_tau_past_the_overflow_limit_is_refused(self):
-        # at c_ps = 0.01, e^{c1 tau} overflows from tau = 1754 and e^{-c2 tau} below -509
+        # at c_ps = 0.01, e^{c2 tau} overflows from tau = 509.2 and e^{-c1 tau} below -1754
         u = poly_on_ball(2, 1 / 16, "mixed_jk")
         c1, c2, _ = weight_constants(0.01)
         limit = math.log(sys.float_info.max)
-        for tau in (3000.0, limit / c1 * (1 + 1e-12), -limit / c2 * (1 + 1e-12)):
+        for tau in (3000.0, limit / c2 * (1 + 1e-12), -limit / c1 * (1 + 1e-12)):
             with pytest.raises(ValueError, match="log\\(float max\\) = 709.783"):
                 log_convexity_scan(u, tau_grid=[6.0, tau])
-        near = limit / c1 * (1 - 1e-12)
+        near = limit / c2 * (1 - 1e-12)
         [row] = log_convexity_scan(u, tau_grid=[near]).rows
         assert row["tau"] == near and row["c_emp"] >= 0.0
 
@@ -93,7 +101,18 @@ class TestLogConvexity:
 class TestThreeBalls:
     def test_alpha_frozen_value(self):
         report = three_balls_experiment([poly_on_ball(2, 1 / 16)])
-        assert report.config["alpha"] == pytest.approx(0.7750253371607894, rel=1e-12)
+        assert report.config["alpha"] == pytest.approx(0.2249746628392106, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [7, 9])
+    def test_high_degree_harmonics_stay_bounded(self, k):
+        # the ball norms of Re z^k scale as r^(k+1), so R = 2^((2 alpha - 1)(k + 1)):
+        # bounded in k only for alpha <= 1/2.  alpha = c2/(c1+c2) = 0.775 gave
+        # R = 8.83, 17.9 (k = 7) and 9.85, 23.0 (k = 9) at h = 1/32, 1/64
+        report = three_balls_experiment([re_zk_solution(h, k) for h in (1 / 32, 1 / 64)])
+        alpha = report.config["alpha"]
+        assert alpha < 0.5 and report.passed is True and not report.warnings
+        for row in report.rows:
+            assert row["ratio"] <= 2 ** ((2 * alpha - 1) * (k + 1)) < 0.05
 
     def test_constant_input_stays_bounded(self):
         sols = [poly_on_ball(2, h, "const") for h in (1 / 8, 1 / 16, 1 / 32)]
@@ -399,7 +418,9 @@ class TestSingularPotential:
         assert report.rows
         for row in report.rows:
             assert row["residual"] <= 1e-8 * 70.0  # scale of deg3 data on B_4
-            assert row["chat2"] > 0
+            assert row["chat1"] > 0
+        # the verdict follows e^{-c1 tau}, the decaying B_2 term
+        assert report.fitted["chat1_min"].value == min(row["chat1"] for row in report.rows)
         assert report.passed is True
 
     def test_rows_are_log_convexity_on_the_solved_input(self):

@@ -1,5 +1,8 @@
 """Difference operators, norms, the Schrodinger operator, and coarsening."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +151,31 @@ class TestSchrodinger:
         for d in (1, 2, 3):
             spec = LatticeSpec(d, 0.5, (-2,) * d, (2,) * d)
             assert np.array_equal(schrodinger_stencil(spec, None)[0], stencil_offsets(d))
+
+    def test_constant_coefficients_are_read_only_numbers(self, rng_seed):
+        # without fields each of the 2d + 1 = 7 coefficients is one number
+        # broadcast over the box, not a filled box array
+        spec = LatticeSpec.ball_box(3, 1 / 8, 4.0, pad_sites=2)
+        tracemalloc.start()
+        try:
+            coeffs = schrodinger_stencil(spec, None)[1]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * math.prod(spec.shape)
+        h = spec.h
+        for c, value in zip(coeffs, [1 / h ** 2] * 6 + [-6 / h ** 2]):
+            assert c.shape == spec.shape and c.strides == (0, 0, 0)
+            assert not c.flags.writeable and c[0, 0, 0] == value
+        # with fields, B_j enters +e_j's coefficient and the centre only
+        rng = np.random.default_rng(rng_seed)
+        small = LatticeSpec(2, 0.5, (-3, -3), (3, 3))
+        fields = FieldData(LatticeFunction(small, rng.standard_normal(small.shape)),
+                           tuple(LatticeFunction(small, rng.standard_normal(small.shape))
+                                 for _ in range(2)))
+        coeffs = schrodinger_stencil(small, fields)[1]
+        assert not any(c.flags.writeable for c in coeffs)
+        assert [c.strides == (0, 0) for c in coeffs] == [False, True, False, True, False]
 
     def test_harmonic_with_zero_fields(self):
         spec = LatticeSpec(2, 0.5, (-5, -5), (5, 5))

@@ -1,6 +1,7 @@
 """Dirichlet solves, closed-form harmonic polynomials, seeded bumps."""
 
 import gc
+import itertools
 import math
 import sys
 import time
@@ -14,6 +15,7 @@ import scipy.sparse.linalg
 
 from carlat import solver
 from carlat import (
+    BallRegion,
     DirichletProblem,
     FieldData,
     LatticeFunction,
@@ -55,6 +57,27 @@ def box_matrix(spec, offsets, coeffs):
     return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(sites.size, sites.size))
+
+
+def site_list_prolongation(sites, even):
+    """Linear interpolation from the ``even`` rows of ``sites`` (lattice indices,
+    one row per unknown) to all of them, assembled offset by offset through
+    COO over a numbering of the padded bounding box."""
+    lo = sites.min(axis=0) - 1
+    number = np.full(tuple(sites.max(axis=0) - lo + 2), -1)
+    number[tuple((sites - lo).T)] = np.arange(len(sites))
+    coarse = sites[even] - lo
+    cols = np.arange(len(coarse))
+    rows, col_parts, vals = [], [], []
+    for off in itertools.product((-1, 0, 1), repeat=sites.shape[1]):
+        fine = number[tuple((coarse + off).T)]
+        hit = fine >= 0
+        rows.append(fine[hit])
+        col_parts.append(cols[hit])
+        vals.append(np.full(hit.sum(), math.prod(1 - abs(o) / 2 for o in off)))
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(col_parts))),
+        shape=(len(sites), len(coarse)))
 
 
 def full_grid_bump(spec, seed, modes=6):
@@ -380,6 +403,35 @@ class TestInteriorRows:
         assert peak < 32 * problem.boundary_values.nbytes
 
 
+class TestProlongation:
+    """Every level's P against the site-list assembly it replaced."""
+
+    @pytest.mark.parametrize("d, lo, hi, radius", [
+        (1, (-40,), (37,), 9.0), (1, (-37,), (40,), 9.0),
+        (2, (-10, -9), (9, 10), 2.4), (2, (-9, -10), (11, 8), 2.4),
+        (3, (-6, -6, -5), (5, 6, 6), 1.4), (3, (-5, -6, -7), (6, 5, 4), 1.4)])
+    def test_equals_the_site_list_assembly_on_every_level(self, d, lo, hi, radius, monkeypatch):
+        # a ball cut by the box less its edge layer: coarse sites on the cut
+        # have fine neighbours that are not unknowns
+        monkeypatch.setattr(solver, "COARSEST_UNKNOWNS", 1)
+        spec = LatticeSpec(d, 1 / 4, lo, hi)
+        interior = np.zeros(spec.shape, dtype=bool)
+        interior[tuple(slice(1, -1) for _ in range(d))] = True
+        interior &= BallRegion(radius).mask(spec)
+        problem = DirichletProblem(spec, interior, ~interior, np.zeros(spec.shape))
+        a = solver._interior_rows(problem)[:, interior.ravel()]
+        levels, _ = solver._hierarchy(interior, spec.lo, a)
+        sites = np.argwhere(interior) + spec.lo
+        assert len(levels) >= 3
+        for _, p, _ in levels:
+            even = (sites % 2 == 0).all(axis=1)
+            expected = site_list_prolongation(sites, even)
+            assert p.shape == expected.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(p, part), getattr(expected, part))
+            sites = sites[even] // 2
+
+
 class TestLuOrdering:
     """The reordered, refined solve against SuperLU's default column ordering."""
 
@@ -417,6 +469,21 @@ class TestLuOrdering:
         assert stats["fill_nnz"] == fills[0]
         assert stats["unknowns"] == 51429 and stats["h"] == 1 / 32
         assert 0.0 < stats["factor_s"] < 60.0
+
+
+class TestStencilMemory:
+    def test_field_free_residual_allocates_less_than_3_box_arrays(self):
+        # P_h's 2d + 1 coefficients filled as box arrays took this to 9
+        spec = LatticeSpec.ball_box(3, 1 / 8, 4.0, pad_sites=2)
+        data = harmonic_polynomial(spec, "deg3")
+        problem = DirichletProblem.on_ball(spec, 4.0, data)
+        tracemalloc.start()
+        try:
+            residual(problem, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * data.values.nbytes
 
 
 class TestMultigrid:

@@ -20,7 +20,7 @@ from carlat import (
 VARPHI_QUARTER = 1.3940461107139675
 C1_DEFAULT = 0.40466425896360338
 C2_DEFAULT = 1.3940461107139675
-ALPHA_DEFAULT = 0.7750253371607894
+ALPHA_DEFAULT = 0.2249746628392106
 
 
 def mp_varphi(t, c_ps):
@@ -233,7 +233,7 @@ class TestConstants:
             c1, c2, alpha = weight_constants(c_ps)
             assert c1 == pytest.approx(float(c1o), rel=1e-13)
             assert c2 == pytest.approx(float(c2o), rel=1e-13)
-            assert alpha == pytest.approx(float(c2o / (c1o + c2o)), rel=1e-13)
+            assert alpha == pytest.approx(float(c1o / (c1o + c2o)), rel=1e-13)
 
 
 def test_weight_params_validation():
