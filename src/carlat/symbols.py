@@ -222,11 +222,17 @@ def _outer_sum(vectors, start=0.0, out=None) -> np.ndarray:
     return np.add(head, _along(vectors[-1], d - 1, d), out=out)
 
 
-def _slabs(grid: SymbolGrid) -> list:
-    """Row slices of frequency axis 0 holding about SCAN_BLOCK_POINTS points each."""
-    res = grid.resolution
-    step = max(1, SCAN_BLOCK_POINTS // res ** (grid.d - 1))
+def _slabs(res: int, d: int) -> list:
+    """Row slices of axis 0 of a res^d block holding about SCAN_BLOCK_POINTS points each."""
+    step = max(1, SCAN_BLOCK_POINTS // res ** (d - 1))
     return [slice(r0, min(r0 + step, res)) for r0 in range(0, res, step)]
+
+
+def _run(keep: np.ndarray) -> slice:
+    """Indices of the sorted frequency axis where ``keep`` holds, for a
+    predicate like |xi_j| <= r that holds on one run of the axis."""
+    idx = np.flatnonzero(keep)
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
 
 
 def _on_slab(v: np.ndarray, rows: slice, d: int) -> list:
@@ -322,6 +328,16 @@ def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float):
     }
 
 
+def _slab_worst(fp: FrozenPoint, trig, rows: slice) -> float:
+    """Largest |xi| on the slab with p_r^2 < C1_FLOOR |xi|^4 or a NaN ratio, or -inf."""
+    pr, norm = _slab_pr(fp, trig, rows), _slab_norm(trig[0], rows, fp.d)
+    # pr ** 2 / norm ** 4, written into pr: three slabs at the peak
+    np.square(pr, out=pr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = ~(np.divide(pr, np.power(norm, 4.0), out=pr) >= C1_FLOOR)
+    return float(norm[bad].max()) if bad.any() else -np.inf
+
+
 def empirical_c1(fp: FrozenPoint, grid: SymbolGrid) -> float | None:
     """Smallest region-split constant with p_r^2 >= C1_FLOOR * |xi|^4 beyond C1*tau.
 
@@ -332,18 +348,29 @@ def empirical_c1(fp: FrozenPoint, grid: SymbolGrid) -> float | None:
 
     A candidate's region {|xi| >= c1 tau} passes when it holds no point with
     p_r^2 < C1_FLOOR |xi|^4 (or a NaN ratio), i.e. when c1 tau exceeds the
-    largest |xi| among those points, so one pass over the slabs reduces the
-    grid to that |xi| and the largest |xi| of all.
+    largest |xi| among those points (``worst``) and no more than the
+    largest |xi| of all (``top``).
+
+    No such point lies far out: sin^2(theta/2) >= (theta/pi)^2 on
+    |theta| <= pi and g_j^2 cos(theta_j) <= g_j^2 give
+    -p_r >= (4/pi^2) |xi|^2 - |g|^2, which is at least sqrt(C1_FLOOR) |xi|^2
+    once |xi|^2 >= |g|^2 / (4/pi^2 - sqrt(C1_FLOOR)).  So ``worst`` is found
+    on the box |xi_j| <= twice that reach plus one grid step, walked in
+    slabs; outside it |p_r| clears sqrt(C1_FLOOR) |xi|^2 by a factor of
+    about 5, far beyond rounding.  ``top`` is the norm at the corner
+    |xi_j| = max|axis|: the computed norm grows with every |xi_j|.
     """
     trig = _axis_trig(fp, grid)
-    worst = top = -np.inf
-    for rows in _slabs(grid):
-        pr, norm = _slab_pr(fp, trig, rows), _slab_norm(trig[0], rows, fp.d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bad = ~(pr ** 2 / norm ** 4 >= C1_FLOOR)
-        if bad.any():
-            worst = max(worst, float(norm[bad].max()))
-        top = max(top, float(norm.max()))
+    ax, d = trig[0], fp.d
+    rho2 = float(np.sum(fp.grad_phi ** 2))
+    slack = 4.0 / np.pi ** 2 - np.sqrt(C1_FLOOR)
+    box = slice(0, grid.resolution)
+    if slack > 0.0 and rho2 > 0.0:
+        box = _run(np.abs(ax) <= 2.0 * np.sqrt(rho2 / slack) + (ax[1] - ax[0]))
+    trig = tuple(v[box] for v in trig)
+    worst = max((_slab_worst(fp, trig, rows) for rows in _slabs(trig[0].size, d)),
+                default=-np.inf)
+    top = float(_slab_norm(np.abs(ax).max(keepdims=True), slice(0, 1), d).max())
     for c1 in C1_CANDIDATES:
         if not c1 * fp.tau <= top:
             return None
@@ -355,16 +382,20 @@ def empirical_c1(fp: FrozenPoint, grid: SymbolGrid) -> float | None:
 REGIONS = ("high_frequency", "characteristic_neighborhood", "low_frequency")
 
 
-def _fold(found: dict, key: str, values: np.ndarray, offset: int) -> None:
-    """Keep the smallest of ``values`` and its flat grid index under ``key``.
+def _fold(found: dict, keys: tuple, values: np.ndarray, start: tuple) -> None:
+    """Keep the smallest of ``values`` and its grid index under each of ``keys``.
 
-    A later slab must be strictly smaller, so ties keep the first point in
-    C order, as one argmin over the whole grid would.
+    ``values`` is the block of the grid whose first point has index
+    ``start``.  Blocks come in C order of their rows, and a later block must
+    be strictly smaller, so ties keep the first point in C order, as one
+    argmin over the whole grid would.
     """
-    j = int(np.argmin(values))
-    v = float(values.flat[j])
-    if key not in found or v < found[key][0]:
-        found[key] = (v, offset + j)
+    at = np.unravel_index(int(np.argmin(values)), values.shape)
+    v = float(values[at])
+    index = tuple(int(s + i) for s, i in zip(start, at))
+    for key in keys:
+        if key not in found or v < found[key][0]:
+            found[key] = (v, index)
 
 
 def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
@@ -379,7 +410,11 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
 
     The grid is scanned in slabs of about SCAN_BLOCK_POINTS points along
     frequency axis 0, keeping only running minima, argmins and counts.  C1
-    is ``empirical_c1``, one more pass, since every slab's regions need it.
+    is ``empirical_c1``, which walks only a box around the origin.  A point
+    with some |xi_j| >= C1 tau is high-frequency, since sqrt(fl(x x)) = |x|
+    and more non-negative squares only raise the sum; so the regions are
+    told apart only on the box |xi_j| < C1 tau, and a slab outside it is
+    all high.
 
     For the convexified weight the minimum is positive only when the
     coupling stays below the pseudoconvexity, c0 < c_ps/(1 + log^2|x_bar|):
@@ -391,41 +426,54 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     d, tau, res = fp.d, fp.tau, grid.resolution
     c1_split = empirical_c1(fp, grid)
     ax = grid.axis()
+    t = np.inf if c1_split is None else c1_split * tau
+    box = _run(np.abs(ax) < t)
+    b0, b1 = box.start, box.stop
     lo = hi = 0
     rho = float(np.linalg.norm(fp.grad_phi))
     if d > 1 and rho > 0.0:
         # |xi| <= rho + distance: the neighborhood lies in this box, and one
-        # more grid step absorbs rounding
-        idx = np.flatnonzero(np.abs(ax) <= rho + gamma0 * tau + (ax[1] - ax[0]))
-        if idx.size:
-            lo, hi = idx[0], idx[-1] + 1
+        # more grid step absorbs rounding; outside the region box it is high
+        run = _run((np.abs(ax) <= rho + gamma0 * tau + (ax[1] - ax[0])) & (np.abs(ax) < t))
+        lo, hi = run.start, run.stop
+        if lo < hi:
             box_xi = np.stack(np.meshgrid(*[ax[lo:hi]] * d, indexing="ij"))
             near_box = char_set_distance(box_xi, fp) <= gamma0 * tau
 
     found, counts = {}, dict.fromkeys(REGIONS, 0)
-    for rows in _slabs(grid):
+    for rows in _slabs(res, d):
         margin = _margin_terms(fp, grid, c0, rows)["margin"]
-        offset = rows.start * res ** (d - 1)
-        _fold(found, "grid", margin, offset)
-        if c1_split is not None:
-            high = _slab_norm(ax, rows, d) >= c1_split * tau
-        else:
-            high = np.zeros(margin.shape, bool)
-        near = np.zeros(margin.shape, bool)
-        # the slab's rows of the neighborhood box, if any
-        r0, r1 = max(rows.start, lo), min(rows.stop, hi)
-        if r0 < r1:
-            box = (slice(r0 - rows.start, r1 - rows.start),) + (slice(lo, hi),) * (d - 1)
-            near[box] = near_box[r0 - lo:r1 - lo] & ~high[box]
-        for name, mask in zip(REGIONS, (high, near, ~(high | near))):
+        start = (rows.start,) + (0,) * (d - 1)
+        # the slab's rows of the region box, if any
+        r0, r1 = max(rows.start, b0), min(rows.stop, b1)
+        if r0 >= r1:
+            counts["high_frequency"] += margin.size
+            _fold(found, ("grid", "high_frequency"), margin, start)
+            continue
+        _fold(found, ("grid",), margin, start)
+        # the slab's points of the box that are not high, and which of them are near
+        other = _slab_norm(ax[box], slice(r0 - b0, r1 - b0), d) < t
+        near = np.zeros(other.shape, bool)
+        n0, n1 = max(r0, lo), min(r1, hi)
+        if n0 < n1:
+            cut = (slice(n0 - r0, n1 - r0),) + (slice(lo - b0, hi - b0),) * (d - 1)
+            near[cut] = near_box[n0 - lo:n1 - lo] & other[cut]
+        sub = (slice(r0 - rows.start, r1 - rows.start),) + (box,) * (d - 1)
+        block_start = (r0,) + (b0,) * (d - 1)
+        for name, mask in zip(REGIONS[1:], (near, other & ~near)):
             n = int(np.count_nonzero(mask))
             if n:
                 counts[name] += n
-                _fold(found, name, np.where(mask, margin, np.inf), offset)
+                _fold(found, (name,), np.where(mask, margin[sub], np.inf), block_start)
+        n = margin.size - int(np.count_nonzero(other))
+        if n:
+            counts["high_frequency"] += n
+            margin[sub][other] = np.inf  # in place; the slab's points outside the box are high
+            _fold(found, ("high_frequency",), margin, start)
 
     def stat(key):
-        value, flat = found[key]
-        return value, tuple(float(ax[i]) for i in np.unravel_index(flat, (res,) * d))
+        value, index = found[key]
+        return value, tuple(float(ax[i]) for i in index)
 
     regions = {name: RegionStat(*stat(name), counts[name]) if counts[name]
                else RegionStat(None, None, 0) for name in REGIONS}

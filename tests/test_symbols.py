@@ -1,6 +1,7 @@
 """Symbols of the frozen operators: Parseval cross-checks and margin scans."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from carlat.symbols import (
     C1_CANDIDATES,
     C1_FLOOR,
     MAX_GRID_POINTS,
+    MarginScan,
+    RegionStat,
     SCAN_BYTES_PER_POINT,
     _margin_terms,
     empirical_c1,
@@ -374,6 +377,13 @@ def mesh_scan(fp, c0, grid, gamma0=0.05):
     (3, (0.8, 0.4, -0.2), 10.0, 1 / 64, 0.002, 40, 0.1, None),
     (1, (1.0,), 20.0, 1 / 128, 0.0025, 256, 0.05, None),
     (2, (0.0, 1.0), 20.0, 1 / 128, 0.0025, 512, 0.05, None),
+    # tau above the grid's largest |xi| (8 pi sqrt 2 = 35.5): c1 is None, and
+    # the region box is the whole grid
+    (2, (1.0, 0.0), 40.0, 1 / 8, 0.0025, 64, 0.05, None),
+    # near the inner radius |g| > 2 tau, so the split needs c1 = 3
+    (2, (-0.401, 0.3), 10.0, 1 / 64, 0.0025, 128, 0.1, 3.0),
+    # the margin_scan benchmark's x_bar at seed 7, at angle 2 pi frac(7 (sqrt 5 - 1)/2)
+    (2, (-0.4609070247133709, 0.8874484292452537), 20.0, 1 / 128, 0.0025, 1024, 0.05, 2.0),
 ])
 def test_scan_matches_the_dense_mesh_scan(d, x_bar, tau, h, c0, resolution, gamma0,
                                           want_c1, monkeypatch):
@@ -415,17 +425,92 @@ def test_scan_matches_the_dense_mesh_scan(d, x_bar, tau, h, c0, resolution, gamm
         assert scan.argmin_xi[0] < 0
 
 
+def whole_grid_c1(fp, grid):
+    """``empirical_c1`` as one pass over every grid point, the pass its box replaced."""
+    trig = symbols._axis_trig(fp, grid)
+    rows = slice(0, grid.resolution)
+    pr, norm = symbols._slab_pr(fp, trig, rows), symbols._slab_norm(trig[0], rows, fp.d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = ~(pr ** 2 / norm ** 4 >= C1_FLOOR)
+    worst, top = float(norm[bad].max()) if bad.any() else -np.inf, float(norm.max())
+    for c1 in symbols.C1_CANDIDATES:
+        if not c1 * fp.tau <= top:
+            return None
+        if c1 * fp.tau > worst:
+            return float(c1)
+    return None
+
+
+def whole_grid_scan(fp, c0, grid, gamma0):
+    """``lower_bound_margin`` with every region mask on the whole grid, as the
+    scan made them before it confined them to the box |xi_j| < c1 tau."""
+    d, res, ax = fp.d, grid.resolution, grid.axis()
+    margin = _margin_terms(fp, grid, c0, slice(0, res))["margin"]
+    c1 = whole_grid_c1(fp, grid)
+    high = np.zeros(margin.shape, bool)
+    if c1 is not None:
+        high = symbols._slab_norm(ax, slice(0, res), d) >= c1 * fp.tau
+    near = (char_set_distance(grid.mesh(), fp) <= gamma0 * fp.tau) & ~high
+
+    def stat(values, count):
+        at = np.unravel_index(np.argmin(values), values.shape)
+        return RegionStat(float(values[at]), tuple(float(ax[i]) for i in at), count)
+
+    regions = {name: stat(np.where(mask, margin, np.inf), int(np.count_nonzero(mask)))
+               if mask.any() else RegionStat(None, None, 0)
+               for name, mask in zip(symbols.REGIONS, (high, near, ~(high | near)))}
+    whole = stat(margin, margin.size)
+    return MarginScan(whole.min_margin, whole.argmin_xi, res, c0, gamma0, c1, regions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), tau=st.floats(1.5, 40.0), inv_h=st.integers(4, 256),
+       c_ps=st.floats(0.01, 1.0), radius=st.floats(0.51, 1.99),
+       direction=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
+       signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=3, max_size=3),
+       resolution=st.integers(8, 48), c0=st.floats(0.0, 0.1), gamma0=st.floats(0.01, 0.5),
+       slab_rows=st.integers(1, 48))
+def test_boxed_scan_matches_the_whole_grid(d, tau, inv_h, c_ps, radius, direction, signs,
+                                           resolution, c0, gamma0, slab_rows):
+    x = np.array(direction[:d]) * np.array(signs[:d])
+    fp = frozen(d=d, tau=tau, h=1.0 / inv_h, c_ps=c_ps,
+                x_bar=tuple(radius * x / np.linalg.norm(x)))
+    grid = SymbolGrid(d, fp.h, resolution)
+    assert empirical_c1(fp, grid) == whole_grid_c1(fp, grid)
+    # candidates tau/64 apart, up to the grid's largest |xi|, pin the largest
+    # |xi| that fails the floor to within tau/64
+    fine = np.arange(1, 64 * np.pi * np.sqrt(d) / (fp.h * fp.tau) + 2) / 64
+    with mock.patch.object(symbols, "C1_CANDIDATES", tuple(fine.tolist())):
+        assert empirical_c1(fp, grid) == whole_grid_c1(fp, grid)
+    # on the dense mesh every point failing the floor lies within the reach
+    # |g| / sqrt(4/pi^2 - sqrt(C1_FLOOR)), half the c1 box's
+    xi = grid.mesh()
+    norm = np.sqrt((xi ** 2).sum(axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = ~(symbol_pr(xi, fp) ** 2 / norm ** 4 >= C1_FLOOR)
+    reach = np.linalg.norm(fp.grad_phi) / np.sqrt(4 / np.pi ** 2 - np.sqrt(C1_FLOOR))
+    assert np.all(norm[bad] <= reach)
+    # the region box against whole-grid masks, with slabs crossing it anywhere
+    points = min(slab_rows, resolution) * resolution ** (d - 1)
+    with mock.patch.object(symbols, "SCAN_BLOCK_POINTS", points):
+        assert lower_bound_margin(fp, c0, grid, gamma0=gamma0) == whole_grid_scan(
+            fp, c0, grid, gamma0)
+
+
 def test_scan_holds_no_whole_grid():
-    # five float64 grids at 2048^2 would be 168 MB
+    # five float64 grids at 4096^2 would be 671 MB; the c1 pass holds three
+    # float64 slabs of 2^17 points of its box, the scan a slab's margin terms
     fp = frozen()
-    grid = SymbolGrid(2, fp.h, 2048)
-    tracemalloc.start()
-    try:
-        lower_bound_margin(fp, 0.0025, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 << 20
+    grid = SymbolGrid(2, fp.h, 4096)
+    for run, bound in ((lambda: empirical_c1(fp, grid), 4 << 20),
+                       (lambda: lower_bound_margin(fp, 0.0025, grid), 16 << 20)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestGridGuard:
