@@ -440,7 +440,7 @@ def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
 
     rows, step = spec.shape[0], slab_rows(spec)
     buf = np.empty((step,) + spec.shape[1:])
-    # sums of (e^phi u)^2, (e^phi h^-1 D u)^2, (e^phi h^-2 D^2 u)^2, (e^phi g)^2
+    # sums of (e^phi u)^2, (e^phi D u)^2, (e^phi D^2 u)^2, (e^phi Lap u)^2
     sums = [0.0] * 4
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
@@ -453,15 +453,14 @@ def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
         d2u = dop(du)
         own = slice(r0 - lo, r1 - lo)
         weight, out = exp_phi[r0:r1], buf[:r1 - r0]
-        for k, (values, scale) in enumerate(((sub.values, 1.0), (du.values, h),
-                                             (d2u.values, h ** 2),
-                                             (laplacian(sub).values, h ** 2))):
-            np.divide(values[own], scale, out=out)
-            out *= weight
-            out *= out
-            sums[k] += float(out.sum())
+        flat = out.reshape(-1)
+        for k, values in enumerate((sub.values, du.values, d2u.values, laplacian(sub).values)):
+            np.multiply(values[own], weight, out=out)
+            # einsum's own loop, not BLAS: the same bits for any BLAS thread count
+            sums[k] += float(np.einsum("i,i->", flat, flat))
 
-    norm2 = [h ** spec.d * total for total in sums]
+    # the unscaled sums times h^d, over h^0, h^2, h^4 and h^4
+    norm2 = [h ** spec.d * total / h ** p for total, p in zip(sums, (0, 2, 4, 4))]
     term_l2 = tau ** 3 * norm2[0]
     term_d1 = tau * norm2[1]
     term_d2 = tau ** -1 * norm2[2]

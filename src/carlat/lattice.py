@@ -12,6 +12,7 @@ with Lap f(n) = sum_j f(n+h e_j) + f(n-h e_j) - 2 f(n).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -197,10 +198,25 @@ def unit_offset(d: int, j: int) -> np.ndarray:
     return off
 
 
+@functools.cache
 def stencil_offsets(d: int) -> np.ndarray:
-    """P_h's stencil offsets: +e_j, -e_j for j = 1..d, then the centre."""
-    return np.stack([s * unit_offset(d, j) for j in range(1, d + 1) for s in (1, -1)]
-                    + [np.zeros(d, dtype=np.int64)])
+    """P_h's stencil offsets: +e_j, -e_j for j = 1..d, then the centre.
+
+    Built once per d and shared, so the array is read-only.
+    """
+    off = np.stack([s * unit_offset(d, j) for j in range(1, d + 1) for s in (1, -1)]
+                   + [np.zeros(d, dtype=np.int64)])
+    off.flags.writeable = False
+    return off
+
+
+@functools.cache
+def _centre_first(d: int) -> np.ndarray:
+    """``stencil_offsets(d)`` with the centre first: the summation order of
+    the recorded Carleman ratios, read-only."""
+    off = np.roll(stencil_offsets(d), 1, axis=0)
+    off.flags.writeable = False
+    return off
 
 
 def shift_values(values: np.ndarray, off) -> np.ndarray:
@@ -245,9 +261,8 @@ def diff(f: LatticeFunction, j: int, mode: str = "forward") -> LatticeFunction:
 def laplacian(f: LatticeFunction) -> LatticeFunction:
     """Unscaled discrete Laplacian sum_j f(n+h e_j) + f(n-h e_j) - 2 f(n)."""
     d = f.spec.d
-    # P_h's offsets, centre first: the summation order of the recorded Carleman ratios
-    offsets = np.roll(stencil_offsets(d), 1, axis=0)
-    return f.with_values(apply_stencil_const(f.values, offsets, [-2.0 * d] + [1.0] * (2 * d)))
+    weights = [-2.0 * d] + [1.0] * (2 * d)
+    return f.with_values(apply_stencil_const(f.values, _centre_first(d), weights))
 
 
 def sym_diff_sum(f: LatticeFunction) -> LatticeFunction:

@@ -271,9 +271,9 @@ def _pair(u: float, v: float, s: np.ndarray, c: np.ndarray, rows: slice) -> np.n
     return pair[rows.start - lo:rows.stop - lo]
 
 
-def _margin_terms(fp: FrozenPoint, grid: SymbolGrid, c0: float, rows: slice) -> dict:
+def _margin_terms(fp: FrozenPoint, trig, c0: float, rows: slice) -> dict:
     """p_r, p_i, q and the margin on the slab axis[rows] x axis^(d-1), from
-    trig on the 1-D axis.
+    ``_axis_trig``'s trig on the 1-D axis, computed once per scan.
 
     p_r, p_i and the denominator are outer sums of per-axis vectors.  With
     cos(a -+ b) = cos a cos b +- sin a sin b, the diagonal of q is the outer
@@ -285,7 +285,6 @@ def _margin_terms(fp: FrozenPoint, grid: SymbolGrid, c0: float, rows: slice) -> 
     """
     d, h, tau = fp.d, fp.h, fp.tau
     g, hess = fp.grad_phi, fp.hess_phi
-    trig = _axis_trig(fp, grid)
     ax, s, c, _ = trig
     sv = _on_slab(s, rows, d)
     pr = _slab_pr(fp, trig, rows)
@@ -296,7 +295,7 @@ def _margin_terms(fp: FrozenPoint, grid: SymbolGrid, c0: float, rows: slice) -> 
         for k in range(j + 1, d):
             a = 2.0 * hess[j, k] * (4.0 / h ** 2 + 2.0 * (g[j] ** 2 + g[k] ** 2))
             b = 8.0 * hess[j, k] * g[j] * g[k]
-            pair = _pair(a, b, s, c, rows if j == 0 else slice(0, grid.resolution))
+            pair = _pair(a, b, s, c, rows if j == 0 else slice(0, s.size))
             q += pair.reshape([q.shape[i] if i in (j, k) else 1 for i in range(d)])
             del pair  # the whole slab at d = 2
     margin = np.multiply(pr, pr)
@@ -318,7 +317,7 @@ def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float):
     The values are those ``lower_bound_margin`` minimizes.  This table is
     the one caller that holds whole grids: five float64 grids at its peak.
     """
-    t = _margin_terms(fp, grid, c0, slice(0, grid.resolution))
+    t = _margin_terms(fp, _axis_trig(fp, grid), c0, slice(0, grid.resolution))
     return {
         "axis": t["axis"],
         "p_r": t["p_r"].ravel(),
@@ -425,7 +424,8 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     """
     d, tau, res = fp.d, fp.tau, grid.resolution
     c1_split = empirical_c1(fp, grid)
-    ax = grid.axis()
+    trig = _axis_trig(fp, grid)
+    ax = trig[0]
     t = np.inf if c1_split is None else c1_split * tau
     box = _run(np.abs(ax) < t)
     b0, b1 = box.start, box.stop
@@ -442,7 +442,7 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
 
     found, counts = {}, dict.fromkeys(REGIONS, 0)
     for rows in _slabs(res, d):
-        margin = _margin_terms(fp, grid, c0, rows)["margin"]
+        margin = _margin_terms(fp, trig, c0, rows)["margin"]
         start = (rows.start,) + (0,) * (d - 1)
         # the slab's rows of the region box, if any
         r0, r1 = max(rows.start, b0), min(rows.stop, b1)

@@ -1,10 +1,15 @@
-"""The zero-extended stencil kernels and shift against a loop oracle."""
+"""The zero-extended stencil kernels and shift against a loop oracle, and
+the flat-index constant kernel against the per-axis slice kernel it replaced."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlat import _kernels as K
-from carlat.lattice import shift_values
+from carlat.lattice import shift_values, stencil_offsets
 
 
 def loop_oracle_const(values, offsets, weights):
@@ -17,6 +22,32 @@ def loop_oracle_const(values, offsets, weights):
                 acc += w * values[src]
         out[pos] = acc
     return out
+
+
+def slice_oracle(values, offsets, weights):
+    """The constant kernel as it was before it moved to flat steps: one
+    ``overlap_slices`` update per offset, on the d-dimensional array."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    out = np.zeros_like(values)
+    for o, w in zip(np.asarray(offsets, dtype=np.int64), np.asarray(weights, dtype=np.float64)):
+        pair = K.overlap_slices(values.shape, o)
+        if pair is None:
+            continue
+        dst, src = pair
+        if w == 1.0:
+            out[dst] += values[src]
+        elif w == -1.0:
+            out[dst] -= values[src]
+        else:
+            out[dst] += w * values[src]
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def loop_oracle_var(values, offsets, coeffs):
@@ -79,3 +110,97 @@ def test_shift_values_matches_loop_oracle(shape, rng_seed):
 def test_offset_shape_validation():
     with pytest.raises(ValueError, match="offsets"):
         K.apply_stencil_const(np.zeros((3, 3)), np.zeros((2, 3), dtype=int), [1.0, 1.0])
+
+
+@st.composite
+def const_cases(draw):
+    """A box of d <= 3 axes, a stencil with offsets in [-2, 2] (some past the
+    box, some diagonal) and values that are zero on a frame of the trailing
+    axes (the direct path) or not (the padded path), in one of three layouts."""
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.standard_normal(shape)
+    frame = draw(st.integers(0, 3))
+    for a in range(1, d):
+        head = (slice(None),) * a
+        values[head + (slice(0, frame),)] = 0.0
+        # the far side of the frame holds negative zeros
+        values[head + (slice(max(shape[a] - frame, 0), shape[a]),)] = -0.0
+    k = draw(st.integers(0, 6))
+    component = st.one_of(st.integers(-2, 2), st.integers(-9, 9))
+    offsets = np.array(draw(st.lists(st.lists(component, min_size=d, max_size=d),
+                                     min_size=k, max_size=k)), dtype=np.int64).reshape(k, d)
+    weights = draw(st.lists(st.sampled_from([1.0, -1.0, 0.5, -2.0, 3.25]), min_size=k, max_size=k))
+    layout = draw(st.sampled_from(["contiguous", "strided", "float32"]))
+    if layout == "strided":
+        wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+        wide[..., ::2] = values
+        values = wide[..., ::2]
+    elif layout == "float32":
+        values = values.astype(np.float32)
+    return values, offsets, weights
+
+
+class TestFlatConstKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(case=const_cases())
+    def test_bit_equal_to_the_slice_kernel(self, case):
+        values, offsets, weights = case
+        got = K.apply_stencil_const(values, offsets, weights)
+        assert_same_bits(got, slice_oracle(values, offsets, weights))
+
+    @pytest.mark.parametrize("shape", [(13,), (7, 9), (5, 6, 4)])
+    def test_both_paths_match_the_loop_oracle(self, shape, rng_seed):
+        rng = np.random.default_rng(rng_seed + 3)
+        offsets = stencil_offsets(len(shape))
+        weights = rng.standard_normal(len(offsets))
+        framed = np.zeros(shape)
+        framed[(slice(None),) + (slice(1, -1),) * (len(shape) - 1)] = rng.standard_normal(
+            shape[:1] + tuple(n - 2 for n in shape[1:]))
+        for values in (framed, rng.standard_normal(shape)):
+            np.testing.assert_allclose(K.apply_stencil_const(values, offsets, weights),
+                                       loop_oracle_const(values, offsets, weights),
+                                       rtol=0, atol=1e-14)
+
+    @staticmethod
+    def peak_bytes(values, offsets, weights):
+        tracemalloc.start()
+        try:
+            K.apply_stencil_const(values, offsets, weights)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_zero_framed_input_allocates_no_padded_copy(self, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        values = np.zeros((513, 513))
+        values[:, 2:-2] = rng.standard_normal((513, 509))
+        # +-1 weights: the kernel makes no product temporary either
+        offsets, weights = stencil_offsets(2)[:-1], [1.0, -1.0, 1.0, -1.0]
+        # the output alone
+        assert self.peak_bytes(values, offsets, weights) < 1.1 * values.nbytes
+        values[:, 0] = 1.0
+        # a nonzero frame takes the padded copy: the buffer and its output
+        assert self.peak_bytes(values, offsets, weights) > 1.9 * values.nbytes
+
+
+def test_stencil_offsets_are_cached_read_only():
+    off = stencil_offsets(2)
+    assert stencil_offsets(2) is off
+    assert not off.flags.writeable
+    with pytest.raises(ValueError):
+        off[0, 0] = 5
+    assert stencil_offsets(2).tolist() == [[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]]
+
+
+@pytest.mark.parametrize("kernel, terms, name", [
+    (K.apply_stencil_const, [1.0, -1.0, 2.0], "weights"),
+    (K.apply_stencil_var, [np.ones((3, 3))] * 3, "coefficient arrays"),
+])
+def test_term_count_mismatch_is_refused(kernel, terms, name):
+    offsets = np.array([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match=f"2 offsets but 3 {name}"):
+        kernel(np.ones((3, 3)), offsets, terms)
+    with pytest.raises(ValueError, match=f"3 offsets but 2 {name}"):
+        kernel(np.ones((3, 3)), np.vstack([offsets, [[0, 0]]]), terms[:2])

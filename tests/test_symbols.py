@@ -323,7 +323,8 @@ def test_separable_terms_match_pointwise_symbols(d, tau, inv_h, c0, radius, dire
     want["margin"] = (squares + coupling * want["q"]) / want["denominator"]
     scale = {key: np.abs(value).max() for key, value in want.items()}
     scale["margin"] = ((squares + coupling * np.abs(want["q"])) / want["denominator"]).max()
-    got = _margin_terms(fp, grid, c0, slice(0, resolution))
+    trig = symbols._axis_trig(fp, grid)
+    got = _margin_terms(fp, trig, c0, slice(0, resolution))
     for key, value in want.items():
         assert got[key].shape == value.shape
         np.testing.assert_allclose(got[key], value, rtol=0, atol=1e-12 * scale[key],
@@ -331,7 +332,7 @@ def test_separable_terms_match_pointwise_symbols(d, tau, inv_h, c0, radius, dire
     # a slab of axis 0, one row included, gets the whole grid's bits
     lo = min(start, resolution - 1)
     rows = slice(lo, min(lo + width, resolution))
-    slab = _margin_terms(fp, grid, c0, rows)
+    slab = _margin_terms(fp, trig, c0, rows)
     for key in want:
         np.testing.assert_array_equal(slab[key], got[key][rows], err_msg=key)
 
@@ -425,6 +426,22 @@ def test_scan_matches_the_dense_mesh_scan(d, x_bar, tau, h, c0, resolution, gamm
         assert scan.argmin_xi[0] < 0
 
 
+def test_scan_computes_the_axis_trig_once_per_pass(monkeypatch):
+    """``empirical_c1`` and the slab loop each compute the 1-D trig once,
+    however many slabs the scan walks."""
+    fp = frozen(d=2, tau=20.0, h=1 / 128, x_bar=(1.0, 0.0))
+    grid = SymbolGrid(2, fp.h, 256)
+    monkeypatch.setattr(symbols, "SCAN_BLOCK_POINTS", 256)  # 256 one-row slabs
+    calls = []
+    real = symbols._axis_trig
+    monkeypatch.setattr(symbols, "_axis_trig", lambda *args: calls.append(args) or real(*args))
+    lower_bound_margin(fp, 0.0025, grid)
+    assert len(calls) == 2
+    calls.clear()
+    symbols.scan_table(fp, grid, 0.0025)
+    assert len(calls) == 1
+
+
 def whole_grid_c1(fp, grid):
     """``empirical_c1`` as one pass over every grid point, the pass its box replaced."""
     trig = symbols._axis_trig(fp, grid)
@@ -445,7 +462,7 @@ def whole_grid_scan(fp, c0, grid, gamma0):
     """``lower_bound_margin`` with every region mask on the whole grid, as the
     scan made them before it confined them to the box |xi_j| < c1 tau."""
     d, res, ax = fp.d, grid.resolution, grid.axis()
-    margin = _margin_terms(fp, grid, c0, slice(0, res))["margin"]
+    margin = _margin_terms(fp, symbols._axis_trig(fp, grid), c0, slice(0, res))["margin"]
     c1 = whole_grid_c1(fp, grid)
     high = np.zeros(margin.shape, bool)
     if c1 is not None:
