@@ -103,20 +103,21 @@ def apply_stencil_const(values, offsets, weights):
                                    weights)
             if all(abs(c) < size for c, size in zip(o, shape))]
     reach = max((abs(c) for o, _ in kept for c in o[1:]), default=0)
-    padded = reach and not _zero_frame(values, reach)
+    padded = reach > 0 and not _zero_frame(values, reach)
+    src = values
     if padded:
         box = tuple(slice(0, size) for size in shape)
-        values, inner = np.empty(shape[:1] + tuple(size + reach for size in shape[1:])), values
-        values[box] = inner
+        src = np.empty(shape[:1] + tuple(size + reach for size in shape[1:]))
+        src[box] = values
         for a, size in enumerate(shape[1:], start=1):
-            values[(slice(None),) * a + (slice(size, None),)] = 0.0
-    strides = [s // values.itemsize for s in values.strides]
+            src[(slice(None),) * a + (slice(size, None),)] = 0.0
+    strides = [s // src.itemsize for s in src.strides]
     steps = [sum(c * s for c, s in zip(o, strides)) for o, _ in kept]
-    out = _flat_shifts(values, steps, [w for _, w in kept])
+    out = _flat_shifts(src, steps, [w for _, w in kept])
     if not padded:
         return out
     # the padded buffer is read no more: its head takes the cut, in C order
-    cut = values.reshape(-1)[:inner.size].reshape(shape)
+    cut = src.reshape(-1)[:values.size].reshape(shape)
     cut[...] = out[box]
     return cut
 
