@@ -1,32 +1,28 @@
 """Zero-extended stencil kernels (NumPy shift-and-accumulate).
 
-Every lattice operator in this package reduces to one of two primitives,
-evaluated with zero extension outside the array:
+Every lattice operator in this package is out(n) = sum_k c_k(n) f(n + off_k),
+evaluated with zero extension outside the array, through one routine with
+two entries:
 
-* ``apply_stencil_const``: out(n) = sum_k w_k * f(n + off_k), scalar weights
-* ``apply_stencil_var``:   out(n) = sum_k c_k(n) * f(n + off_k), per-site
-  coefficient arrays
+* ``apply_stencil_const``: each c_k a number (the weights of D, D^2, Lap)
+* ``apply_stencil_var``:   each c_k a box-shaped array (P_h, S, A, L),
+  stride-0 broadcasts of a number included
 
-The constant kernel works on the C-order flat index.  An offset o is one
-fixed step ``o @ strides`` there, so each offset is a single contiguous
-1-D update ``out.ravel()[dst] += f.ravel()[src]`` instead of a strided
-d-dimensional one.  Steps that leave the flat range read nothing, which is
-the zero extension along axis 0.  A flat step wraps across the trailing
-axes, though: where n + o leaves the box along a trailing axis, the flat
-read lands on the outermost ``reach`` layers of the innermost such axis
-(``reach`` the largest |o_a| over the trailing axes), not outside the box.
-When f is zero on that frame, each wrapped read adds a zero, as the zero
-extension would, and the result is bit-equal to the per-axis slices'.  The
-accumulator starts at +0.0 and an exact zero sum rounds to +0.0, so it
-never holds -0.0 and adding a zero changes no bit.  Any other input is
-first copied into a buffer with ``reach`` zero layers after each trailing
-axis, where every wrapped read lands in that padding.
-
-The variable kernel, and ``lattice.shift_values``, read f(n + off) through
-``overlap_slices``: P_h's broadcast constant coefficients
-(``lattice.schrodinger_stencil``) are stride-0 views with no flat range to
-shift, and a shift is one copy, not an accumulation.
+Offsets that move everything outside the box read nothing and are dropped.
+How f(n + off) is read is chosen from the input.  When f is zero on the
+outermost ``reach`` layers of every trailing axis (``reach`` the largest
+|off_a| over the trailing axes), each offset is one fixed step
+``off @ C-strides`` of the flat index (``flat_steps``) and one contiguous
+1-D update ``acc[dst] += c.reshape(-1)[dst] * f.ravel()[src]``.  A step
+that leaves the flat range reads nothing, the zero extension along axis 0;
+a read that wraps across a trailing axis lands on the zero frame and adds
+c * (+-0).  The accumulator starts at +0.0 and an exact zero sum rounds to
++0.0, so it never holds -0.0 and, for finite c, such a term changes no
+bit.  Any other input is read through ``overlap_slices``, one
+d-dimensional slice pair per offset.  Both reads give the same bits.
 """
+
+import math
 
 import numpy as np
 
@@ -53,83 +49,68 @@ def overlap_slices(shape, off):
     return tuple(dst), tuple(src)
 
 
-def _as_offsets(offsets, ndim, terms, name):
-    off = np.asarray(offsets, dtype=np.int64)
-    if off.ndim != 2 or off.shape[1] != ndim:
-        raise ValueError("offsets must have shape (k, d)")
-    if len(off) != len(terms):
-        raise ValueError(f"{len(off)} offsets but {len(terms)} {name}")
-    return off
+def flat_steps(shape, offsets):
+    """Each offset's step ``o @ C-strides`` on the C-order flat index of a
+    box of ``shape``: exact for the sites whose neighbour n + o is in the box."""
+    strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+    return [sum(c * s for c, s in zip(o, strides)) for o in offsets]
 
 
-def _zero_frame(values, reach):
-    """True when values vanish on the outermost ``reach`` layers of every
-    trailing axis."""
-    for a, size in enumerate(values.shape[1:], start=1):
-        head = (slice(None),) * a
+def zero_frame(values, reach, axes):
+    """True when values vanish on the outermost ``reach`` layers of each of
+    ``axes``."""
+    for a in axes:
+        head, size = (slice(None),) * a, values.shape[a]
         if (values[head + (slice(0, reach),)].any()
                 or values[head + (slice(max(size - reach, 0), size),)].any()):
             return False
     return True
 
 
-def _flat_shifts(values, steps, weights):
-    """sum_k w_k f(i + step_k) on the flat index i, reads outside [0, N) zero."""
-    flat = values.reshape(-1)
-    out = np.zeros_like(values)
-    acc, n = out.reshape(-1), flat.size
-    product = None
-    for k, w in zip(steps, weights):
-        dst, src = (slice(0, n - k), slice(k, n)) if k >= 0 else (slice(-k, n), slice(0, n + k))
-        # weights +-1 add or subtract in place; other products share one buffer
-        if w == 1.0:
-            acc[dst] += flat[src]
-        elif w == -1.0:
-            acc[dst] -= flat[src]
+def _apply(values, offsets, coeffs, name):
+    """out(n) = sum_k c_k(n) f(n + off_k), each c_k a float or a box-shaped array."""
+    f = np.ascontiguousarray(values, dtype=np.float64)
+    shape = f.shape
+    off = np.asarray(offsets, dtype=np.int64)
+    if off.ndim != 2 or off.shape[1] != f.ndim:
+        raise ValueError("offsets must have shape (k, d)")
+    if len(off) != len(coeffs):
+        raise ValueError(f"{len(off)} offsets but {len(coeffs)} {name}")
+    # offsets that move everything outside the box read nothing
+    kept = [(o, c) for o, c in zip(off.tolist(), coeffs)
+            if all(abs(a) < size for a, size in zip(o, shape))]
+    reach = max((abs(a) for o, _ in kept for a in o[1:]), default=0)
+    out = acc = np.zeros_like(f)
+    if zero_frame(f, reach, range(1, f.ndim)):
+        acc, f, n = out.reshape(-1), f.reshape(-1), f.size
+        pairs = [(slice(0, n - k), slice(k, n)) if k >= 0 else (slice(-k, n), slice(0, n + k))
+                 for k in flat_steps(shape, [o for o, _ in kept])]
+    else:
+        pairs = [overlap_slices(shape, o) for o, _ in kept]
+    buf = None
+    for (dst, src), (_, c) in zip(pairs, kept):
+        read = f[src]
+        if isinstance(c, float):
+            # weights +-1 add or subtract in place
+            if c == 1.0:
+                acc[dst] += read
+                continue
+            if c == -1.0:
+                acc[dst] -= read
+                continue
         else:
-            if product is None:
-                product = np.empty(n)
-            term = np.multiply(flat[src], w, out=product[:n - abs(k)])
-            acc[dst] += term
+            # a per-site array, indexed like the accumulator
+            c = c.reshape(acc.shape)[dst]
+        # the other products share one buffer
+        if buf is None:
+            buf = np.empty(out.size)
+        acc[dst] += np.multiply(read, c, out=buf[:read.size].reshape(read.shape))
     return out
 
 
 def apply_stencil_const(values, offsets, weights):
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64).tolist()
-    shape = values.shape
-    # offsets that move everything outside the box read nothing
-    kept = [(o, w) for o, w in zip(_as_offsets(offsets, values.ndim, weights, "weights").tolist(),
-                                   weights)
-            if all(abs(c) < size for c, size in zip(o, shape))]
-    reach = max((abs(c) for o, _ in kept for c in o[1:]), default=0)
-    padded = reach > 0 and not _zero_frame(values, reach)
-    src = values
-    if padded:
-        box = tuple(slice(0, size) for size in shape)
-        src = np.empty(shape[:1] + tuple(size + reach for size in shape[1:]))
-        src[box] = values
-        for a, size in enumerate(shape[1:], start=1):
-            src[(slice(None),) * a + (slice(size, None),)] = 0.0
-    strides = [s // src.itemsize for s in src.strides]
-    steps = [sum(c * s for c, s in zip(o, strides)) for o, _ in kept]
-    out = _flat_shifts(src, steps, [w for _, w in kept])
-    if not padded:
-        return out
-    # the padded buffer is read no more: its head takes the cut, in C order
-    cut = src.reshape(-1)[:values.size].reshape(shape)
-    cut[...] = out[box]
-    return cut
+    return _apply(values, offsets, np.asarray(weights, dtype=np.float64).tolist(), "weights")
 
 
 def apply_stencil_var(values, offsets, coeffs):
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    off = _as_offsets(offsets, values.ndim, coeffs, "coefficient arrays")
-    out = np.zeros_like(values)
-    for o, c in zip(off, coeffs):
-        pair = overlap_slices(values.shape, o)
-        if pair is None:
-            continue
-        dst, src = pair
-        out[dst] += c[dst] * values[src]
-    return out
+    return _apply(values, offsets, coeffs, "coefficient arrays")

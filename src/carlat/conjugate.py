@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import apply_stencil_var
+from ._kernels import apply_stencil_var, zero_frame
 from .lattice import (
     AnnularRegion,
     LatticeFunction,
@@ -216,13 +216,10 @@ class ConjugationContext:
             raise ValueError("function and context lattice specs differ")
         v = f.values
         # only the SUPPORT_REACH-wide frame of the box is read
-        for a, size in enumerate(self.spec.shape):
-            head = (slice(None),) * a
-            if (v[head + (slice(0, SUPPORT_REACH),)].any()
-                    or v[head + (slice(max(size - SUPPORT_REACH, 0), size),)].any()):
-                raise ValueError(
-                    "support too close to the box boundary "
-                    f"(need a margin of {SUPPORT_REACH} sites)")
+        if not zero_frame(v, SUPPORT_REACH, range(v.ndim)):
+            raise ValueError(
+                "support too close to the box boundary "
+                f"(need a margin of {SUPPORT_REACH} sites)")
         if v.ravel()[self._table("near_singular")].any():
             raise ValueError("weight singularity: support touches the singular site")
 

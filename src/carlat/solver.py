@@ -29,7 +29,6 @@ eps * ||P_h||_inf * sup|u|, so no residual tolerance is set anywhere.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 
@@ -37,6 +36,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from ._kernels import flat_steps
 from .lattice import (
     BallRegion,
     FieldData,
@@ -92,9 +92,10 @@ class DirichletProblem:
             raise ValueError("interior and boundary masks overlap")
         if not np.all(np.isfinite(self.boundary_values[self.boundary])):
             raise ValueError("boundary data must be finite")
-        # every stencil neighbor of an interior site must carry a value
+        # every stencil neighbor of an interior site must carry a value; the
+        # centre is the site itself, in ``known`` by construction
         known = self.interior | self.boundary
-        for off in stencil_offsets(self.spec.d):
+        for off in stencil_offsets(self.spec.d)[:-1]:
             if (self.interior & ~shift_values(known, off)).any():
                 raise ValueError("interior site with an uncovered stencil neighbor")
 
@@ -185,7 +186,7 @@ def _stencil_rows(mask, offsets, data) -> sparse.csr_matrix:
     the stencil with data[k] (one per row, or one number) at offsets[k].
     Every neighbour lies in the box, so an offset is one fixed step of the
     flat index; sorted steps give a canonical CSR's order."""
-    steps = offsets @ [math.prod(mask.shape[k + 1:]) for k in range(mask.ndim)]
+    steps = np.array(flat_steps(mask.shape, offsets.tolist()))
     order = np.argsort(steps)
     sites = np.flatnonzero(mask)
     data = np.stack([np.broadcast_to(data[k], sites.shape) for k in order], axis=1)

@@ -1,5 +1,6 @@
 """The zero-extended stencil kernels and shift against a loop oracle, and
-the flat-index constant kernel against the per-axis slice kernel it replaced."""
+both kernels, on either read of f(n + off), against the per-axis slice
+kernels they replaced."""
 
 import tracemalloc
 
@@ -9,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlat import _kernels as K
-from carlat.lattice import shift_values, stencil_offsets
+from carlat import solver
+from carlat.conjugate import (ConjugationContext, carleman_box, carleman_ratio, conjugate_apply,
+                              random_bump)
+from carlat.lattice import (FieldData, LatticeFunction, LatticeSpec, schrodinger_stencil,
+                            shift_values, stencil_offsets)
+from carlat.weight import WeightParams
 
 
 def loop_oracle_const(values, offsets, weights):
@@ -48,6 +54,20 @@ def assert_same_bits(got, want):
     assert got.flags.c_contiguous
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def slice_oracle_var(values, offsets, coeffs):
+    """The variable kernel as it was before it took flat steps: one
+    ``overlap_slices`` update per offset, on the d-dimensional array."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    out = np.zeros_like(values)
+    for o, c in zip(np.asarray(offsets, dtype=np.int64), coeffs):
+        pair = K.overlap_slices(values.shape, o)
+        if pair is None:
+            continue
+        dst, src = pair
+        out[dst] += c[dst] * values[src]
+    return out
 
 
 def loop_oracle_var(values, offsets, coeffs):
@@ -113,10 +133,10 @@ def test_offset_shape_validation():
 
 
 @st.composite
-def const_cases(draw):
-    """A box of d <= 3 axes, a stencil with offsets in [-2, 2] (some past the
-    box, some diagonal) and values that are zero on a frame of the trailing
-    axes (the direct path) or not (the padded path), in one of three layouts."""
+def framed_cases(draw):
+    """A box of d <= 3 axes, random values set to zero on a frame of 0-3
+    layers of the trailing axes (-0.0 on the far side), and 0-6 offsets with
+    components in [-2, 2] or [-9, 9]."""
     d = draw(st.integers(1, 3))
     shape = tuple(draw(st.lists(st.integers(1, 7), min_size=d, max_size=d)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -131,6 +151,39 @@ def const_cases(draw):
     component = st.one_of(st.integers(-2, 2), st.integers(-9, 9))
     offsets = np.array(draw(st.lists(st.lists(component, min_size=d, max_size=d),
                                      min_size=k, max_size=k)), dtype=np.int64).reshape(k, d)
+    return shape, values, offsets
+
+
+@st.composite
+def var_cases(draw):
+    """Framed values with per-site coefficient arrays (zeros of both signs
+    among them), stride-0 broadcasts of numbers, or P_h's own stencil from
+    ``schrodinger_stencil``, with fields or without."""
+    shape, values, offsets = draw(framed_cases())
+    kind = draw(st.sampled_from(["per_site", "broadcast", "p_h", "p_h_fields"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "per_site":
+        coeffs = [np.where(rng.random(shape) < 0.2, rng.choice([0.0, -0.0], shape),
+                           rng.standard_normal(shape)) for _ in offsets]
+    elif kind == "broadcast":
+        coeffs = [np.broadcast_to(w, shape) for w in rng.choice([1.0, -1.0, -0.0, 2.5], len(offsets))]
+    else:
+        spec = LatticeSpec(len(shape), 0.25, (0,) * len(shape), tuple(n - 1 for n in shape))
+        fields = None
+        if kind == "p_h_fields":
+            fields = FieldData(LatticeFunction(spec, rng.standard_normal(shape)),
+                               tuple(LatticeFunction(spec, rng.standard_normal(shape))
+                                     for _ in shape))
+        offsets, coeffs = schrodinger_stencil(spec, fields)
+    return values, offsets, coeffs
+
+
+@st.composite
+def const_cases(draw):
+    """Framed values (the flat path when the frame covers the offsets, else
+    the slice path) and weights, in one of three layouts."""
+    shape, values, offsets = draw(framed_cases())
+    k = len(offsets)
     weights = draw(st.lists(st.sampled_from([1.0, -1.0, 0.5, -2.0, 3.25]), min_size=k, max_size=k))
     layout = draw(st.sampled_from(["contiguous", "strided", "float32"]))
     if layout == "strided":
@@ -181,8 +234,9 @@ class TestFlatConstKernel:
         # the output alone
         assert self.peak_bytes(values, offsets, weights) < 1.1 * values.nbytes
         values[:, 0] = 1.0
-        # a nonzero frame takes the padded copy: the buffer and its output
-        assert self.peak_bytes(values, offsets, weights) > 1.9 * values.nbytes
+        # a nonzero frame reads through slices: the output and the ufuncs'
+        # iteration buffers, no padded copy of the box
+        assert self.peak_bytes(values, offsets, weights) < 1.25 * values.nbytes
 
 
 def test_stencil_offsets_are_cached_read_only():
@@ -204,3 +258,29 @@ def test_term_count_mismatch_is_refused(kernel, terms, name):
         kernel(np.ones((3, 3)), offsets, terms)
     with pytest.raises(ValueError, match=f"3 offsets but 2 {name}"):
         kernel(np.ones((3, 3)), np.vstack([offsets, [[0, 0]]]), terms[:2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=var_cases())
+def test_var_bit_equal_to_the_slice_kernel(case):
+    values, offsets, coeffs = case
+    got = K.apply_stencil_var(values, offsets, coeffs)
+    assert_same_bits(got, slice_oracle_var(values, offsets, coeffs))
+
+
+def test_framed_inputs_take_the_flat_path(monkeypatch):
+    """The Carleman ratio, S, A and L after ``check_support`` and a solve's
+    residual read no slices; a residual on a polynomial, nonzero on the
+    box's frame, does."""
+    calls = []
+    real = K.overlap_slices
+    monkeypatch.setattr(K, "overlap_slices", lambda *a: calls.append(a) or real(*a))
+    spec = carleman_box(2, 1 / 16)
+    ctx = ConjugationContext.from_weight(spec, WeightParams(1.5, 0.01))
+    u = random_bump(spec, 3)
+    carleman_ratio(u, ctx)
+    conjugate_apply(u, ctx)
+    solver.ball_input(2, 1 / 8, "solve")
+    assert calls == []
+    solver.ball_input(2, 1 / 8, "deg3")
+    assert len(calls) > 0
