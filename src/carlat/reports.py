@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from ._kernels import kernel_backend
 
@@ -125,6 +124,8 @@ class ExperimentReport:
 
     def write(self, out_dir: str | Path):
         """Write <name>_<hash>.json, .csv and .meta.json; returns paths."""
+        import scipy  # for the sidecar's version only; carlat loads it lazily
+
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         base = f"{self.name}_{self.config_hash}"

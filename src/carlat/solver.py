@@ -24,6 +24,11 @@ ordering.
 Both paths are deterministic and pass the same certificate: sup|P_h u|
 over the interior is held against the float64 floor of evaluating P_h u,
 eps * ||P_h||_inf * sup|u|, so no residual tolerance is set anywhere.
+
+Both paths use ``scipy.sparse``, and nothing else in carlat does, so SciPy
+is not loaded when this module is imported: ``_stencil_rows``, the one
+writer of sparse matrices, and ``splu``, the one factorization, load it at
+their first call.  A run that solves nothing never pays its import.
 """
 
 from __future__ import annotations
@@ -33,8 +38,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from ._kernels import flat_steps
 from .lattice import (
@@ -174,18 +177,20 @@ def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFu
     return u
 
 
-def _interior_rows(p: DirichletProblem) -> sparse.csr_matrix:
+def _interior_rows(p: DirichletProblem) -> "sparse.csr_matrix":
     """-P_h's rows at the interior sites, over the box's C-ordered sites; the
     coverage check keeps each row's 2d+1 columns in the box."""
     offsets, coeffs = schrodinger_stencil(p.spec, p.fields)
     return _stencil_rows(p.interior, offsets, [-c[p.interior] for c in coeffs])
 
 
-def _stencil_rows(mask, offsets, data) -> sparse.csr_matrix:
+def _stencil_rows(mask, offsets, data) -> "sparse.csr_matrix":
     """The rows at the sites of ``mask``, over its box's C-ordered sites, of
     the stencil with data[k] (one per row, or one number) at offsets[k].
     Every neighbour lies in the box, so an offset is one fixed step of the
     flat index; sorted steps give a canonical CSR's order."""
+    from scipy import sparse
+
     steps = np.array(flat_steps(mask.shape, offsets.tolist()))
     order = np.argsort(steps)
     sites = np.flatnonzero(mask)
@@ -194,6 +199,14 @@ def _stencil_rows(mask, offsets, data) -> sparse.csr_matrix:
     return sparse.csr_matrix(
         (data.ravel(), indices.ravel(), np.arange(0, data.size + 1, len(order))),
         shape=(len(sites), mask.size))
+
+
+def splu(a, **options):
+    """SciPy's sparse LU of ``a``; SciPy is loaded at the first call.  The
+    solves look this name up when they factor, so it can be wrapped."""
+    from scipy.sparse.linalg import splu
+
+    return splu(a, **options)
 
 
 def _lu_solve(mat, rhs):

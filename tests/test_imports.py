@@ -3,6 +3,11 @@ AST scan stands in for a linter, which the toolchain lacks; package
 ``__init__.py`` files are skipped, as their imports are re-exports."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,3 +37,34 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = [f"{p.relative_to(ROOT)}:{line} {name}"
               for p in modules for line, name in unused_imports(p.read_text())]
     assert unused == []
+
+
+# Run in a fresh interpreter, whose sys.modules no other test has touched
+LAZY_SCIPY = """
+import json, sys
+import carlat, carlat.cli
+seen = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+out = sys.argv[1]
+assert carlat.cli.main(["symbol-scan", "--h", "1/64", "--tau", "10", "--c0", "0.0025",
+                        "--resolution", "64,128", "--grid-csv", "0", "--out", out]) == 0
+assert carlat.cli.main(["carleman-sweep", "--h", "1/16", "--tau0", "1", "--tau", "2,3",
+                        "--delta0", "0.25", "--samples", "2", "--out", out]) == 0
+seen["cli"] = "scipy.sparse" in sys.modules
+spec = carlat.LatticeSpec.ball_box(2, 1 / 8, 4.0, pad_sites=2)
+data = carlat.harmonic_polynomial(spec, "deg3")
+carlat.dirichlet_solve(carlat.DirichletProblem.on_ball(spec, 4.0, data))
+seen["solve"] = "scipy.sparse" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_at_the_first_solve(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", LAZY_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert time.perf_counter() - start < 3.0
+    seen = json.loads(done.stdout.splitlines()[-1])
+    # symbol-scan and carleman-sweep never build a sparse matrix; a solve does
+    assert seen == {"import": [], "cli": False, "solve": True}

@@ -470,6 +470,26 @@ class TestLuOrdering:
         assert stats["unknowns"] == 51429 and stats["h"] == 1 / 32
         assert 0.0 < stats["factor_s"] < 60.0
 
+    def test_each_solve_factors_once_through_solver_splu(self, monkeypatch):
+        # the benchmark tracer's solver.lu.* metrics wrap this name
+        shapes = []
+        factor = solver.splu
+
+        def counting(mat, **kwargs):
+            shapes.append(mat.shape[0])
+            return factor(mat, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", counting)
+        spec = LatticeSpec.ball_box(2, 1 / 32, 4.0, pad_sites=2)
+        data = harmonic_polynomial(spec, "deg3")
+        stats = {}
+        dirichlet_solve(DirichletProblem.on_ball(spec, 4.0, data), stats=stats)
+        # the multigrid factors its coarsest level only
+        assert stats["levels"] == 2 and len(shapes) == 1
+        assert shapes[0] <= solver.COARSEST_UNKNOWNS < stats["unknowns"]
+        dirichlet_solve(DirichletProblem.on_ball(spec, 4.0, data, FieldData.zero(spec)), stats=stats)
+        assert shapes[1:] == [stats["unknowns"]]
+
 
 class TestStencilMemory:
     def test_field_free_residual_allocates_less_than_3_box_arrays(self):
