@@ -124,7 +124,7 @@ class ExperimentReport:
 
     def write(self, out_dir: str | Path):
         """Write <name>_<hash>.json, .csv and .meta.json; returns paths."""
-        import scipy  # for the sidecar's version only; carlat loads it lazily
+        import scipy  # here, so that importing carlat loads no SciPy
 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
