@@ -13,6 +13,7 @@ value) rows covering every site of the box, in C (row-major) index order:
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,15 @@ def load_lattice_function(base: str | Path) -> LatticeFunction:
     missing = [key for key in ("d", "h", "lo", "hi") if key not in header]
     if missing:
         raise ValueError(f"lattice function header lacks {', '.join(missing)}")
-    spec = LatticeSpec(header["d"], header["h"], tuple(header["lo"]), tuple(header["hi"]))
+    d, h, lo, hi = (header[key] for key in ("d", "h", "lo", "hi"))
+    if not (_is_int(d) and d >= 1):
+        raise ValueError(f"header d must be an integer >= 1, not {d!r}")
+    if isinstance(h, bool) or not isinstance(h, (int, float)) or not 0 < h < math.inf:
+        raise ValueError(f"header h must be a finite positive number, not {h!r}")
+    for key, ends in (("lo", lo), ("hi", hi)):
+        if not (isinstance(ends, list) and len(ends) == d and all(map(_is_int, ends))):
+            raise ValueError(f"header {key} must be a list of {d} integers, not {ends!r}")
+    spec = LatticeSpec(d, h, tuple(lo), tuple(hi))
     values = np.zeros(spec.shape)
     fmt = header.get("format")
     if fmt == "binary":
@@ -98,3 +107,8 @@ def load_lattice_function(base: str | Path) -> LatticeFunction:
         raise ValueError("duplicate site index")
     values[site] = vals
     return LatticeFunction(spec, values)
+
+
+def _is_int(v) -> bool:
+    """Whether a JSON value is an integer; JSON's true and false are not."""
+    return isinstance(v, int) and not isinstance(v, bool)

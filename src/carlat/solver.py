@@ -91,6 +91,9 @@ class DirichletProblem:
             arr = getattr(self, name)
             if arr.shape != self.spec.shape or arr.dtype != bool:
                 raise ValueError(f"{name} mask must be a boolean array on the box")
+        g = self.boundary_values
+        if not (isinstance(g, np.ndarray) and g.shape == self.spec.shape and g.dtype.kind in "iuf"):
+            raise ValueError("boundary values must be a real array on the box")
         if (self.interior & self.boundary).any():
             raise ValueError("interior and boundary masks overlap")
         if not np.all(np.isfinite(self.boundary_values[self.boundary])):
@@ -264,7 +267,7 @@ def _multigrid_solve(mask, lo, a, b, target):
 
 def _hierarchy(mask, lo, a):
     """The multigrid levels of ``a`` on the unknowns ``mask`` of a box with
-    lower corner ``lo``: (a, prolongation, omega/diag a) for each level that
+    lower corner ``lo``: (a, restriction, omega/diag a) for each level that
     is coarsened, finest first, and the coarsest level's LU.
 
     The coarse unknowns are the sites whose indices are all even, the
@@ -272,7 +275,7 @@ def _hierarchy(mask, lo, a):
     the even corner halved.  The prolongation P interpolates tensor-product
     linearly: the coarse site at fine offset o in {-1, 0, 1}^d has weight
     prod_j (1 - |o_j|/2).  The coarse operator is the Galerkin product
-    P^T a P, so every level stays symmetric positive definite.
+    R a R^T with R = P^T, so every level stays symmetric positive definite.
     """
     levels = []
     while a.shape[0] > COARSEST_UNKNOWNS:
@@ -280,40 +283,40 @@ def _hierarchy(mask, lo, a):
         coarse = mask[tuple(slice(s, None, 2) for s in start)]
         if not coarse.any():
             break
-        p = _prolongation(mask, start, coarse)
-        levels.append((a, p, JACOBI_OMEGA / a.diagonal()))
-        mask, lo, a = coarse, [(l + s) // 2 for l, s in zip(lo, start)], (p.T @ a @ p).tocsr()
+        r = _restriction(mask, start, coarse)
+        levels.append((a, r, JACOBI_OMEGA / a.diagonal()))
+        mask, lo, a = coarse, [(l + s) // 2 for l, s in zip(lo, start)], r @ a @ r.T
     return levels, splu(a.tocsc(), **LU_ORDERING)
 
 
-def _prolongation(fine, start, coarse):
-    """Linear interpolation from the ``coarse`` unknowns, fine[start::2], to the
-    ``fine`` ones, as rows of its transpose on the fine box padded by one site:
-    coarse unknown j sits at 2j + start + 1 there (``at``), and keeping the
-    columns of fine unknowns drops the neighbours that are not."""
+def _restriction(fine, start, coarse):
+    """R = P^T, the transpose of linear interpolation from the ``coarse``
+    unknowns, fine[start::2], to the ``fine`` ones, as CSR rows on the fine box
+    padded by one site: coarse unknown j sits at 2j + start + 1 there (``at``),
+    and keeping the columns of fine unknowns drops the neighbours that are not."""
     at = np.zeros(np.add(fine.shape, 2), dtype=bool)
     at[tuple(slice(s + 1, s + 1 + 2 * n, 2) for s, n in zip(start, coarse.shape))] = coarse
     offsets = np.array(list(itertools.product((-1, 0, 1), repeat=fine.ndim)))
     rows = _stencil_rows(at, offsets, np.prod(1 - np.abs(offsets) / 2, axis=1))
-    return rows[:, np.pad(fine, 1).ravel()].T.tocsr()
+    return rows[:, np.pad(fine, 1).ravel()]
 
 
-def _vcycle(levels, coarsest, r, k=0):
-    """One symmetric V-cycle for levels[k]'s matrix and right side r, from zero.
+def _vcycle(levels, coarsest, b, k=0):
+    """One symmetric V-cycle for levels[k]'s matrix and right side b, from zero.
 
     A module function over the level list, not a closure: a recursive closure
     would form a reference cycle that keeps every level's matrices alive
     until the cyclic garbage collector runs.
     """
     if k == len(levels):
-        return coarsest.solve(r)
-    a, p, smooth = levels[k]
-    x = smooth * r
+        return coarsest.solve(b)
+    a, r, smooth = levels[k]
+    x = smooth * b
     for _ in range(JACOBI_SWEEPS - 1):
-        x += smooth * (r - a @ x)
-    x += p @ _vcycle(levels, coarsest, p.T @ (r - a @ x), k + 1)
+        x += smooth * (b - a @ x)
+    x += r.T @ _vcycle(levels, coarsest, r @ (b - a @ x), k + 1)
     for _ in range(JACOBI_SWEEPS):
-        x += smooth * (r - a @ x)
+        x += smooth * (b - a @ x)
     return x
 
 

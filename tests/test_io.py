@@ -147,6 +147,19 @@ def test_header_without_a_box_field_rejected(key, tmp_path):
         load_lattice_function(base)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("d", "1"), ("d", 1.0), ("d", True), ("h", "0.5"), ("h", True), ("h", float("inf")),
+    ("lo", [-0.5]), ("hi", [3.9]), ("lo", [False]), ("lo", ["0"]), ("lo", "0"), ("hi", 3)])
+def test_header_field_of_the_wrong_type_rejected(key, value, tmp_path):
+    # each was coerced by the lattice spec or escaped as another error
+    base, path = _saved(tmp_path, "binary")
+    header = json.loads(base.with_suffix(".json").read_text())
+    header[key] = value
+    base.with_suffix(".json").write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=f"header {key} must be"):
+        load_lattice_function(base)
+
+
 @pytest.mark.parametrize("fmt", ["binary", "csv"])
 def test_duplicate_index_rejected(fmt, tmp_path):
     def second_row_names_site_zero(rows):

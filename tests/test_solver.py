@@ -404,7 +404,8 @@ class TestInteriorRows:
 
 
 class TestProlongation:
-    """Every level's P against the site-list assembly it replaced."""
+    """Every level's R = P^T against the transpose of the site-list assembly
+    of P it replaced."""
 
     @pytest.mark.parametrize("d, lo, hi, radius", [
         (1, (-40,), (37,), 9.0), (1, (-37,), (40,), 9.0),
@@ -423,13 +424,32 @@ class TestProlongation:
         levels, _ = solver._hierarchy(interior, spec.lo, a)
         sites = np.argwhere(interior) + spec.lo
         assert len(levels) >= 3
-        for _, p, _ in levels:
+        for _, r, _ in levels:
             even = (sites % 2 == 0).all(axis=1)
-            expected = site_list_prolongation(sites, even)
-            assert p.shape == expected.shape
+            expected = site_list_prolongation(sites, even).T.tocsr()
+            assert r.format == "csr" and r.shape == expected.shape
             for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(p, part), getattr(expected, part))
+                assert np.array_equal(getattr(r, part), getattr(expected, part))
             sites = sites[even] // 2
+
+    def test_only_the_coarsest_matrix_is_converted_to_csc(self, monkeypatch):
+        # the levels keep R in CSR form and multiply R a R^T as CSR products,
+        # so no level's matrix is copied to CSC; the coarsest one is, for its LU
+        monkeypatch.setattr(solver, "COARSEST_UNKNOWNS", 100)
+        spec = LatticeSpec.ball_box(2, 1 / 16, 4.0, pad_sites=2)
+        problem = DirichletProblem.on_ball(spec, 4.0, harmonic_polynomial(spec, "deg3"))
+        a = solver._interior_rows(problem)[:, problem.interior.ravel()]
+        shapes = []
+        tocsc = scipy.sparse.csr_matrix.tocsc
+
+        def recording(self, copy=False):
+            shapes.append(self.shape)
+            return tocsc(self, copy=copy)
+
+        monkeypatch.setattr(scipy.sparse.csr_matrix, "tocsc", recording)
+        levels, coarsest = solver._hierarchy(problem.interior, spec.lo, a)
+        assert len(levels) >= 3
+        assert shapes == [(coarsest.shape[0],) * 2]
 
 
 class TestLuOrdering:
@@ -681,3 +701,17 @@ class TestProblemValidation:
         boundary[3] = True  # right neighbor missing
         with pytest.raises(ValueError, match="uncovered"):
             DirichletProblem(spec, interior, boundary, np.zeros(spec.shape))
+
+    @pytest.mark.parametrize("values", [
+        np.zeros((9, 1)), np.zeros(8), np.zeros(9, dtype=complex), np.zeros(9, dtype=object),
+        [0.0] * 9])
+    def test_boundary_values_must_be_a_real_array_on_the_box(self, values):
+        # a wrong shape raised IndexError, and complex data were accepted
+        spec = LatticeSpec(1, 0.5, (-4,), (4,))
+        interior = np.zeros(spec.shape, dtype=bool)
+        interior[3:6] = True
+        boundary = np.zeros(spec.shape, dtype=bool)
+        boundary[[2, 6]] = True
+        DirichletProblem(spec, interior, boundary, np.zeros(spec.shape))
+        with pytest.raises(ValueError, match="boundary values must be a real array"):
+            DirichletProblem(spec, interior, boundary, values)
