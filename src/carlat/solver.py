@@ -87,13 +87,12 @@ class DirichletProblem:
     fields: FieldData | None = None
 
     def __post_init__(self):
-        for name in ("interior", "boundary"):
+        for name, kind in (("interior", "boolean"), ("boundary", "boolean"),
+                           ("boundary_values", "real")):
             arr = getattr(self, name)
-            if arr.shape != self.spec.shape or arr.dtype != bool:
-                raise ValueError(f"{name} mask must be a boolean array on the box")
-        g = self.boundary_values
-        if not (isinstance(g, np.ndarray) and g.shape == self.spec.shape and g.dtype.kind in "iuf"):
-            raise ValueError("boundary values must be a real array on the box")
+            if not (isinstance(arr, np.ndarray) and arr.shape == self.spec.shape
+                    and arr.dtype.kind in {"boolean": "b", "real": "iuf"}[kind]):
+                raise ValueError(f"{name} must be a {kind} array on the box")
         if (self.interior & self.boundary).any():
             raise ValueError("interior and boundary masks overlap")
         if not np.all(np.isfinite(self.boundary_values[self.boundary])):
@@ -116,9 +115,7 @@ class DirichletProblem:
         boundary = dilate(interior) & ~interior
         if data.spec != spec:
             raise ValueError("boundary data lattice spec mismatch")
-        g = np.zeros(spec.shape)
-        g[boundary] = data.values[boundary]
-        return cls(spec, interior, boundary, g, fields)
+        return cls(spec, interior, boundary, np.where(boundary, data.values, 0.0), fields)
 
 
 def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFunction:

@@ -713,5 +713,5 @@ class TestProblemValidation:
         boundary = np.zeros(spec.shape, dtype=bool)
         boundary[[2, 6]] = True
         DirichletProblem(spec, interior, boundary, np.zeros(spec.shape))
-        with pytest.raises(ValueError, match="boundary values must be a real array"):
+        with pytest.raises(ValueError, match="boundary_values must be a real array on the box"):
             DirichletProblem(spec, interior, boundary, values)
