@@ -80,10 +80,11 @@ def load_lattice_function(base: str | Path) -> LatticeFunction:
     values = np.zeros(spec.shape)
     fmt = header.get("format")
     if fmt == "binary":
-        rows = np.fromfile(base.with_suffix(".bin"),
-                           dtype=[("n", "<i8", (spec.d,)), ("value", "<f8")])
-        if rows.size != values.size:
-            raise ValueError(f"expected {values.size} rows, read {rows.size}")
+        path, row = base.with_suffix(".bin"), np.dtype([("n", "<i8", (d,)), ("value", "<f8")])
+        if path.stat().st_size != values.size * row.itemsize:  # fromfile drops a partial row
+            raise ValueError(f"expected {values.size} rows of {row.itemsize} bytes, "
+                             f"read {path.stat().st_size} bytes")
+        rows = np.fromfile(path, dtype=row)
         idx = rows["n"]
         vals = rows["value"]
     elif fmt == "csv":

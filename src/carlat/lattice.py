@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import apply_stencil_const, apply_stencil_var, overlap_slices
+from ._kernels import apply_stencil_const, apply_stencil_var, flat_steps, overlap_slices
 
 # Largest box a LatticeSpec accepts, as for a SymbolGrid: one float64 table
 # on it is 256 MiB, and a context or an LU solve holds several.
@@ -278,10 +278,9 @@ def sym_diff_sum(f: LatticeFunction) -> LatticeFunction:
 def _fields_on(fields: FieldData, spec: LatticeSpec):
     """Restrict field arrays to the box of spec; fields must cover it."""
     fs = fields.spec
-    if fs.d != spec.d or fs.h != spec.h or not fs.covers(spec):
+    if not fs.covers(spec):
         raise ValueError("field coverage")
-    sl = tuple(slice(a - b, a - b + s)
-               for a, b, s in zip(spec.lo, fs.lo, spec.shape))
+    sl = tuple(slice(a - b, a - b + s) for a, b, s in zip(spec.lo, fs.lo, spec.shape))
     return fields.V.values[sl], [b.values[sl] for b in fields.B]
 
 
@@ -307,6 +306,29 @@ def schrodinger_stencil(spec: LatticeSpec, fields: FieldData | None):
 def schrodinger_apply(f: LatticeFunction, fields: FieldData | None) -> LatticeFunction:
     """P_h f through ``schrodinger_stencil``; ``fields=None`` is V = 0, B = 0."""
     return f.with_values(apply_stencil_var(f.values, *schrodinger_stencil(f.spec, fields)))
+
+
+def stencil_rows(rows: np.ndarray, cols: np.ndarray, offsets: np.ndarray, coeffs):
+    """The stencil with coeffs[k] (a number or an array on the box) at
+    offsets[k], as CSR rows at the sites of the mask ``rows`` over those of
+    the mask ``cols`` on the same box, each counted in C order.  A row's
+    neighbours lie in the box, so an offset is one flat-index step; sorted
+    steps give a canonical CSR's order, and neighbours off ``cols`` drop out.
+    SciPy is loaded at the first call."""
+    from scipy import sparse
+
+    steps = np.array(flat_steps(rows.shape, offsets.tolist()))
+    order = np.argsort(steps)
+    # int32 column numbers, SciPy's index type, and -1 off ``cols``
+    number = np.where(cols.ravel(), np.cumsum(cols, dtype=np.int32) - 1, -1)
+    col = number[np.flatnonzero(rows)[:, None] + steps[order]]
+    keep = col >= 0
+    col = col[keep]
+    data = np.empty(keep.shape)
+    for j, k in enumerate(order):
+        data[:, j] = np.broadcast_to(coeffs[k], rows.shape)[rows]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sparse.csr_matrix((data[keep], col, indptr), shape=(len(keep), np.count_nonzero(cols)))
 
 
 def l2_norm(f: LatticeFunction, region: BallRegion | AnnularRegion | None = None) -> float:

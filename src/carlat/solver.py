@@ -1,8 +1,8 @@
 """Discrete Dirichlet problems and closed-form harmonic inputs.
 
-Solutions of P_h u = 0 on a ball are produced by assembling the stencil into
-a sparse matrix over the interior sites and solving it, by one of two paths
-chosen from the problem itself.
+Solutions of P_h u = 0 on a ball are produced by writing -P_h's rows and
+columns at the interior sites as a sparse matrix and solving it, by one of
+two paths chosen from the problem itself.
 
 Without fields, -P_h = -Lap/h^2 is symmetric positive definite, and the
 system is solved by conjugate gradients preconditioned with one multigrid
@@ -26,9 +26,9 @@ over the interior is held against the float64 floor of evaluating P_h u,
 eps * ||P_h||_inf * sup|u|, so no residual tolerance is set anywhere.
 
 Both paths use ``scipy.sparse``, and nothing else in carlat does, so SciPy
-is not loaded when this module is imported: ``_stencil_rows``, the one
-writer of sparse matrices, and ``splu``, the one factorization, load it at
-their first call.  A run that solves nothing never pays its import.
+is not loaded when this module is imported: ``lattice.stencil_rows``, the
+one writer of sparse matrices, and ``splu``, the one factorization, load it
+at their first call.  A run that solves nothing never pays its import.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import flat_steps
 from .lattice import (
     BallRegion,
     FieldData,
@@ -50,6 +49,7 @@ from .lattice import (
     schrodinger_stencil,
     shift_values,
     stencil_offsets,
+    stencil_rows,
 )
 
 
@@ -97,6 +97,8 @@ class DirichletProblem:
             raise ValueError("interior and boundary masks overlap")
         if not np.all(np.isfinite(self.boundary_values[self.boundary])):
             raise ValueError("boundary data must be finite")
+        if self.fields is not None and not self.fields.spec.covers(self.spec):
+            raise ValueError(f"fields on {self.fields.spec} must cover the problem's {self.spec}")
         # every stencil neighbor of an interior site must carry a value; the
         # centre is the site itself, in ``known`` by construction
         known = self.interior | self.boundary
@@ -121,6 +123,9 @@ class DirichletProblem:
 def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFunction:
     """Solve P_h u = 0 inside, u = boundary data on the boundary ring.
 
+    The system is -P_h's rows and columns at the interior sites, written by
+    ``stencil_rows``, and its right side P_h of the boundary data at the
+    interior sites, evaluated by ``schrodinger_apply`` as in ``residual``.
     Without fields, -P_h = -Lap/h^2 is symmetric positive definite and the
     system is solved by conjugate gradients preconditioned with one
     multigrid V-cycle (``_hierarchy``), until sup|b - A x| is below a tenth
@@ -136,7 +141,7 @@ def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFu
     ``solve_s`` (seconds building the levels and iterating), for an LU solve
     the L+U nonzeros ``fill_nnz`` and ``factor_s``.  For d >= 3 an LU solve
     of more than ``LU_MAX_UNKNOWNS_3D`` unknowns raises SolverError before
-    anything is assembled.
+    anything is written.
     """
     spec = p.spec
     n = int(np.count_nonzero(p.interior))
@@ -145,12 +150,10 @@ def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFu
     if p.fields is not None and spec.d >= 3 and n > LU_MAX_UNKNOWNS_3D:
         raise SolverError(f"{n} interior unknowns exceed the d >= 3 direct-solve limit "
                           f"of {LU_MAX_UNKNOWNS_3D}")
-    # -P_h's interior rows: their boundary columns times the data go to the
-    # right side, and the interior columns are the system both paths solve
-    rows = _interior_rows(p)
-    rhs = rows @ np.where(p.boundary, -p.boundary_values, 0.0).ravel()
-    mat = rows[:, p.interior.ravel()]
-    del rows
+    mat = stencil_rows(p.interior, p.interior, *schrodinger_stencil(spec, p.fields))
+    mat.data *= -1.0
+    rhs = LatticeFunction(spec, np.where(p.boundary, p.boundary_values, 0.0))
+    rhs = schrodinger_apply(rhs, p.fields).values[p.interior]
     if p.fields is None:
         # the discrete maximum principle: sup|u| = sup|g| without fields
         sup_g = float(np.abs(p.boundary_values[p.boundary]).max(initial=0.0))
@@ -161,9 +164,8 @@ def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFu
     if not np.all(np.isfinite(x)):
         raise SolverError("solver produced non-finite values")
 
-    out = np.zeros(spec.shape)
+    out = np.where(p.boundary, p.boundary_values, 0.0)
     out[p.interior] = x
-    out[p.boundary] = p.boundary_values[p.boundary]
     u = LatticeFunction(spec, out)
     res, floor = residual(p, u), rounding_floor(p, u)
     bound = FLOOR_MULTIPLE * floor
@@ -175,30 +177,6 @@ def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFu
             f"{res / floor:.3g} rounding floors eps * ||P_h||_inf * sup|u| = {floor:.3e}, "
             f"{FLOOR_MULTIPLE:g} are admitted", residual=res)
     return u
-
-
-def _interior_rows(p: DirichletProblem) -> "sparse.csr_matrix":
-    """-P_h's rows at the interior sites, over the box's C-ordered sites; the
-    coverage check keeps each row's 2d+1 columns in the box."""
-    offsets, coeffs = schrodinger_stencil(p.spec, p.fields)
-    return _stencil_rows(p.interior, offsets, [-c[p.interior] for c in coeffs])
-
-
-def _stencil_rows(mask, offsets, data) -> "sparse.csr_matrix":
-    """The rows at the sites of ``mask``, over its box's C-ordered sites, of
-    the stencil with data[k] (one per row, or one number) at offsets[k].
-    Every neighbour lies in the box, so an offset is one fixed step of the
-    flat index; sorted steps give a canonical CSR's order."""
-    from scipy import sparse
-
-    steps = np.array(flat_steps(mask.shape, offsets.tolist()))
-    order = np.argsort(steps)
-    sites = np.flatnonzero(mask)
-    data = np.stack([np.broadcast_to(data[k], sites.shape) for k in order], axis=1)
-    indices = sites[:, None] + steps[order]
-    return sparse.csr_matrix(
-        (data.ravel(), indices.ravel(), np.arange(0, data.size + 1, len(order))),
-        shape=(len(sites), mask.size))
 
 
 def splu(a, **options):
@@ -288,14 +266,13 @@ def _hierarchy(mask, lo, a):
 
 def _restriction(fine, start, coarse):
     """R = P^T, the transpose of linear interpolation from the ``coarse``
-    unknowns, fine[start::2], to the ``fine`` ones, as CSR rows on the fine box
-    padded by one site: coarse unknown j sits at 2j + start + 1 there (``at``),
-    and keeping the columns of fine unknowns drops the neighbours that are not."""
+    unknowns, fine[start::2], to the ``fine`` ones, as CSR rows over the fine
+    unknowns.  On the fine box padded by one site, coarse unknown j sits at
+    2j + start + 1 (``at``), and neighbours that are not fine unknowns drop out."""
     at = np.zeros(np.add(fine.shape, 2), dtype=bool)
     at[tuple(slice(s + 1, s + 1 + 2 * n, 2) for s, n in zip(start, coarse.shape))] = coarse
     offsets = np.array(list(itertools.product((-1, 0, 1), repeat=fine.ndim)))
-    rows = _stencil_rows(at, offsets, np.prod(1 - np.abs(offsets) / 2, axis=1))
-    return rows[:, np.pad(fine, 1).ravel()]
+    return stencil_rows(at, np.pad(fine, 1), offsets, np.prod(1 - np.abs(offsets) / 2, axis=1))
 
 
 def _vcycle(levels, coarsest, b, k=0):

@@ -756,7 +756,7 @@ class TestSubcommands:
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled past the d = 3 limit")
 
-        monkeypatch.setattr(solver, "_interior_rows", no_assembly)
+        monkeypatch.setattr(solver, "stencil_rows", no_assembly)
         code = run(["singular-potential", *SUBCOMMAND_ARGV["singular-potential"], "--d", "3",
                     "--h", "1/8", "--out", str(tmp_path / "out")])
         assert code == 1

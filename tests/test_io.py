@@ -101,6 +101,18 @@ def test_missing_row_rejected(fmt, tmp_path):
         load_lattice_function(base)
 
 
+@pytest.mark.parametrize("extra", [3, 24])
+def test_binary_file_of_the_wrong_size_rejected(extra, tmp_path):
+    # fromfile drops a partial last row, so 3 appended bytes loaded silently
+    spec = LatticeSpec(2, 0.25, (0, 0), (4, 4))
+    base = tmp_path / "f"
+    path = save_lattice_function(LatticeFunction(spec, np.arange(25.0).reshape(5, 5)), base)
+    with open(path, "ab") as fh:
+        fh.write(bytes(extra))
+    with pytest.raises(ValueError, match=f"expected 25 rows of 24 bytes, read {600 + extra} "):
+        load_lattice_function(base)
+
+
 @pytest.mark.parametrize("fmt", ["binary", "csv"])
 def test_index_outside_the_box_rejected(fmt, tmp_path):
     def first_index_minus_one(rows):

@@ -23,8 +23,8 @@ from carlat import (
     schrodinger_apply,
 )
 from carlat.lattice import (MAX_SITES, dilate, schrodinger_stencil, shift_values,
-                            stencil_offsets, unit_offset)
-from carlat.solver import DirichletProblem, _interior_rows, harmonic_polynomial
+                            stencil_offsets, stencil_rows, unit_offset)
+from carlat.solver import harmonic_polynomial
 
 
 def interior(values, margin=1):
@@ -241,11 +241,12 @@ class TestSchrodinger:
             oracle[pos] = acc
         out = schrodinger_apply(f, fields).values
         assert np.abs(out - oracle).max() <= 1e-13 * np.abs(oracle).max()
-        # the solver's matrix: -P_h's rows at the sites off the box edge
+        # the sparse writer: P_h's rows at the sites off the box edge, over
+        # every site of the box
         inside = np.zeros(spec.shape, dtype=bool)
         inside[tuple(slice(1, -1) for _ in range(d))] = True
-        rows = _interior_rows(DirichletProblem(spec, inside, ~inside, f.values, fields))
-        flat = -(rows @ f.values.ravel())
+        rows = stencil_rows(inside, np.ones_like(inside), *schrodinger_stencil(spec, fields))
+        flat = rows @ f.values.ravel()
         assert np.abs(flat - oracle[inside]).max() <= 1e-13 * np.abs(oracle).max()
 
 

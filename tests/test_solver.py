@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -33,7 +34,7 @@ from carlat import (
 from carlat._kernels import overlap_slices
 from carlat.conjugate import CARLEMAN_ANNULUS, _bump_window
 from carlat.experiments import singular_field_data
-from carlat.lattice import schrodinger_stencil
+from carlat.lattice import schrodinger_stencil, stencil_rows
 
 
 def ball_spec(d, h, radius=2.0):
@@ -57,6 +58,44 @@ def box_matrix(spec, offsets, coeffs):
     return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(sites.size, sites.size))
+
+
+class _Stop(Exception):
+    """Raised where a stopped solve would start its solve path."""
+
+
+def solve_system(problem):
+    """The matrix and right side ``dirichlet_solve`` writes: the matrix
+    ``stencil_rows`` returns, and the vector handed to the solve path, which
+    is stopped there."""
+    mats, rhs = [], []
+
+    def stop(b):
+        rhs.append(b)
+        raise _Stop
+
+    def writer(*args):
+        mats.append(stencil_rows(*args))
+        return mats[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "stencil_rows", writer)
+        mp.setattr(solver, "_multigrid_solve", lambda mask, lo, a, b, target: stop(b))
+        mp.setattr(solver, "_lu_solve", lambda a, b: stop(b))
+        with pytest.raises(_Stop):
+            dirichlet_solve(problem)
+    (mat,), (b,) = mats, rhs
+    return mat, b
+
+
+def box_system(problem):
+    """-P_h's interior rows of the whole-box COO matrix, cut to the interior
+    columns, and the right side as a sparse product: those rows cut to the
+    boundary columns, times the negated boundary data."""
+    box = -box_matrix(problem.spec, *schrodinger_stencil(problem.spec, problem.fields))[
+        np.flatnonzero(problem.interior)]
+    g = -problem.boundary_values[problem.boundary]
+    return box[:, problem.interior.ravel()], box[:, problem.boundary.ravel()] @ g
 
 
 def site_list_prolongation(sites, even):
@@ -196,7 +235,7 @@ class TestBallInput:
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled past the d = 3 limit")
 
-        monkeypatch.setattr(solver, "_interior_rows", no_assembly)
+        monkeypatch.setattr(solver, "stencil_rows", no_assembly)
         start = time.perf_counter()
         with pytest.raises(SolverError, match="interior unknowns exceed"):
             ball_input(3, 1 / 8, "solve", fields=FieldData.zero)
@@ -351,7 +390,8 @@ class TestDirichletSolve:
 
 
 class TestInteriorRows:
-    """-P_h's interior rows against the whole-box matrix, assembled through COO."""
+    """The solve's system, -P_h's rows and columns at the interior sites, and
+    its right side, against the whole-box matrix assembled through COO."""
 
     @pytest.mark.parametrize("d, lo, hi", [(1, (-5,), (6,)),
                                            (2, (-3, -2), (4, 3)),
@@ -370,12 +410,11 @@ class TestInteriorRows:
         interior[tuple(slice(1, -1) for _ in range(d))] = True
         problem = DirichletProblem(spec, interior, ~interior,
                                    rng.standard_normal(spec.shape), fields)
-        rows = solver._interior_rows(problem)
-        expected = -box_matrix(spec, *schrodinger_stencil(spec, fields))[
-            np.flatnonzero(interior)]
-        assert rows.shape == expected.shape == (interior.sum(), interior.size)
+        mat, _ = solve_system(problem)
+        expected, _ = box_system(problem)
+        assert mat.shape == expected.shape == (interior.sum(),) * 2
         for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(rows, part), getattr(expected, part))
+            assert np.array_equal(getattr(mat, part), getattr(expected, part))
 
     @pytest.mark.parametrize("d, h", [(1, 1 / 16), (2, 1 / 8), (3, 1 / 4)])
     def test_equal_the_negated_box_rows_on_b4(self, d, h, rng_seed):
@@ -384,11 +423,34 @@ class TestInteriorRows:
         fields = singular_field_data(spec, 0.3, rng_seed)
         for problem in (DirichletProblem.on_ball(spec, 4.0, data),
                         DirichletProblem.on_ball(spec, 4.0, data, fields)):
-            rows = solver._interior_rows(problem)
-            expected = -box_matrix(spec, *schrodinger_stencil(spec, problem.fields))[
-                np.flatnonzero(problem.interior)]
+            mat, _ = solve_system(problem)
+            expected, _ = box_system(problem)
             for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(rows, part), getattr(expected, part))
+                assert np.array_equal(getattr(mat, part), getattr(expected, part))
+
+    @pytest.mark.parametrize("d, lo, hi, radius", [
+        (1, (-9,), (8,), 2.0), (2, (-8, -7), (9, 8), 1.6), (3, (-5, -6, -5), (6, 5, 5), 1.2)])
+    @pytest.mark.parametrize("with_fields", [False, True])
+    def test_right_side_is_the_boundary_column_product(self, d, lo, hi, radius, with_fields,
+                                                       rng_seed):
+        # P_h of the boundary data through the kernel sums a site's boundary
+        # terms in offset order, the product in column order: in d <= 2 at most
+        # two terms meet, so the bits agree; d = 3 sites can have three
+        rng = np.random.default_rng(rng_seed + d)
+        spec = LatticeSpec(d, 1 / 4, lo, hi)
+        fields = None
+        if with_fields:
+            fields = FieldData(LatticeFunction(spec, rng.uniform(-9.0, 9.0, spec.shape)),
+                               tuple(LatticeFunction(spec, rng.uniform(-3.0, 3.0, spec.shape))
+                                     for _ in range(d)))
+        data = LatticeFunction(spec, rng.standard_normal(spec.shape))
+        problem = DirichletProblem.on_ball(spec, radius, data, fields)
+        _, rhs = solve_system(problem)
+        _, expected = box_system(problem)
+        if d <= 2:
+            assert np.array_equal(rhs, expected)
+        else:
+            assert np.abs(rhs - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_d3_solve_allocates_less_than_32_box_arrays(self):
         # the whole-box assembly of P_h peaked at 59 box arrays here
@@ -420,7 +482,7 @@ class TestProlongation:
         interior[tuple(slice(1, -1) for _ in range(d))] = True
         interior &= BallRegion(radius).mask(spec)
         problem = DirichletProblem(spec, interior, ~interior, np.zeros(spec.shape))
-        a = solver._interior_rows(problem)[:, interior.ravel()]
+        a, _ = solve_system(problem)
         levels, _ = solver._hierarchy(interior, spec.lo, a)
         sites = np.argwhere(interior) + spec.lo
         assert len(levels) >= 3
@@ -438,7 +500,7 @@ class TestProlongation:
         monkeypatch.setattr(solver, "COARSEST_UNKNOWNS", 100)
         spec = LatticeSpec.ball_box(2, 1 / 16, 4.0, pad_sites=2)
         problem = DirichletProblem.on_ball(spec, 4.0, harmonic_polynomial(spec, "deg3"))
-        a = solver._interior_rows(problem)[:, problem.interior.ravel()]
+        a, _ = solve_system(problem)
         shapes = []
         tocsc = scipy.sparse.csr_matrix.tocsc
 
@@ -685,6 +747,20 @@ class TestProblemValidation:
         finally:
             tracemalloc.stop()
         assert peak < 2 * data.values.nbytes
+
+    @pytest.mark.parametrize("d, h, lo, hi", [(2, 1 / 4, (-3, -3), (3, 3)),
+                                              (2, 1 / 8, (-40, -40), (40, 40)),
+                                              (1, 1 / 4, (-40,), (40,))])
+    def test_fields_must_cover_the_box(self, d, h, lo, hi):
+        # the solve failed later with the bare message "field coverage"
+        spec = LatticeSpec.ball_box(2, 1 / 4, 4.0, pad_sites=2)
+        data = harmonic_polynomial(spec, "deg3")
+        fields = FieldData.zero(LatticeSpec(d, h, lo, hi))
+        with pytest.raises(ValueError, match=re.escape(
+                f"fields on {fields.spec!r} must cover the problem's {spec!r}")):
+            DirichletProblem.on_ball(spec, 4.0, data, fields)
+        big = FieldData.zero(LatticeSpec(2, 1 / 4, (-20, -20), (20, 20)))
+        assert DirichletProblem.on_ball(spec, 4.0, data, big).fields is big
 
     def test_masks_must_not_overlap(self):
         spec = LatticeSpec(1, 0.5, (-4,), (4,))
