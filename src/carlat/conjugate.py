@@ -407,10 +407,15 @@ def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
     difference by default; forward/backward variants are exposed through
     ``ds_mode``.
 
-    The box is walked in slabs of ``slab_rows`` axis-0 rows.  D and Lap
-    reach one row, so D^2 u on a slab's rows is exact on the sub-box of the
-    slab and two halo rows each side (clipped to the box, where u's zero
-    extension is the box's own); only the slab's rows are summed.
+    The box is walked in slabs of ``slab_rows`` axis-0 rows, on bare value
+    arrays.  D and Lap reach one row, so D^2 u on a slab's rows is exact on
+    the slab and two halo rows each side (clipped to the box, where u's zero
+    extension is the box's own); D u, D^2 u and Lap u of that sub-box are
+    written into three buffers allocated once per call, and only the slab's
+    rows are summed.  A slab whose weighted sum is not finite has its rows
+    of D u, D^2 u and Lap u checked: a non-finite entry raises, as it would
+    in a LatticeFunction, and finite entries whose weighted squares overflow
+    give a non-finite lhs, rhs or ratio.
     """
     if ctx.params is None:
         raise ValueError("carleman_ratio needs a context built from weight parameters")
@@ -420,41 +425,45 @@ def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
         raise ValueError("support outside annulus")
     spec = u.spec
     ctx.check_support(u)
+    if ds_mode not in ("symmetric", "forward", "backward"):
+        raise ValueError(f"unknown ds_mode {ds_mode!r}")
 
     h = spec.h
     tau = ctx.params.tau
     exp_phi = ctx._table("exp")
 
-    def dop(g):
+    def dop(g, out):
         if ds_mode == "symmetric":
-            return sym_diff_sum(g)
-        if ds_mode in ("forward", "backward"):
-            acc = np.zeros(g.spec.shape)
-            for j in range(1, spec.d + 1):
-                acc += diff(g, j, ds_mode).values
-            return g.with_values(acc)
-        raise ValueError(f"unknown ds_mode {ds_mode!r}")
+            return sym_diff_sum(g, out=out)
+        # the first difference holds no -0.0, so it equals 0.0 plus itself
+        diff(g, 1, ds_mode, out=out)
+        for j in range(2, spec.d + 1):
+            out += diff(g, j, ds_mode)
+        return out
 
     rows, step = spec.shape[0], slab_rows(spec)
     buf = np.empty((step,) + spec.shape[1:])
+    # D u, D^2 u and Lap u of a slab and its halo rows
+    du_buf, d2u_buf, lap_buf = np.empty((3, min(step + 4, rows)) + spec.shape[1:])
     # sums of (e^phi u)^2, (e^phi D u)^2, (e^phi D^2 u)^2, (e^phi Lap u)^2
     sums = [0.0] * 4
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
         lo, hi = max(r0 - 2, 0), min(r1 + 2, rows)
-        sub = LatticeFunction(
-            LatticeSpec(spec.d, h, (spec.lo[0] + lo,) + spec.lo[1:],
-                        (spec.lo[0] + hi - 1,) + spec.hi[1:]),
-            u.values[lo:hi])
-        du = dop(sub)
-        d2u = dop(du)
+        sub = u.values[lo:hi]
+        du = dop(sub, du_buf[:hi - lo])
+        d2u = dop(du, d2u_buf[:hi - lo])
+        lap = laplacian(sub, out=lap_buf[:hi - lo])
         own = slice(r0 - lo, r1 - lo)
         weight, out = exp_phi[r0:r1], buf[:r1 - r0]
         flat = out.reshape(-1)
-        for k, values in enumerate((sub.values, du.values, d2u.values, laplacian(sub).values)):
+        for k, values in enumerate((sub, du, d2u, lap)):
             np.multiply(values[own], weight, out=out)
             # einsum's own loop, not BLAS: the same bits for any BLAS thread count
-            sums[k] += float(np.einsum("i,i->", flat, flat))
+            total = float(np.einsum("i,i->", flat, flat))
+            if not math.isfinite(total) and not np.isfinite(values[own]).all():
+                raise ValueError("values must be finite")
+            sums[k] += total
 
     # the unscaled sums times h^d, over h^0, h^2, h^4 and h^4
     norm2 = [h ** spec.d * total / h ** p for total, p in zip(sums, (0, 2, 4, 4))]

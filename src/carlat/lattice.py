@@ -239,14 +239,27 @@ def dilate(mask: np.ndarray, steps: int = 1) -> np.ndarray:
     return mask
 
 
-def diff(f: LatticeFunction, j: int, mode: str = "forward") -> LatticeFunction:
+def _values(f: LatticeFunction | np.ndarray) -> np.ndarray:
+    return f.values if isinstance(f, LatticeFunction) else f
+
+
+def _like(f: LatticeFunction | np.ndarray, values: np.ndarray):
+    """``values`` as the kind ``f`` is: a LatticeFunction on f's box, or the array."""
+    return f.with_values(values) if isinstance(f, LatticeFunction) else values
+
+
+def diff(f: LatticeFunction | np.ndarray, j: int, mode: str = "forward", out=None):
     """Unscaled difference in direction j (1-based).
 
     forward:   f(n+h e_j) - f(n)
     backward:  f(n) - f(n-h e_j)
     symmetric: (f(n+h e_j) - f(n-h e_j)) / 2
+
+    ``f`` is a LatticeFunction or a values array on a box, and the result is
+    of the same kind; ``out`` is as for ``apply_stencil_const``.
     """
-    e = unit_offset(f.spec.d, j)
+    v = _values(f)
+    e = unit_offset(v.ndim, j)
     if mode == "forward":
         offsets, weights = np.stack([e, 0 * e]), [1.0, -1.0]
     elif mode == "backward":
@@ -255,31 +268,34 @@ def diff(f: LatticeFunction, j: int, mode: str = "forward") -> LatticeFunction:
         offsets, weights = np.stack([e, -e]), [0.5, -0.5]
     else:
         raise ValueError(f"unknown difference mode {mode!r}")
-    return f.with_values(apply_stencil_const(f.values, offsets, weights))
+    return _like(f, apply_stencil_const(v, offsets, weights, out=out))
 
 
-def laplacian(f: LatticeFunction) -> LatticeFunction:
-    """Unscaled discrete Laplacian sum_j f(n+h e_j) + f(n-h e_j) - 2 f(n)."""
-    d = f.spec.d
+def laplacian(f: LatticeFunction | np.ndarray, out=None):
+    """Unscaled discrete Laplacian sum_j f(n+h e_j) + f(n-h e_j) - 2 f(n),
+    of the kind of ``f`` and into ``out`` as ``diff``."""
+    v = _values(f)
+    d = v.ndim
     weights = [-2.0 * d] + [1.0] * (2 * d)
-    return f.with_values(apply_stencil_const(f.values, _centre_first(d), weights))
+    return _like(f, apply_stencil_const(v, _centre_first(d), weights, out=out))
 
 
-def sym_diff_sum(f: LatticeFunction) -> LatticeFunction:
-    """Summed symmetric difference sum_j (f(n+h e_j) - f(n-h e_j)) / 2."""
-    d = f.spec.d
+def sym_diff_sum(f: LatticeFunction | np.ndarray, out=None):
+    """Summed symmetric difference sum_j (f(n+h e_j) - f(n-h e_j)) / 2, of the
+    kind of ``f`` and into ``out`` as ``diff``."""
+    v = _values(f)
     # P_h's offsets less the centre: +e_j, -e_j for j = 1..d
-    out = apply_stencil_const(f.values, stencil_offsets(d)[:-1], [1.0, -1.0] * d)
+    out = apply_stencil_const(v, stencil_offsets(v.ndim)[:-1], [1.0, -1.0] * v.ndim, out=out)
     # halving the +-1 sum is exact, so this equals the +-0.5 weights' sum
     out *= 0.5
-    return f.with_values(out)
+    return _like(f, out)
 
 
 def _fields_on(fields: FieldData, spec: LatticeSpec):
     """Restrict field arrays to the box of spec; fields must cover it."""
     fs = fields.spec
     if not fs.covers(spec):
-        raise ValueError("field coverage")
+        raise ValueError(f"field coverage: fields on {fs} do not cover {spec}")
     sl = tuple(slice(a - b, a - b + s) for a, b, s in zip(spec.lo, fs.lo, spec.shape))
     return fields.V.values[sl], [b.values[sl] for b in fields.B]
 

@@ -358,6 +358,34 @@ class TestCarlemanRatio:
         vals = list(ratios.values())
         assert max(vals) / min(vals) < 10.0
 
+    @staticmethod
+    def spikes(ctx, *sites):
+        """Values on ctx's box: 0, and each (offset, value) in ``sites`` at
+        that offset from a site at |h n| = 1."""
+        spec = ctx.spec
+        v = np.zeros(spec.shape)
+        centre = np.array(spec.shape) // 2 + round(1 / spec.h) * np.array([1, 0])
+        for off, value in sites:
+            v[tuple(centre + off)] = value
+        return LatticeFunction(spec, v)
+
+    @pytest.mark.parametrize("ds_mode", ["symmetric", "forward", "backward"])
+    def test_an_overflowing_difference_is_refused(self, ds_mode):
+        # finite spikes whose sum in D u at the centre site is inf
+        u = self.spikes(ctx_for(2, tau=1.5), ((1, 0), 1.5e308), ((0, 1), 1.5e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="values must be finite"):
+                carleman_ratio(u, ctx_for(2, tau=1.5), ds_mode)
+
+    @pytest.mark.parametrize("ds_mode", ["symmetric", "forward", "backward"])
+    def test_overflowing_weighted_squares_are_returned(self, ds_mode):
+        # D u, D^2 u and Lap u are finite; their weighted squares are not
+        u = self.spikes(ctx_for(2, tau=1.5), ((0, 0), 1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = carleman_ratio(u, ctx_for(2, tau=1.5), ds_mode)
+        assert rec.lhs == rec.rhs == rec.term_l2 == rec.term_d1 == rec.term_d2 == np.inf
+        assert math.isnan(rec.ratio)
+
     def test_exp_table_is_the_weight_with_the_singular_site_zeroed(self):
         ctx = ctx_for(2, tau=1.5)
         table = ctx._table("exp")
@@ -440,6 +468,22 @@ class TestBlockedRatio:
             tracemalloc.stop()
         assert peak < u.values.nbytes
 
+
+    def test_one_call_builds_no_spec_or_function(self, monkeypatch):
+        spec = carleman_box(2, 1 / 128)
+        ctx = ConjugationContext.from_weight(spec, WeightParams(6.4, 0.01))
+        ctx.build_tables(*RATIO_TABLES)
+        u = random_bump(spec, 7)
+        built = []
+        for cls in (LatticeSpec, LatticeFunction):
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, real=cls.__post_init__: built.append(type(self))
+                                or real(self))
+        carleman_ratio(u, ctx)
+        assert built == []
+        # the count sees a construction
+        LatticeFunction.zeros(spec)
+        assert built == [LatticeFunction]
 
 # -- identities up to the overflow guard --------------------------------------
 

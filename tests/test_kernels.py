@@ -284,3 +284,97 @@ def test_framed_inputs_take_the_flat_path(monkeypatch):
     assert calls == []
     solver.ball_input(2, 1 / 8, "deg3")
     assert len(calls) > 0
+
+
+# (d, read): in d = 1 every input takes the flat read
+READS = [(1, "flat"), (2, "flat"), (2, "slice"), (3, "flat"), (3, "slice")]
+
+
+def stencil_cases(d, read, kind, rng):
+    """Values on a box that take the given read, and P_h's offsets in three
+    orders: the centre first with weight -2.5, +e_1 first with weight 1 and
+    -e_1 first with weight -1, each followed by mixed weights; or, for
+    ``kind="var"``, coefficient arrays."""
+    shape = (7, 6, 5)[:d]
+    values = rng.standard_normal(shape)
+    if read == "flat":
+        for a in range(1, d):
+            values[(slice(None),) * a + ([0, -1],)] = 0.0
+    cases = []
+    for shift, first in ((1, -2.5), (0, 1.0), (-1, -1.0)):
+        offsets = np.roll(stencil_offsets(d), shift, axis=0)
+        if kind == "const":
+            coeffs = [first] + rng.choice([1.0, -1.0, 0.75], 2 * d).tolist()
+        else:
+            coeffs = [rng.standard_normal(shape) for _ in offsets]
+        cases.append((offsets, coeffs))
+    return values, cases
+
+
+def apply(values, offsets, coeffs, out=None):
+    """The kernel entry for the coefficients' kind, with ``out``."""
+    if isinstance(coeffs[0], float):
+        return K.apply_stencil_const(values, offsets, coeffs, out=out)
+    return K._apply(values, offsets, coeffs, "coefficient arrays", out)
+
+
+def count_slice_reads(monkeypatch):
+    calls = []
+    real = K.overlap_slices
+    monkeypatch.setattr(K, "overlap_slices", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+class TestOut:
+    @pytest.mark.parametrize("kind", ["const", "var"])
+    @pytest.mark.parametrize("d, read", READS)
+    def test_out_gets_the_bits_of_the_allocating_call(self, d, read, kind, monkeypatch, rng_seed):
+        values, cases = stencil_cases(d, read, kind, np.random.default_rng(rng_seed))
+        calls = count_slice_reads(monkeypatch)
+        for offsets, coeffs in cases:
+            calls.clear()
+            want = apply(values, offsets, coeffs)
+            assert (len(calls) > 0) == (read == "slice")
+            # stale contents must not leak into the result
+            out = np.full(values.shape, np.nan)
+            assert apply(values, offsets, coeffs, out=out) is out
+            assert_same_bits(out, want)
+            assert_same_bits(out, slice_oracle(values, offsets, coeffs) if kind == "const"
+                             else slice_oracle_var(values, offsets, coeffs))
+
+    @pytest.mark.parametrize("kind", ["const", "var"])
+    @pytest.mark.parametrize("d, read", READS)
+    def test_a_negative_zero_first_term_stores_plus_zero(self, d, read, kind):
+        shape = (7, 6, 5)[:d]
+        values = np.zeros(shape)
+        if read == "slice":
+            values[(0,) * d] = 1.0  # a nonzero frame site
+        # laplacian's centre weight -2d alone (it reaches no frame, so it
+        # reads flat), then with -1 neighbours: -2d * (+0.0) = -0.0, and
+        # -0.0 - (+0.0) stays -0.0
+        centre_first = np.roll(stencil_offsets(d), 1, axis=0)
+        for offsets in (centre_first[:1], centre_first):
+            weights = [-2.0 * d] + [-1.0] * (len(offsets) - 1)
+            coeffs = weights if kind == "const" else [np.full(shape, w) for w in weights]
+            for out in (None, np.full(shape, -0.0)):
+                got = apply(values, offsets, coeffs, out=out)
+                zeros = got == 0.0
+                assert zeros.sum() >= got.size - 2 * d - 1
+                assert not np.signbit(got[zeros]).any()
+
+    @pytest.mark.parametrize("kind", ["const", "var"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bad_out_is_refused(self, d, kind, rng_seed):
+        values, [(offsets, coeffs), *_] = stencil_cases(d, "flat", kind,
+                                                        np.random.default_rng(rng_seed))
+        shape, n = values.shape, values.size
+        wide = np.empty(shape[:-1] + (2 * shape[-1],))
+        # the input and an out one element further on, in one buffer
+        shared = np.append(values.ravel(), 0.0)
+        for f, out, match in ((values, np.empty(shape[:-1] + (shape[-1] + 1,)), "shape"),
+                              (values, np.empty(shape, dtype=np.float32), "float64"),
+                              (values, wide[..., ::2], "C-contiguous"),
+                              (values, values, "overlap"),
+                              (shared[:n].reshape(shape), shared[1:].reshape(shape), "overlap")):
+            with pytest.raises(ValueError, match=match):
+                apply(f, offsets, coeffs, out=out)

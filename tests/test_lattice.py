@@ -207,6 +207,18 @@ class TestSchrodinger:
         with pytest.raises(ValueError, match="field coverage"):
             schrodinger_apply(f, FieldData.zero(small))
 
+    def test_field_coverage_error_names_both_boxes(self):
+        big = LatticeSpec(2, 0.5, (-6, -5), (6, 5))
+        small = LatticeSpec(2, 0.5, (-3, -4), (3, 4))
+        fields = FieldData.zero(small)
+        for call in (lambda: schrodinger_apply(LatticeFunction.zeros(big), fields),
+                     lambda: schrodinger_stencil(big, fields)):
+            with pytest.raises(ValueError, match="field coverage") as err:
+                call()
+            message = str(err.value)
+            assert repr(small) in message and repr(big) in message
+            assert message.index(repr(small)) < message.index(repr(big))
+
     def test_fields_on_superset_box(self):
         big = LatticeSpec(1, 0.5, (-8,), (8,))
         small = LatticeSpec(1, 0.5, (-4,), (4,))

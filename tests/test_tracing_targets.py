@@ -57,6 +57,10 @@ def test_sweep_spans_are_recorded(tmp_path):
     assert m["lattice.coords.calls"] == 0
     assert "lattice.annulus_mask" in tracer.names
     assert m["solver.random_bump.busy_s"] > 0
+    # carleman_ratio's slabs go through the operators the tracer wraps in
+    # conjugate, and those through the constant kernel it wraps in lattice
+    for name in ("lattice.sym_diff_sum", "lattice.laplacian", "kernels.stencil_const"):
+        assert name in tracer.names
 
 
 def test_coords_spans_are_recorded_by_the_ball_inputs():
