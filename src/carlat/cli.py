@@ -296,6 +296,7 @@ def cmd_symbol_scan(args) -> tuple:
         scan = lower_bound_margin(fp, args.c0, grid, gamma0=args.gamma0)
         report.meta["scans"].append({"resolution": grid.resolution,
                                      "points": grid.resolution ** args.d,
+                                     "points_evaluated": scan.points_evaluated,
                                      "scan_s": time.perf_counter() - start})
         scans.append(scan)
         row = {"resolution": grid.resolution, "min_margin": scan.min_margin,

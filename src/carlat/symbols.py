@@ -22,12 +22,16 @@ over the frequency torus measures how much ellipticity plus commutator
 positivity survive; its minimum sits near the joint characteristic set
 {|xi| = |g|, g . xi = 0}.  Each term is a sum of per-axis factors, so the
 scans evaluate the trig on the 1-D frequency axis and broadcast; the
-pointwise functions below are their reference.
+pointwise functions below are their reference.  The scans walk the grid in
+tiles cut on every axis, and ``lower_bound_margin`` skips the high-frequency
+tiles whose interval lower bound on the margin lies above the running
+minimum; the rounding argument is in notes/decisions.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,8 +43,10 @@ MAX_GRID_POINTS = 2 ** 25
 # scan_table, the --grid-csv table, holds five float64 grids at its peak
 # (measured at 4096^2); lower_bound_margin streams and holds none.
 SCAN_BYTES_PER_POINT = 40
-# Grid points per slab of lower_bound_margin (slab sizes in notes/decisions.md).
-SCAN_BLOCK_POINTS = 2 ** 17
+# Grid points per tile of lower_bound_margin and empirical_c1, at most: a
+# tile cuts every axis into runs of the same length (_runs), 64 at d = 2 and
+# 16 at d = 3 (tile sizes in notes/decisions.md).
+SCAN_TILE_POINTS = 2 ** 12
 # search of empirical_c1 for the high-frequency region split
 C1_CANDIDATES = tuple(range(1, 41))
 C1_FLOOR = 1.0 / 256.0
@@ -203,6 +209,8 @@ class MarginScan:
     gamma0: float
     c1_split: float | None
     regions: dict
+    # grid points whose margin the scan computed; the rest were bounded
+    points_evaluated: int = field(compare=False)
 
 
 def _along(v, j: int, d: int) -> np.ndarray:
@@ -222,10 +230,38 @@ def _outer_sum(vectors, start=0.0, out=None) -> np.ndarray:
     return np.add(head, _along(vectors[-1], d - 1, d), out=out)
 
 
-def _slabs(res: int, d: int) -> list:
-    """Row slices of axis 0 of a res^d block holding about SCAN_BLOCK_POINTS points each."""
-    step = max(1, SCAN_BLOCK_POINTS // res ** (d - 1))
-    return [slice(r0, min(r0 + step, res)) for r0 in range(0, res, step)]
+def _runs(n: int, d: int) -> list:
+    """An axis of n points cut into runs of the tile edge, the largest e with
+    e^d <= SCAN_TILE_POINTS (at least 1), in order."""
+    edge = round(SCAN_TILE_POINTS ** (1.0 / d))
+    edge = max(1, edge if edge ** d <= SCAN_TILE_POINTS else edge - 1)
+    return [slice(i, min(i + edge, n)) for i in range(0, n, edge)]
+
+
+def _rows(runs: list, d: int) -> list:
+    """The tiles on ``runs``^d a row at a time: the tiles that share their
+    runs on every axis but the last, taken together as one block.
+
+    numpy 2.4 buffers a three-operand broadcast whose rows are shorter than
+    8192 / 3 points: on a 2-core VM an outer sum took about 1.2 ns a point
+    on 128 x 128 against 0.3 ns on 32 x 4096.  So a row of tiles, with its
+    one set of numpy calls, costs less than its tiles one by one.  A row of
+    a 1-D grid is one tile.
+    """
+    if d == 1 or not runs:
+        return [(r,) for r in runs]
+    span = slice(runs[0].start, runs[-1].stop)
+    return [rs + (span,) for rs in itertools.product(runs, repeat=d - 1)]
+
+
+def _clip(tile: tuple, lo: int, hi: int) -> tuple:
+    """The tile's part of the box [lo, hi)^d (some runs empty if they miss it)."""
+    return tuple(slice(max(r.start, lo), min(r.stop, hi)) for r in tile)
+
+
+def _relative(inner: tuple, outer: tuple) -> tuple:
+    """The runs of ``inner`` counted from the starts of ``outer``."""
+    return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
 
 
 def _run(keep: np.ndarray) -> slice:
@@ -235,9 +271,9 @@ def _run(keep: np.ndarray) -> slice:
     return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
 
 
-def _on_slab(v: np.ndarray, rows: slice, d: int) -> list:
-    """Per-axis copies of the 1-D axis vector v, axis 0 cut to the slab's rows."""
-    return [v[rows]] + [v] * (d - 1)
+def _cut(vectors: list, tile: tuple) -> list:
+    """Per-axis vectors, each cut to the tile's run of its axis."""
+    return [v[r] for v, r in zip(vectors, tile)]
 
 
 def _axis_trig(fp: FrozenPoint, grid: SymbolGrid):
@@ -247,66 +283,77 @@ def _axis_trig(fp: FrozenPoint, grid: SymbolGrid):
     return ax, np.sin(th), np.cos(th), np.sin(th / 2) ** 2
 
 
-def _slab_pr(fp: FrozenPoint, trig, rows: slice) -> np.ndarray:
-    """``symbol_pr`` on the slab, with the same per-point arithmetic."""
+def _pr_parts(fp: FrozenPoint, trig) -> list:
+    """Per-axis vectors whose outer sum is ``symbol_pr``, with its per-point arithmetic."""
     _, _, c, w = trig
-    return _outer_sum([-4.0 / fp.h ** 2 * wj + gj ** 2 * cj for gj, wj, cj
-                       in zip(fp.grad_phi, _on_slab(w, rows, fp.d), _on_slab(c, rows, fp.d))])
+    return [-4.0 / fp.h ** 2 * w + gj ** 2 * c for gj in fp.grad_phi]
 
 
-def _slab_norm(ax: np.ndarray, rows: slice, d: int) -> np.ndarray:
-    norm = _outer_sum([v ** 2 for v in _on_slab(ax, rows, d)])
+def _axis_parts(fp: FrozenPoint, trig) -> dict:
+    """The per-axis vectors of the margin on the whole 1-D axis, once per scan.
+
+    For each grid axis, the vectors whose outer sums are p_r, p_i, the
+    diagonal of q and the denominator less tau^4; for each off-diagonal pair
+    j < k of q, which adds a s_j s_k + b c_j c_k, the factors [a s, b c] and
+    [s; c] of that rank-2 product.
+    """
+    d, h, tau = fp.d, fp.h, fp.tau
+    g, hess = fp.grad_phi, fp.hess_phi
+    ax, s, c, _ = trig
+    s2 = s ** 2
+    pairs = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            a = 2.0 * hess[j, k] * (4.0 / h ** 2 + 2.0 * (g[j] ** 2 + g[k] ** 2))
+            b = 8.0 * hess[j, k] * g[j] * g[k]
+            pairs.append((j, k, np.stack([a * s, b * c], axis=1), np.stack([s, c])))
+    return {"axis": ax, "p_r": _pr_parts(fp, trig),
+            "p_i": [2.0 * gj / h * s for gj in g],
+            "q": [hess[j, j] * (4.0 / h ** 2 * s ** 2 + 4.0 * g[j] ** 2) for j in range(d)],
+            "denominator": [tau ** 2 / h ** 2 * s2 + s2 ** 2 / h ** 4] * d,
+            "pairs": pairs}
+
+
+def _norm(squares: np.ndarray, tile: tuple) -> np.ndarray:
+    """|xi| on the tile, from the squared axis."""
+    norm = _outer_sum(_cut([squares] * len(tile), tile))
     return np.sqrt(norm, out=norm)
 
 
-def _pair(u: float, v: float, s: np.ndarray, c: np.ndarray, rows: slice) -> np.ndarray:
-    """u s_j s_k + v c_j c_k on rows of axis j by all of axis k, as one product.
-
-    numpy hands a one-row product to gemv, which rounds differently from the
-    gemm that every longer slab gets, so a one-row slab is computed as two.
-    """
-    lo = min(rows.start, s.size - 2)
-    hi = max(rows.stop, lo + 2)
-    pair = np.stack([u * s[lo:hi], v * c[lo:hi]], axis=1) @ np.stack([s, c])
-    return pair[rows.start - lo:rows.stop - lo]
+def _widen(run: slice, n: int) -> slice:
+    """The run, or a run of two holding it when it has one point."""
+    lo = min(run.start, n - 2)
+    return slice(lo, max(run.stop, lo + 2))
 
 
-def _margin_terms(fp: FrozenPoint, trig, c0: float, rows: slice) -> dict:
-    """p_r, p_i, q and the margin on the slab axis[rows] x axis^(d-1), from
-    ``_axis_trig``'s trig on the 1-D axis, computed once per scan.
+def _margin_terms(fp: FrozenPoint, parts: dict, c0: float, tile: tuple) -> dict:
+    """p_r, p_i, q and the margin on the tile, one run of the axis per grid
+    axis, from ``_axis_parts``' vectors on the 1-D axis.
 
     p_r, p_i and the denominator are outer sums of per-axis vectors.  With
     cos(a -+ b) = cos a cos b +- sin a sin b, the diagonal of q is the outer
     sum of H_jj (4 h^-2 s_j^2 + 4 g_j^2) and each off-diagonal pair, both
     orders together, adds the rank-2 product
     2 H_jk [(4 h^-2 + 2 (g_j^2 + g_k^2)) s_j s_k + 4 g_j g_k c_j c_k].
-    Only the axis-0 vectors are cut to the slab, so each point gets the
-    arithmetic of the whole grid and the same bits.
+    The per-axis vectors are only cut to the tile, so each point gets the
+    arithmetic of the whole grid and the same bits.  numpy hands a product
+    with one row or one column to gemv, which rounds differently from the
+    gemm that every longer run gets, so a run of one is multiplied as two.
     """
-    d, h, tau = fp.d, fp.h, fp.tau
-    g, hess = fp.grad_phi, fp.hess_phi
-    ax, s, c, _ = trig
-    sv = _on_slab(s, rows, d)
-    pr = _slab_pr(fp, trig, rows)
-    pi = _outer_sum([2.0 * gj / h * sj for gj, sj in zip(g, sv)])
-    q = _outer_sum([hess[j, j] * (4.0 / h ** 2 * sv[j] ** 2 + 4.0 * g[j] ** 2)
-                    for j in range(d)])
-    for j in range(d):
-        for k in range(j + 1, d):
-            a = 2.0 * hess[j, k] * (4.0 / h ** 2 + 2.0 * (g[j] ** 2 + g[k] ** 2))
-            b = 8.0 * hess[j, k] * g[j] * g[k]
-            pair = _pair(a, b, s, c, rows if j == 0 else slice(0, s.size))
-            q += pair.reshape([q.shape[i] if i in (j, k) else 1 for i in range(d)])
-            del pair  # the whole slab at d = 2
+    d, tau, n = fp.d, fp.tau, parts["axis"].size
+    pr, pi, q = (_outer_sum(_cut(parts[key], tile)) for key in ("p_r", "p_i", "q"))
+    for j, k, left, right in parts["pairs"]:
+        wj, wk = _widen(tile[j], n), _widen(tile[k], n)
+        pair = (left[wj] @ right[:, wk])[_relative((tile[j], tile[k]), (wj, wk))]
+        q += pair.reshape([q.shape[i] if i in (j, k) else 1 for i in range(d)])
+        del pair  # the whole tile at d = 2
     margin = np.multiply(pr, pr)
     tmp = np.multiply(pi, pi)
     margin += tmp
     margin += np.multiply(q, c0 * tau, out=tmp)
-    s2 = [sj ** 2 for sj in sv]
-    den = _outer_sum([tau ** 2 / h ** 2 * v + v ** 2 / h ** 4 for v in s2],
-                     start=tau ** 4, out=tmp)
+    den = _outer_sum(_cut(parts["denominator"], tile), start=tau ** 4, out=tmp)
     margin /= den
-    return {"axis": ax, "p_r": pr, "p_i": pi, "q": q, "denominator": den,
+    return {"axis": parts["axis"], "p_r": pr, "p_i": pi, "q": q, "denominator": den,
             "margin": margin}
 
 
@@ -317,7 +364,8 @@ def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float):
     The values are those ``lower_bound_margin`` minimizes.  This table is
     the one caller that holds whole grids: five float64 grids at its peak.
     """
-    t = _margin_terms(fp, _axis_trig(fp, grid), c0, slice(0, grid.resolution))
+    parts = _axis_parts(fp, _axis_trig(fp, grid))
+    t = _margin_terms(fp, parts, c0, (slice(0, grid.resolution),) * fp.d)
     return {
         "axis": t["axis"],
         "p_r": t["p_r"].ravel(),
@@ -327,10 +375,10 @@ def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float):
     }
 
 
-def _slab_worst(fp: FrozenPoint, trig, rows: slice) -> float:
-    """Largest |xi| on the slab with p_r^2 < C1_FLOOR |xi|^4 or a NaN ratio, or -inf."""
-    pr, norm = _slab_pr(fp, trig, rows), _slab_norm(trig[0], rows, fp.d)
-    # pr ** 2 / norm ** 4, written into pr: three slabs at the peak
+def _worst(pr_parts: list, squares: np.ndarray, tile: tuple) -> float:
+    """Largest |xi| on the tile with p_r^2 < C1_FLOOR |xi|^4 or a NaN ratio, or -inf."""
+    pr, norm = _outer_sum(_cut(pr_parts, tile)), _norm(squares, tile)
+    # pr ** 2 / norm ** 4, written into pr: three tiles at the peak
     np.square(pr, out=pr)
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = ~(np.divide(pr, np.power(norm, 4.0), out=pr) >= C1_FLOOR)
@@ -355,7 +403,7 @@ def empirical_c1(fp: FrozenPoint, grid: SymbolGrid) -> float | None:
     -p_r >= (4/pi^2) |xi|^2 - |g|^2, which is at least sqrt(C1_FLOOR) |xi|^2
     once |xi|^2 >= |g|^2 / (4/pi^2 - sqrt(C1_FLOOR)).  So ``worst`` is found
     on the box |xi_j| <= twice that reach plus one grid step, walked in
-    slabs; outside it |p_r| clears sqrt(C1_FLOOR) |xi|^2 by a factor of
+    tiles; outside it |p_r| clears sqrt(C1_FLOOR) |xi|^2 by a factor of
     about 5, far beyond rounding.  ``top`` is the norm at the corner
     |xi_j| = max|axis|: the computed norm grows with every |xi_j|.
     """
@@ -367,9 +415,10 @@ def empirical_c1(fp: FrozenPoint, grid: SymbolGrid) -> float | None:
     if slack > 0.0 and rho2 > 0.0:
         box = _run(np.abs(ax) <= 2.0 * np.sqrt(rho2 / slack) + (ax[1] - ax[0]))
     trig = tuple(v[box] for v in trig)
-    worst = max((_slab_worst(fp, trig, rows) for rows in _slabs(trig[0].size, d)),
-                default=-np.inf)
-    top = float(_slab_norm(np.abs(ax).max(keepdims=True), slice(0, 1), d).max())
+    pr_parts, squares = _pr_parts(fp, trig), trig[0] ** 2
+    rows = _rows(_runs(box.stop - box.start, d), d)
+    worst = max((_worst(pr_parts, squares, row) for row in rows), default=-np.inf)
+    top = float(_norm(np.abs(ax).max(keepdims=True) ** 2, (slice(0, 1),) * d).max())
     for c1 in C1_CANDIDATES:
         if not c1 * fp.tau <= top:
             return None
@@ -381,20 +430,66 @@ def empirical_c1(fp: FrozenPoint, grid: SymbolGrid) -> float | None:
 REGIONS = ("high_frequency", "characteristic_neighborhood", "low_frequency")
 
 
-def _fold(found: dict, keys: tuple, values: np.ndarray, start: tuple) -> None:
-    """Keep the smallest of ``values`` and its grid index under each of ``keys``.
+def _square_floor(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Lower bound of fl(x x) for x in [lo, hi]: zero when the range holds 0."""
+    return np.where(lo > 0.0, lo * lo, np.where(hi < 0.0, hi * hi, 0.0))
 
-    ``values`` is the block of the grid whose first point has index
-    ``start``.  Blocks come in C order of their rows, and a later block must
-    be strictly smaller, so ties keep the first point in C order, as one
-    argmin over the whole grid would.
+
+def _tile_bounds(fp: FrozenPoint, parts: dict, c0: float, runs: list) -> np.ndarray:
+    """A lower bound of the computed margin on each tile, shape (len(runs),)*d.
+
+    Interval arithmetic on each tile's per-axis minima and maxima of the
+    vectors of ``_axis_parts``, with the operations of ``_margin_terms`` in
+    their order, on all tiles at once as outer sums over the grid of tiles.
+    Correctly rounded +, x and / are monotone (fl(x + y) >= fl(x' + y') when
+    x >= x' and y >= y'), so the bound is at most every margin computed on
+    its tile.  A pair product may fuse a multiply-add, so its bound gives way
+    by 4 eps (max|a s_j s_k| + max|b c_j c_k|).  A negative coupling
+    c0 tau would need an upper bound of q, so it bounds every tile by -inf.
+    """
+    d, tau, k = fp.d, fp.tau, c0 * fp.tau
+    if not k >= 0.0:
+        return np.full((len(runs),) * d, -np.inf)
+    starts = [r.start for r in runs]
+
+    def ranges(v):
+        return np.minimum.reduceat(v, starts), np.maximum.reduceat(v, starts)
+
+    lo, hi = {}, {}
+    for key in ("p_r", "p_i", "q", "denominator"):
+        lo[key], hi[key] = zip(*(ranges(v) for v in parts[key]))
+    pr2 = _square_floor(_outer_sum(lo["p_r"]), _outer_sum(hi["p_r"]))
+    pi2 = _square_floor(_outer_sum(lo["p_i"]), _outer_sum(hi["p_i"]))
+    q = _outer_sum(lo["q"])
+    for j, kk, left, right in parts["pairs"]:
+        low = size = 0.0
+        for x, y in zip(left.T, right):
+            corners = [np.multiply.outer(xe, ye) for xe in ranges(x) for ye in ranges(y)]
+            low = low + np.minimum.reduce(corners)
+            size = size + np.abs(corners).max(axis=0)
+        pair = low - 4.0 * np.finfo(np.float64).eps * size
+        q = q + pair.reshape([q.shape[i] if i in (j, kk) else 1 for i in range(d)])
+    num = pr2 + pi2 + q * k
+    den = [_outer_sum(ends["denominator"], start=tau ** 4) for ends in (lo, hi)]
+    # a larger denominator lowers a non-negative numerator's ratio
+    bound = num / np.where(num >= 0.0, den[1], den[0])
+    # a NaN bound, from terms that overflowed, proves nothing
+    return np.where(np.isnan(bound), -np.inf, bound)
+
+
+def _fold(found: dict, key: str, values: np.ndarray, tile: tuple) -> None:
+    """Keep the least (value, grid index) of ``values`` and ``found[key]``.
+
+    ``values`` is the block of the grid on the runs of ``tile``.  Within it
+    ``np.argmin`` returns the first minimum in C order, which is the least
+    grid index among its minima, so the fold keeps the lexicographic
+    minimum of (value, index) whatever order blocks come in: ties keep the
+    first point in C order, as one argmin over the whole grid would.
     """
     at = np.unravel_index(int(np.argmin(values)), values.shape)
-    v = float(values[at])
-    index = tuple(int(s + i) for s, i in zip(start, at))
-    for key in keys:
-        if key not in found or v < found[key][0]:
-            found[key] = (v, index)
+    best = (float(values[at]), tuple(int(r.start + i) for r, i in zip(tile, at)))
+    if key not in found or best < found[key]:
+        found[key] = best
 
 
 def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
@@ -407,13 +502,21 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     low-frequency region.  Ties resolve to the lexicographically smallest
     grid index (C-order argmin).
 
-    The grid is scanned in slabs of about SCAN_BLOCK_POINTS points along
-    frequency axis 0, keeping only running minima, argmins and counts.  C1
-    is ``empirical_c1``, which walks only a box around the origin.  A point
-    with some |xi_j| >= C1 tau is high-frequency, since sqrt(fl(x x)) = |x|
-    and more non-negative squares only raise the sum; so the regions are
-    told apart only on the box |xi_j| < C1 tau, and a slab outside it is
-    all high.
+    The grid is walked in tiles of at most SCAN_TILE_POINTS points, cut on
+    every frequency axis, keeping only running minima, argmins and counts.
+    C1 is ``empirical_c1``, which walks only a box around the origin.  A
+    point with some |xi_j| >= C1 tau is high-frequency, since
+    sqrt(fl(x x)) = |x| and more non-negative squares only raise the sum; so
+    the regions are told apart only on the box |xi_j| < C1 tau, and a tile
+    that misses the box is all high.  The tiles that meet the box are always
+    evaluated, a row of them at a time (``_rows``).  The all-high tiles are
+    evaluated in ascending order of ``_tile_bounds``, a lower bound of each
+    tile's computed margins, until a bound lies strictly above the running
+    high-frequency minimum: no point of the tiles left can change a minimum
+    or win a tie.  The grid minimum is the least of the regions', the
+    high-frequency count is what the other two leave, and
+    ``points_evaluated`` counts the points of the evaluated tiles.  With
+    c1 = None the box is the whole grid and nothing is skipped.
 
     For the convexified weight the minimum is positive only when the
     coupling stays below the pseudoconvexity, c0 < c_ps/(1 + log^2|x_bar|):
@@ -428,7 +531,6 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     ax = trig[0]
     t = np.inf if c1_split is None else c1_split * tau
     box = _run(np.abs(ax) < t)
-    b0, b1 = box.start, box.stop
     lo = hi = 0
     rho = float(np.linalg.norm(fp.grad_phi))
     if d > 1 and rho > 0.0:
@@ -440,41 +542,50 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
             box_xi = np.stack(np.meshgrid(*[ax[lo:hi]] * d, indexing="ij"))
             near_box = char_set_distance(box_xi, fp) <= gamma0 * tau
 
-    found, counts = {}, dict.fromkeys(REGIONS, 0)
-    for rows in _slabs(res, d):
-        margin = _margin_terms(fp, trig, c0, rows)["margin"]
-        start = (rows.start,) + (0,) * (d - 1)
-        # the slab's rows of the region box, if any
-        r0, r1 = max(rows.start, b0), min(rows.stop, b1)
-        if r0 >= r1:
-            counts["high_frequency"] += margin.size
-            _fold(found, ("grid", "high_frequency"), margin, start)
-            continue
-        _fold(found, ("grid",), margin, start)
-        # the slab's points of the box that are not high, and which of them are near
-        other = _slab_norm(ax[box], slice(r0 - b0, r1 - b0), d) < t
+    parts, squares = _axis_parts(fp, trig), ax ** 2
+    runs = _runs(res, d)
+    inside = np.array([r.start < box.stop and box.start < r.stop for r in runs])
+    meets = np.ones((len(runs),) * d, bool)  # the tiles with a point in the region box
+    for j in range(d):
+        meets &= _along(inside, j, d)
+    found, counts, evaluated = {}, dict.fromkeys(REGIONS, 0), 0
+    for block in _rows([r for r, x in zip(runs, inside) if x], d):
+        margin = _margin_terms(fp, parts, c0, block)["margin"]
+        evaluated += margin.size
+        # the block's part of the region box, its points there that are not
+        # high, and which of those are near
+        part = _clip(block, box.start, box.stop)
+        other = _norm(squares, part) < t
         near = np.zeros(other.shape, bool)
-        n0, n1 = max(r0, lo), min(r1, hi)
-        if n0 < n1:
-            cut = (slice(n0 - r0, n1 - r0),) + (slice(lo - b0, hi - b0),) * (d - 1)
-            near[cut] = near_box[n0 - lo:n1 - lo] & other[cut]
-        sub = (slice(r0 - rows.start, r1 - rows.start),) + (box,) * (d - 1)
-        block_start = (r0,) + (b0,) * (d - 1)
+        near_part = _clip(part, lo, hi)
+        if all(r.start < r.stop for r in near_part):
+            at = _relative(near_part, part)
+            near[at] = near_box[_relative(near_part, (slice(lo, hi),) * d)] & other[at]
+        sub = _relative(part, block)
         for name, mask in zip(REGIONS[1:], (near, other & ~near)):
             n = int(np.count_nonzero(mask))
             if n:
                 counts[name] += n
-                _fold(found, (name,), np.where(mask, margin[sub], np.inf), block_start)
-        n = margin.size - int(np.count_nonzero(other))
-        if n:
-            counts["high_frequency"] += n
-            margin[sub][other] = np.inf  # in place; the slab's points outside the box are high
-            _fold(found, ("high_frequency",), margin, start)
+                _fold(found, name, np.where(mask, margin[sub], np.inf), part)
+        if margin.size > np.count_nonzero(other):
+            margin[sub][other] = np.inf  # in place; the block's points outside the box are high
+            _fold(found, "high_frequency", margin, block)
+    if not meets.all():
+        tiles = list(itertools.product(runs, repeat=d))
+        bounds = _tile_bounds(fp, parts, c0, runs).ravel()
+        high = np.flatnonzero(~meets)
+        for i in high[np.argsort(bounds[high], kind="stable")]:
+            if "high_frequency" in found and bounds[i] > found["high_frequency"][0]:
+                break
+            margin = _margin_terms(fp, parts, c0, tiles[i])["margin"]
+            evaluated += margin.size
+            _fold(found, "high_frequency", margin, tiles[i])
+    counts["high_frequency"] = res ** d - counts[REGIONS[1]] - counts[REGIONS[2]]
 
-    def stat(key):
-        value, index = found[key]
+    def stat(value, index):
         return value, tuple(float(ax[i]) for i in index)
 
-    regions = {name: RegionStat(*stat(name), counts[name]) if counts[name]
+    regions = {name: RegionStat(*stat(*found[name]), counts[name]) if counts[name]
                else RegionStat(None, None, 0) for name in REGIONS}
-    return MarginScan(*stat("grid"), res, c0, gamma0, c1_split, regions)
+    return MarginScan(*stat(*min(found.values())), res, c0, gamma0, c1_split, regions,
+                      evaluated)

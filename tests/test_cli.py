@@ -14,7 +14,7 @@ import pytest
 import scipy
 
 import carlat
-from carlat import cli, conjugate, experiments, reports, solver
+from carlat import cli, conjugate, experiments, reports, solver, symbols
 from carlat.cli import main, parse_number
 from carlat.conjugate import CommutatorCoeffs
 from carlat.lattice import MAX_SITES, BallRegion, LatticeSpec
@@ -465,9 +465,11 @@ class TestSubcommands:
     def test_symbol_scan_sidecar_records_each_scan(self, tmp_path, monkeypatch):
         argv = ["symbol-scan", *SUBCOMMAND_ARGV["symbol-scan"]]
         assert run([*argv, "--out", str(tmp_path / "a")]) == 0
-        # a clock that jumps 1000 s per reading changes the timings and no data byte
+        # a clock that jumps 1000 s per reading, and scan tiles of 8 x 8 points,
+        # change the timings and the points evaluated and no data byte
         ticks = iter(range(0, 10 ** 6, 1000))
         monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        monkeypatch.setattr(symbols, "SCAN_TILE_POINTS", 64)
         assert run([*argv, "--out", str(tmp_path / "b")]) == 0
         metas = [json.loads(next((tmp_path / side).glob("*.meta.json")).read_text())
                  for side in "ab"]
@@ -476,12 +478,16 @@ class TestSubcommands:
                 (64, 64 * 64), (128, 128 * 128)]
         assert all(0.0 <= s["scan_s"] < 60.0 for s in metas[0]["scans"])
         assert all(s["scan_s"] == 1000.0 for s in metas[1]["scans"])
+        # every default tile meets the region box |xi_j| < c1 tau; 8 x 8 tiles skip some
+        assert [s["points_evaluated"] for s in metas[0]["scans"]] == [64 * 64, 128 * 128]
+        assert all(0 < s["points_evaluated"] < s["points"] for s in metas[1]["scans"])
         files_a, files_b = data_files(tmp_path / "a"), data_files(tmp_path / "b")
         assert sorted(p.suffix for p in files_a) == [".csv", ".csv", ".json"]
         assert [p.name for p in files_a] == [p.name for p in files_b]
         for pa, pb in zip(files_a, files_b):
             assert pa.read_bytes() == pb.read_bytes()
             assert "scan_s" not in pa.read_text()
+            assert "points_evaluated" not in pa.read_text()
 
     @pytest.mark.parametrize("sub, argv, hs", [
         ("three-balls", ["--h", "1/16,1/32", "--input", "solve"], [1 / 16, 1 / 32]),

@@ -1,5 +1,6 @@
 """Symbols of the frozen operators: Parseval cross-checks and margin scans."""
 
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -307,9 +308,11 @@ class TestMarginScan:
        c0=st.floats(0.0, 0.1), radius=st.floats(0.6, 1.9),
        direction=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
        signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=3, max_size=3),
-       resolution=st.integers(8, 20), start=st.integers(0, 19), width=st.integers(1, 20))
+       resolution=st.integers(8, 20),
+       starts=st.lists(st.integers(0, 19), min_size=3, max_size=3),
+       widths=st.lists(st.integers(1, 20), min_size=3, max_size=3))
 def test_separable_terms_match_pointwise_symbols(d, tau, inv_h, c0, radius, direction,
-                                                 signs, resolution, start, width):
+                                                 signs, resolution, starts, widths):
     x = np.array(direction[:d]) * np.array(signs[:d])
     fp = frozen(d=d, tau=tau, h=1.0 / inv_h, x_bar=tuple(radius * x / np.linalg.norm(x)))
     if d > 1:
@@ -323,18 +326,18 @@ def test_separable_terms_match_pointwise_symbols(d, tau, inv_h, c0, radius, dire
     want["margin"] = (squares + coupling * want["q"]) / want["denominator"]
     scale = {key: np.abs(value).max() for key, value in want.items()}
     scale["margin"] = ((squares + coupling * np.abs(want["q"])) / want["denominator"]).max()
-    trig = symbols._axis_trig(fp, grid)
-    got = _margin_terms(fp, trig, c0, slice(0, resolution))
+    parts = symbols._axis_parts(fp, symbols._axis_trig(fp, grid))
+    got = _margin_terms(fp, parts, c0, (slice(0, resolution),) * d)
     for key, value in want.items():
         assert got[key].shape == value.shape
         np.testing.assert_allclose(got[key], value, rtol=0, atol=1e-12 * scale[key],
                                    err_msg=key)
-    # a slab of axis 0, one row included, gets the whole grid's bits
-    lo = min(start, resolution - 1)
-    rows = slice(lo, min(lo + width, resolution))
-    slab = _margin_terms(fp, trig, c0, rows)
+    # a block of one run per axis, runs of one point included, gets the whole grid's bits
+    lows = [min(start, resolution - 1) for start in starts[:d]]
+    tile = tuple(slice(lo, min(lo + width, resolution)) for lo, width in zip(lows, widths))
+    block = _margin_terms(fp, parts, c0, tile)
     for key in want:
-        np.testing.assert_array_equal(slab[key], got[key][rows], err_msg=key)
+        np.testing.assert_array_equal(block[key], got[key][tile], err_msg=key)
 
 
 def mesh_scan(fp, c0, grid, gamma0=0.05):
@@ -391,12 +394,18 @@ def test_scan_matches_the_dense_mesh_scan(d, x_bar, tau, h, c0, resolution, gamm
     fp = frozen(d=d, tau=tau, h=h, x_bar=x_bar)
     grid = SymbolGrid(d, h, resolution)
     scan = lower_bound_margin(fp, c0, grid, gamma0=gamma0)
-    # slabs of one row, of three rows (which divide no resolution here) and
-    # of the whole grid fold to the same scan
-    row = resolution ** (d - 1)
-    for points in (row, 3 * row, resolution * row):
-        monkeypatch.setattr(symbols, "SCAN_BLOCK_POINTS", points)
+    # tiles of edge 3 and 7 (which divide no resolution here, and leave runs
+    # of one point at 1024, 512, 256, 64 and 40) and the whole grid as one
+    # tile fold to the same scan
+    for edge in (3, 7, resolution):
+        monkeypatch.setattr(symbols, "SCAN_TILE_POINTS", edge ** d)
         assert lower_bound_margin(fp, c0, grid, gamma0=gamma0) == scan
+    if scan.c1_split is None:
+        # the region box is the whole grid: no tile is skipped
+        assert scan.points_evaluated == resolution ** d
+    if resolution == 1024:
+        # the default tiles skip all-high tiles at the benchmark's x_bar
+        assert scan.points_evaluated < resolution ** d
     want_min, want_argmin, mesh_c1, want_regions, margin = mesh_scan(fp, c0, grid, gamma0)
     assert scan.argmin_xi == want_argmin
     assert scan.min_margin == pytest.approx(want_min, rel=1e-12)
@@ -427,11 +436,11 @@ def test_scan_matches_the_dense_mesh_scan(d, x_bar, tau, h, c0, resolution, gamm
 
 
 def test_scan_computes_the_axis_trig_once_per_pass(monkeypatch):
-    """``empirical_c1`` and the slab loop each compute the 1-D trig once,
-    however many slabs the scan walks."""
+    """``empirical_c1`` and the tile walk each compute the 1-D trig once,
+    however many tiles the scan walks."""
     fp = frozen(d=2, tau=20.0, h=1 / 128, x_bar=(1.0, 0.0))
     grid = SymbolGrid(2, fp.h, 256)
-    monkeypatch.setattr(symbols, "SCAN_BLOCK_POINTS", 256)  # 256 one-row slabs
+    monkeypatch.setattr(symbols, "SCAN_TILE_POINTS", 16)  # 64^2 tiles of 4 x 4 points
     calls = []
     real = symbols._axis_trig
     monkeypatch.setattr(symbols, "_axis_trig", lambda *args: calls.append(args) or real(*args))
@@ -445,8 +454,9 @@ def test_scan_computes_the_axis_trig_once_per_pass(monkeypatch):
 def whole_grid_c1(fp, grid):
     """``empirical_c1`` as one pass over every grid point, the pass its box replaced."""
     trig = symbols._axis_trig(fp, grid)
-    rows = slice(0, grid.resolution)
-    pr, norm = symbols._slab_pr(fp, trig, rows), symbols._slab_norm(trig[0], rows, fp.d)
+    whole = (slice(0, grid.resolution),) * fp.d
+    pr = symbols._outer_sum(symbols._pr_parts(fp, trig))
+    norm = symbols._norm(trig[0] ** 2, whole)
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = ~(pr ** 2 / norm ** 4 >= C1_FLOOR)
     worst, top = float(norm[bad].max()) if bad.any() else -np.inf, float(norm.max())
@@ -462,11 +472,13 @@ def whole_grid_scan(fp, c0, grid, gamma0):
     """``lower_bound_margin`` with every region mask on the whole grid, as the
     scan made them before it confined them to the box |xi_j| < c1 tau."""
     d, res, ax = fp.d, grid.resolution, grid.axis()
-    margin = _margin_terms(fp, symbols._axis_trig(fp, grid), c0, slice(0, res))["margin"]
+    whole = (slice(0, res),) * d
+    parts = symbols._axis_parts(fp, symbols._axis_trig(fp, grid))
+    margin = _margin_terms(fp, parts, c0, whole)["margin"]
     c1 = whole_grid_c1(fp, grid)
     high = np.zeros(margin.shape, bool)
     if c1 is not None:
-        high = symbols._slab_norm(ax, slice(0, res), d) >= c1 * fp.tau
+        high = symbols._norm(ax ** 2, whole) >= c1 * fp.tau
     near = (char_set_distance(grid.mesh(), fp) <= gamma0 * fp.tau) & ~high
 
     def stat(values, count):
@@ -477,7 +489,8 @@ def whole_grid_scan(fp, c0, grid, gamma0):
                if mask.any() else RegionStat(None, None, 0)
                for name, mask in zip(symbols.REGIONS, (high, near, ~(high | near)))}
     whole = stat(margin, margin.size)
-    return MarginScan(whole.min_margin, whole.argmin_xi, res, c0, gamma0, c1, regions)
+    return MarginScan(whole.min_margin, whole.argmin_xi, res, c0, gamma0, c1, regions,
+                      margin.size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -485,10 +498,10 @@ def whole_grid_scan(fp, c0, grid, gamma0):
        c_ps=st.floats(0.01, 1.0), radius=st.floats(0.51, 1.99),
        direction=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
        signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=3, max_size=3),
-       resolution=st.integers(8, 48), c0=st.floats(0.0, 0.1), gamma0=st.floats(0.01, 0.5),
-       slab_rows=st.integers(1, 48))
+       resolution=st.integers(8, 48), c0=st.floats(-0.1, 0.1), gamma0=st.floats(0.01, 0.5),
+       edge=st.integers(2, 19))
 def test_boxed_scan_matches_the_whole_grid(d, tau, inv_h, c_ps, radius, direction, signs,
-                                           resolution, c0, gamma0, slab_rows):
+                                           resolution, c0, gamma0, edge):
     x = np.array(direction[:d]) * np.array(signs[:d])
     fp = frozen(d=d, tau=tau, h=1.0 / inv_h, c_ps=c_ps,
                 x_bar=tuple(radius * x / np.linalg.norm(x)))
@@ -507,16 +520,53 @@ def test_boxed_scan_matches_the_whole_grid(d, tau, inv_h, c_ps, radius, directio
         bad = ~(symbol_pr(xi, fp) ** 2 / norm ** 4 >= C1_FLOOR)
     reach = np.linalg.norm(fp.grad_phi) / np.sqrt(4 / np.pi ** 2 - np.sqrt(C1_FLOOR))
     assert np.all(norm[bad] <= reach)
-    # the region box against whole-grid masks, with slabs crossing it anywhere
-    points = min(slab_rows, resolution) * resolution ** (d - 1)
-    with mock.patch.object(symbols, "SCAN_BLOCK_POINTS", points):
+    # the region box against whole-grid masks, with tiles crossing it
+    # anywhere and small enough that all-high tiles are skipped (none at a
+    # negative c0, whose bounds are -inf)
+    with mock.patch.object(symbols, "SCAN_TILE_POINTS", edge ** d):
         assert lower_bound_margin(fp, c0, grid, gamma0=gamma0) == whole_grid_scan(
             fp, c0, grid, gamma0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), tau=st.floats(1.5, 40.0), inv_h=st.integers(4, 256),
+       c_ps=st.floats(0.01, 1.0), radius=st.floats(0.51, 1.99),
+       direction=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
+       signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=3, max_size=3),
+       resolution=st.integers(8, 48), c0=st.floats(0.0, 1.0), edge=st.integers(1, 19))
+def test_tile_bounds_hold_on_every_tile(d, tau, inv_h, c_ps, radius, direction, signs,
+                                        resolution, c0, edge):
+    """Every margin computed on a tile is at least the tile's bound, on every
+    tile of the grid, the all-high tiles the scan skips among them.
+
+    The bounds are tightest without the commutator term (c0 = 0), where a
+    tile across p_r = 0 near the characteristic set needs the straddle
+    case, and on tiles of one point, where only the pair allowance is left.
+    """
+    x = np.array(direction[:d]) * np.array(signs[:d])
+    fp = frozen(d=d, tau=tau, h=1.0 / inv_h, c_ps=c_ps,
+                x_bar=tuple(radius * x / np.linalg.norm(x)))
+    grid = SymbolGrid(d, fp.h, resolution)
+    parts = symbols._axis_parts(fp, symbols._axis_trig(fp, grid))
+    for coupling, e in itertools.product((0.0, c0), (1, edge)):
+        with mock.patch.object(symbols, "SCAN_TILE_POINTS", e ** d):
+            runs = symbols._runs(resolution, d)
+        bounds = symbols._tile_bounds(fp, parts, coupling, runs)
+        # the whole grid's margins have each tile's bits; reduce them per tile
+        least = _margin_terms(fp, parts, coupling, (slice(0, resolution),) * d)["margin"]
+        for axis in range(d):
+            least = np.minimum.reduceat(least, [r.start for r in runs], axis=axis)
+        assert bounds.shape == least.shape == (len(runs),) * d
+        assert np.all(least >= bounds)
+        if e == 1 and d == 1:
+            # one-point tiles and no pair term: each bound is the computed margin
+            np.testing.assert_array_equal(bounds, least)
+
+
 def test_scan_holds_no_whole_grid():
     # five float64 grids at 4096^2 would be 671 MB; the c1 pass holds three
-    # float64 slabs of 2^17 points of its box, the scan a slab's margin terms
+    # float64 tiles of its box, the scan a tile's margin terms and the
+    # bounds of its tiles
     fp = frozen()
     grid = SymbolGrid(2, fp.h, 4096)
     for run, bound in ((lambda: empirical_c1(fp, grid), 4 << 20),
