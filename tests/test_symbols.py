@@ -498,7 +498,7 @@ def whole_grid_scan(fp, c0, grid, gamma0):
        c_ps=st.floats(0.01, 1.0), radius=st.floats(0.51, 1.99),
        direction=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
        signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=3, max_size=3),
-       resolution=st.integers(8, 48), c0=st.floats(-0.1, 0.1), gamma0=st.floats(0.01, 0.5),
+       resolution=st.integers(8, 48), c0=st.floats(-0.02, 0.1), gamma0=st.floats(0.01, 0.5),
        edge=st.integers(2, 19))
 def test_boxed_scan_matches_the_whole_grid(d, tau, inv_h, c_ps, radius, direction, signs,
                                            resolution, c0, gamma0, edge):
@@ -565,8 +565,8 @@ def test_tile_bounds_hold_on_every_tile(d, tau, inv_h, c_ps, radius, direction, 
 
 def test_scan_holds_no_whole_grid():
     # five float64 grids at 4096^2 would be 671 MB; the c1 pass holds three
-    # float64 tiles of its box, the scan a tile's margin terms and the
-    # bounds of its tiles
+    # float64 arrays on a row of tiles of its box, the scan a row's or a
+    # tile's margin terms and the bounds of all its tiles
     fp = frozen()
     grid = SymbolGrid(2, fp.h, 4096)
     for run, bound in ((lambda: empirical_c1(fp, grid), 4 << 20),
