@@ -22,10 +22,12 @@ over the frequency torus measures how much ellipticity plus commutator
 positivity survive; its minimum sits near the joint characteristic set
 {|xi| = |g|, g . xi = 0}.  Each term is a sum of per-axis factors, so the
 scans evaluate the trig on the 1-D frequency axis and broadcast; the
-pointwise functions below are their reference.  The scans walk the grid in
-tiles cut on every axis, and ``lower_bound_margin`` skips the high-frequency
-tiles whose interval lower bound on the margin lies above the running
-minimum; the rounding argument is in notes/decisions.md.
+pointwise functions below are their reference.  Every step of the scans is
+elementwise, with no BLAS call, so their bits do not depend on the BLAS
+kernel the CPU gets.  The scans walk the grid in tiles cut on every axis,
+and ``lower_bound_margin`` skips the high-frequency tiles whose interval
+lower bound on the margin lies above the running minimum; the rounding
+argument is in notes/decisions.md.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def char_set_distance(xi, fp: FrozenPoint):
     the g axis every equator point is nearest, at hypot(parallel, |g|),
     which the same expression yields.  In one dimension the set is empty.
     """
-    rho = float(np.linalg.norm(fp.grad_phi))
+    rho = float(np.sqrt(np.sum(fp.grad_phi ** 2)))
     if rho == 0.0:
         raise ValueError("degenerate frozen point")
     xi = np.asarray(xi, dtype=np.float64)
@@ -294,8 +296,9 @@ def _axis_parts(fp: FrozenPoint, trig) -> dict:
 
     For each grid axis, the vectors whose outer sums are p_r, p_i, the
     diagonal of q and the denominator less tau^4; for each off-diagonal pair
-    j < k of q, which adds a s_j s_k + b c_j c_k, the factors [a s, b c] and
-    [s; c] of that rank-2 product.
+    j < k of q, which adds a s_j s_k + b c_j c_k, its two rank-1 terms
+    (j, k, a s, s) and (j, k, b c, c), each the product of a vector along
+    axis j and one along axis k.
     """
     d, h, tau = fp.d, fp.h, fp.tau
     g, hess = fp.grad_phi, fp.hess_phi
@@ -306,7 +309,7 @@ def _axis_parts(fp: FrozenPoint, trig) -> dict:
         for k in range(j + 1, d):
             a = 2.0 * hess[j, k] * (4.0 / h ** 2 + 2.0 * (g[j] ** 2 + g[k] ** 2))
             b = 8.0 * hess[j, k] * g[j] * g[k]
-            pairs.append((j, k, np.stack([a * s, b * c], axis=1), np.stack([s, c])))
+            pairs += [(j, k, a * s, s), (j, k, b * c, c)]
     return {"axis": ax, "p_r": _pr_parts(fp, trig),
             "p_i": [2.0 * gj / h * s for gj in g],
             "q": [hess[j, j] * (4.0 / h ** 2 * s ** 2 + 4.0 * g[j] ** 2) for j in range(d)],
@@ -320,12 +323,6 @@ def _norm(squares: np.ndarray, tile: tuple) -> np.ndarray:
     return np.sqrt(norm, out=norm)
 
 
-def _widen(run: slice, n: int) -> slice:
-    """The run, or a run of two holding it when it has one point."""
-    lo = min(run.start, n - 2)
-    return slice(lo, max(run.stop, lo + 2))
-
-
 def _margin_terms(fp: FrozenPoint, parts: dict, c0: float, tile: tuple) -> dict:
     """p_r, p_i, q and the margin on the tile, one run of the axis per grid
     axis, from ``_axis_parts``' vectors on the 1-D axis.
@@ -333,23 +330,23 @@ def _margin_terms(fp: FrozenPoint, parts: dict, c0: float, tile: tuple) -> dict:
     p_r, p_i and the denominator are outer sums of per-axis vectors.  With
     cos(a -+ b) = cos a cos b +- sin a sin b, the diagonal of q is the outer
     sum of H_jj (4 h^-2 s_j^2 + 4 g_j^2) and each off-diagonal pair, both
-    orders together, adds the rank-2 product
-    2 H_jk [(4 h^-2 + 2 (g_j^2 + g_k^2)) s_j s_k + 4 g_j g_k c_j c_k].
-    The per-axis vectors are only cut to the tile, so each point gets the
-    arithmetic of the whole grid and the same bits.  numpy hands a product
-    with one row or one column to gemv, which rounds differently from the
-    gemm that every longer run gets, so a run of one is multiplied as two.
+    orders together, adds
+    2 H_jk [(4 h^-2 + 2 (g_j^2 + g_k^2)) s_j s_k + 4 g_j g_k c_j c_k],
+    whose two rank-1 terms are added to q one after the other, each an
+    elementwise product of a vector along axis j and one along axis k.  The
+    per-axis vectors are only cut to the tile and every step is elementwise,
+    so each point gets the arithmetic of the whole grid and the same bits,
+    with no BLAS call whose rounding could depend on the CPU.
     """
-    d, tau, n = fp.d, fp.tau, parts["axis"].size
+    d, tau = fp.d, fp.tau
     pr, pi, q = (_outer_sum(_cut(parts[key], tile)) for key in ("p_r", "p_i", "q"))
-    for j, k, left, right in parts["pairs"]:
-        wj, wk = _widen(tile[j], n), _widen(tile[k], n)
-        pair = (left[wj] @ right[:, wk])[_relative((tile[j], tile[k]), (wj, wk))]
-        q += pair.reshape([q.shape[i] if i in (j, k) else 1 for i in range(d)])
-        del pair  # the whole tile at d = 2
+    tmp = np.empty_like(q)
+    for j, k, x, y in parts["pairs"]:
+        # the product spans axes j and k of the scratch tile, broadcast over the rest
+        term = tmp[tuple(slice(None) if i in (j, k) else slice(1) for i in range(d))]
+        q += np.multiply(_along(x[tile[j]], j, d), _along(y[tile[k]], k, d), out=term)
     margin = np.multiply(pr, pr)
-    tmp = np.multiply(pi, pi)
-    margin += tmp
+    margin += np.multiply(pi, pi, out=tmp)
     margin += np.multiply(q, c0 * tau, out=tmp)
     den = _outer_sum(_cut(parts["denominator"], tile), start=tau ** 4, out=tmp)
     margin /= den
@@ -443,8 +440,9 @@ def _tile_bounds(fp: FrozenPoint, parts: dict, c0: float, runs: list) -> np.ndar
     their order, on all tiles at once as outer sums over the grid of tiles.
     Correctly rounded +, x and / are monotone (fl(x + y) >= fl(x' + y') when
     x >= x' and y >= y'), so the bound is at most every margin computed on
-    its tile.  A pair product may fuse a multiply-add, so its bound gives way
-    by 4 eps (max|a s_j s_k| + max|b c_j c_k|).  A negative coupling
+    its tile.  Each rank-1 term of q is bounded by the least of its four
+    corner products and added where ``_margin_terms`` adds the term, so on a
+    tile of one point the bound is the computed margin.  A negative coupling
     c0 tau would need an upper bound of q, so it bounds every tile by -inf.
     """
     d, tau, k = fp.d, fp.tau, c0 * fp.tau
@@ -461,14 +459,9 @@ def _tile_bounds(fp: FrozenPoint, parts: dict, c0: float, runs: list) -> np.ndar
     pr2 = _square_floor(_outer_sum(lo["p_r"]), _outer_sum(hi["p_r"]))
     pi2 = _square_floor(_outer_sum(lo["p_i"]), _outer_sum(hi["p_i"]))
     q = _outer_sum(lo["q"])
-    for j, kk, left, right in parts["pairs"]:
-        low = size = 0.0
-        for x, y in zip(left.T, right):
-            corners = [np.multiply.outer(xe, ye) for xe in ranges(x) for ye in ranges(y)]
-            low = low + np.minimum.reduce(corners)
-            size = size + np.abs(corners).max(axis=0)
-        pair = low - 4.0 * np.finfo(np.float64).eps * size
-        q = q + pair.reshape([q.shape[i] if i in (j, kk) else 1 for i in range(d)])
+    for j, kk, x, y in parts["pairs"]:
+        q = q + np.minimum.reduce([_along(xe, j, d) * _along(ye, kk, d)
+                                   for xe in ranges(x) for ye in ranges(y)])
     num = pr2 + pi2 + q * k
     den = [_outer_sum(ends["denominator"], start=tau ** 4) for ends in (lo, hi)]
     # a larger denominator lowers a non-negative numerator's ratio
@@ -532,7 +525,7 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     t = np.inf if c1_split is None else c1_split * tau
     box = _run(np.abs(ax) < t)
     lo = hi = 0
-    rho = float(np.linalg.norm(fp.grad_phi))
+    rho = float(np.sqrt(np.sum(fp.grad_phi ** 2)))
     if d > 1 and rho > 0.0:
         # |xi| <= rho + distance: the neighborhood lies in this box, and one
         # more grid step absorbs rounding; outside the region box it is high

@@ -1,7 +1,12 @@
 """Symbols of the frozen operators: Parseval cross-checks and margin scans."""
 
 import itertools
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -541,7 +546,7 @@ def test_tile_bounds_hold_on_every_tile(d, tau, inv_h, c_ps, radius, direction, 
 
     The bounds are tightest without the commutator term (c0 = 0), where a
     tile across p_r = 0 near the characteristic set needs the straddle
-    case, and on tiles of one point, where only the pair allowance is left.
+    case, and on tiles of one point, where each bound is the computed margin.
     """
     x = np.array(direction[:d]) * np.array(signs[:d])
     fp = frozen(d=d, tau=tau, h=1.0 / inv_h, c_ps=c_ps,
@@ -558,9 +563,45 @@ def test_tile_bounds_hold_on_every_tile(d, tau, inv_h, c_ps, radius, direction, 
             least = np.minimum.reduceat(least, [r.start for r in runs], axis=axis)
         assert bounds.shape == least.shape == (len(runs),) * d
         assert np.all(least >= bounds)
-        if e == 1 and d == 1:
-            # one-point tiles and no pair term: each bound is the computed margin
+        if e == 1:
+            # one-point tiles: the bound repeats the computed margin's rounded
+            # steps in their order, so it is that margin bit for bit
             np.testing.assert_array_equal(bounds, least)
+
+
+# Run in a fresh interpreter, so that OpenBLAS reads the core type when it loads
+SCAN_HASHES = """
+import dataclasses, hashlib, pickle
+from carlat import FrozenPoint, SymbolGrid, WeightParams, lower_bound_margin
+from carlat.symbols import scan_table
+# the margin_scan benchmark's x_bar at seed 7, then a d = 3 point
+for x_bar, res, tau, h in (((-0.4609070247133709, 0.8874484292452537), 256, 20.0, 1 / 128),
+                           ((0.8, 0.4, -0.2), 40, 10.0, 1 / 64)):
+    fp = FrozenPoint.from_weight(x_bar, WeightParams(tau, 0.01), h)
+    grid = SymbolGrid(len(x_bar), h, res)
+    scan = lower_bound_margin(fp, 0.0025, grid)
+    compared = [getattr(scan, f.name) for f in dataclasses.fields(scan) if f.compare]
+    table = scan_table(fp, grid, 0.0025)
+    data = [pickle.dumps(compared)] + [table[k].tobytes() for k in ("p_r", "p_i", "q", "margin")]
+    print(len(x_bar), *(hashlib.sha256(b).hexdigest() for b in data))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types are x86-64 kernels")
+def test_scan_bits_do_not_depend_on_the_blas_kernel():
+    """The scan and its table have the same bits under OpenBLAS's default
+    kernel and its oldest x86-64 one; with another BLAS the variable does
+    nothing and the two runs agree trivially."""
+    root = Path(symbols.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root), os.environ.get("PYTHONPATH")]))}
+    env.pop("OPENBLAS_CORETYPE", None)
+    runs = [subprocess.run([sys.executable, "-c", SCAN_HASHES], env=kernel, capture_output=True,
+                           text=True, check=True).stdout.splitlines()
+            for kernel in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})]
+    assert len(runs[0]) == 2
+    assert runs[0] == runs[1]
 
 
 def test_scan_holds_no_whole_grid():
