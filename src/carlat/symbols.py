@@ -86,7 +86,7 @@ class FrozenPoint:
     @classmethod
     def from_weight(cls, x_bar, params: WeightParams, h: float) -> "FrozenPoint":
         x = np.asarray(x_bar, dtype=np.float64)
-        r = float(np.linalg.norm(x))
+        r = float(np.sqrt(np.sum(x ** 2)))
         if not 0.5 < r < 2.0:
             raise ValueError("base point must lie in the annulus 1/2 < |x| < 2")
         ev = phi_eval(x, params)

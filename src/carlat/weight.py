@@ -75,7 +75,8 @@ def phi_eval(x, params: WeightParams) -> WeightEval:
     tau*varphi''(r) on x/r and tau*varphi'(r)/r on its orthogonal complement.
     """
     x = np.asarray(x, dtype=np.float64)
-    r = float(np.linalg.norm(x))
+    # a plain sum of squares: np.linalg.norm's BLAS dot rounds by the CPU kernel
+    r = float(np.sqrt(np.sum(x ** 2)))
     if r == 0.0:
         raise ValueError("weight singularity at the origin")
     xh = x / r

@@ -571,7 +571,7 @@ def test_tile_bounds_hold_on_every_tile(d, tau, inv_h, c_ps, radius, direction, 
 
 # Run in a fresh interpreter, so that OpenBLAS reads the core type when it loads
 SCAN_HASHES = """
-import dataclasses, hashlib, pickle
+import dataclasses, hashlib, math, pickle
 from carlat import FrozenPoint, SymbolGrid, WeightParams, lower_bound_margin
 from carlat.symbols import scan_table
 # the margin_scan benchmark's x_bar at seed 7, then a d = 3 point
@@ -584,15 +584,22 @@ for x_bar, res, tau, h in (((-0.4609070247133709, 0.8874484292452537), 256, 20.0
     table = scan_table(fp, grid, 0.0025)
     data = [pickle.dumps(compared)] + [table[k].tobytes() for k in ("p_r", "p_i", "q", "margin")]
     print(len(x_bar), *(hashlib.sha256(b).hexdigest() for b in data))
+# frozen points at the margin_scan benchmark's base points of seeds 0 to 63,
+# some of whose radii np.linalg.norm's BLAS dot rounds by the kernel
+golden = (5 ** 0.5 - 1) / 2
+points = [FrozenPoint.from_weight((math.cos(a), math.sin(a)), WeightParams(20.0, 0.01), 1 / 128)
+          for a in (2 * math.pi * (seed * golden % 1) for seed in range(64))]
+print(hashlib.sha256(b"".join(p.grad_phi.tobytes() + p.hess_phi.tobytes()
+                              for p in points)).hexdigest())
 """
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="OpenBLAS core types are x86-64 kernels")
 def test_scan_bits_do_not_depend_on_the_blas_kernel():
-    """The scan and its table have the same bits under OpenBLAS's default
-    kernel and its oldest x86-64 one; with another BLAS the variable does
-    nothing and the two runs agree trivially."""
+    """The scan, its table and the frozen points have the same bits under
+    OpenBLAS's default kernel and its oldest x86-64 one; with another BLAS
+    the variable does nothing and the two runs agree trivially."""
     root = Path(symbols.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root), os.environ.get("PYTHONPATH")]))}
@@ -600,7 +607,7 @@ def test_scan_bits_do_not_depend_on_the_blas_kernel():
     runs = [subprocess.run([sys.executable, "-c", SCAN_HASHES], env=kernel, capture_output=True,
                            text=True, check=True).stdout.splitlines()
             for kernel in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})]
-    assert len(runs[0]) == 2
+    assert len(runs[0]) == 3
     assert runs[0] == runs[1]
 
 
