@@ -145,6 +145,9 @@ class ConjugationContext:
     outermost site layer involve out-of-box neighbors and are not meaningful;
     operations therefore require the support of their argument to stay
     ``SUPPORT_REACH`` sites away from the box boundary and from singular sites.
+
+    The tables that ``check_support`` and ``carleman_ratio`` read are built
+    when the context is made, so threads may share it for those two.
     """
 
     spec: LatticeSpec
@@ -160,6 +163,8 @@ class ConjugationContext:
             raise ValueError(
                 f"weight magnitude {peak:.1f} would overflow exp; lower tau")
         object.__setattr__(self, "_cache", {})
+        for name in ("near_singular", "outside_annulus", "exp"):
+            self._table(name)
 
     @classmethod
     def from_weight(cls, spec: LatticeSpec, params: WeightParams) -> "ConjugationContext":
@@ -174,15 +179,12 @@ class ConjugationContext:
             raise ValueError("weight table must be finite")
         return cls(spec, None, phi, np.zeros(spec.shape, dtype=bool))
 
-    # -- lazy table bundles -------------------------------------------------
-
-    def build_tables(self, *names):
-        """Fill the named tables now.  ``_cache`` is filled without a lock, so
-        a context shared by threads must be built before they start."""
-        for name in names:
-            self._table(name)
+    # -- table bundles ------------------------------------------------------
 
     def _table(self, name):
+        """The named table, built on its first read.  ``_cache`` has no lock;
+        the stencil tables of S, A and L are built on the thread that first
+        applies one."""
         cache = self._cache
         if name in cache:
             return cache[name]
@@ -388,10 +390,6 @@ class CarlemanRatio:
     term_d2: float
 
 
-# the context tables carleman_ratio reads
-RATIO_TABLES = ("outside_annulus", "near_singular", "exp")
-
-
 def slab_rows(spec: LatticeSpec) -> int:
     """Axis-0 rows per slab of ``carleman_ratio``: about SLAB_SITES sites,
     at least one row and at most the box."""
@@ -419,12 +417,10 @@ def carleman_ratio(u: LatticeFunction, ctx: ConjugationContext,
     """
     if ctx.params is None:
         raise ValueError("carleman_ratio needs a context built from weight parameters")
-    if u.spec != ctx.spec:
-        raise ValueError("function and context lattice specs differ")
+    ctx.check_support(u)
     if u.values.ravel()[ctx._table("outside_annulus")].any():
         raise ValueError("support outside annulus")
     spec = u.spec
-    ctx.check_support(u)
     if ds_mode not in ("symmetric", "forward", "backward"):
         raise ValueError(f"unknown ds_mode {ds_mode!r}")
 

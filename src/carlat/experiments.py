@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .conjugate import (
-    RATIO_TABLES,
     ConjugationContext,
     _smoothstep,
     antisym_apply,
@@ -284,8 +283,8 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
     per-h maximum must not grow by more than growth_cap from one h to the
     next, which is the h-uniformity of the estimate's constant.
 
-    The cells run on ``jobs`` threads.  The context tables they read are
-    built on the calling thread first, because ``_cache`` has no lock.
+    The cells run on ``jobs`` threads and share one ``ConjugationContext``
+    per (h, tau), made on the calling thread with the tables they read.
     The sidecar (``report.meta["per_h"]``) records, per h, the bump and
     ratio seconds summed over its cells and ``carleman_ratio``'s slab rows.
     """
@@ -294,7 +293,6 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
     report = ExperimentReport("carleman_sweep", asdict(cfg))
 
     cells = []
-    contexts = {}
     for ih, h in enumerate(cfg.h_grid):
         taus = cfg.tau_grid if cfg.tau_rule == "grid" else (cfg.tau_fraction * cfg.delta0 / h,)
         for tau in taus:
@@ -303,33 +301,27 @@ def carleman_sweep(cfg: SweepConfig, jobs: int = 1) -> ExperimentReport:
                 report.add_row(h=h, tau=tau, admissible=False, seed=None,
                                ratio=None, lhs=None, rhs=None)
                 continue
-            if (ih, tau) not in contexts:
-                contexts[ih, tau] = ConjugationContext.from_weight(
-                    carleman_box(cfg.d, h), WeightParams(tau, cfg.c_ps))
-            for s in range(cfg.n_samples):
-                cells.append((ih, h, tau, s))
+            ctx = ConjugationContext.from_weight(carleman_box(cfg.d, h), WeightParams(tau, cfg.c_ps))
+            cells.extend((ih, h, tau, s, ctx) for s in range(cfg.n_samples))
 
     def run_cell(cell):
-        ih, h, tau, s = cell
-        ctx = contexts[ih, tau]
+        ih, h, tau, s, ctx = cell
         start = time.perf_counter()
         u = random_bump(ctx.spec, _cell_seed(cfg.seed, ih, s))
         bumped = time.perf_counter()
         r = carleman_ratio(u, ctx, ds_mode=cfg.ds_mode)
         return cell, r, bumped - start, time.perf_counter() - bumped
 
-    for ctx in contexts.values():
-        ctx.build_tables(*RATIO_TABLES)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(run_cell, cells))
 
     per_h = {}
     timings = {}
-    for (ih, h, tau, s), r, bump_s, ratio_s in results:
+    for (ih, h, tau, s, ctx), r, bump_s, ratio_s in results:
         report.add_row(h=h, tau=tau, admissible=True, seed=s,
                        ratio=r.ratio, lhs=r.lhs, rhs=r.rhs)
         per_h.setdefault((ih, h), []).append(r.ratio)
-        t = timings.setdefault(ih, {"h": h, "slab_rows": slab_rows(contexts[ih, tau].spec),
+        t = timings.setdefault(ih, {"h": h, "slab_rows": slab_rows(ctx.spec),
                                     "cells": 0, "bump_s": 0.0, "ratio_s": 0.0})
         t["cells"] += 1
         t["bump_s"] += bump_s

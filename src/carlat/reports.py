@@ -59,18 +59,26 @@ class FittedConstant:
 
 
 def linear_fit(x, y):
-    """Least-squares line fit returning (slope, intercept, r_squared, rms)."""
+    """Least-squares line fit returning (slope, intercept, r_squared, rms).
+
+    The closed form from centred sums: elementwise arithmetic and NumPy's
+    own sums, so the fit has the same bits under any BLAS kernel.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size < 2:
         raise ValueError("need at least two points for a linear fit")
-    a = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    pred = a @ coef
-    ss_res = float(((y - pred) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
+    mx, my = float(x.mean()), float(y.mean())
+    dx, dy = x - mx, y - my
+    sxx = float((dx * dx).sum())
+    if sxx == 0.0:
+        raise ValueError("constant x: the slope of a linear fit is undetermined")
+    slope = float((dx * dy).sum()) / sxx
+    intercept = my - slope * mx
+    ss_res = float(((dy - slope * dx) ** 2).sum())
+    ss_tot = float((dy * dy).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), float(coef[1]), r2, float(np.sqrt(ss_res / x.size))
+    return slope, intercept, r2, float(np.sqrt(ss_res / x.size))
 
 
 @dataclass

@@ -518,6 +518,8 @@ def lower_bound_margin(fp: FrozenPoint, c0: float, grid: SymbolGrid,
     continuum threshold; the h-corrections of the discrete symbols shift
     it (upward, by about 1.65x at tau = 20, h = 1/128, c_ps = 0.01).
     """
+    if not gamma0 >= 0.0:  # NaN too
+        raise ValueError(f"gamma0 must be a nonnegative number, got {gamma0!r}")
     d, tau, res = fp.d, fp.tau, grid.resolution
     c1_split = empirical_c1(fp, grid)
     trig = _axis_trig(fp, grid)

@@ -401,6 +401,12 @@ class TestWindowAndStrict:
         assert "tau_fraction must lie in (0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_gamma0_exits_one(self, tmp_path, capsys):
+        assert run(["symbol-scan", *SUBCOMMAND_ARGV["symbol-scan"], "--gamma0", "-1",
+                    "--out", str(tmp_path / "out")]) == 1
+        assert "gamma0 must be a nonnegative number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_strict_turns_warning_into_failure(self, tmp_path):
         argv = ["carleman-sweep", "--h", "0.5", "--tau", "1000", "--samples", "2",
                 "--out", str(tmp_path), "--strict", "1"]

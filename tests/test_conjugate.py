@@ -26,7 +26,7 @@ from carlat import (
     sym_diff_sum,
 )
 from carlat import conjugate
-from carlat.conjugate import (PHI_OVERFLOW_LIMIT, RATIO_TABLES, SUPPORT_REACH, carleman_box,
+from carlat.conjugate import (PHI_OVERFLOW_LIMIT, SUPPORT_REACH, carleman_box,
                               identity_errors, slab_rows, weight_table)
 from carlat.lattice import dilate
 
@@ -458,7 +458,6 @@ class TestBlockedRatio:
     def test_one_call_allocates_less_than_one_box_array(self):
         spec = carleman_box(2, 1 / 128)
         ctx = ConjugationContext.from_weight(spec, WeightParams(6.4, 0.01))
-        ctx.build_tables(*RATIO_TABLES)
         u = random_bump(spec, 7)
         tracemalloc.start()
         try:
@@ -472,7 +471,6 @@ class TestBlockedRatio:
     def test_one_call_builds_no_spec_or_function(self, monkeypatch):
         spec = carleman_box(2, 1 / 128)
         ctx = ConjugationContext.from_weight(spec, WeightParams(6.4, 0.01))
-        ctx.build_tables(*RATIO_TABLES)
         u = random_bump(spec, 7)
         built = []
         for cls in (LatticeSpec, LatticeFunction):

@@ -1,6 +1,8 @@
-"""No module under src/carlat or tests imports a name it never loads.  This
-AST scan stands in for a linter, which the toolchain lacks; package
-``__init__.py`` files are skipped, as their imports are re-exports."""
+"""No module under src/carlat or tests imports a name it never loads, and
+the modules whose outputs do not depend on the BLAS kernel call no BLAS or
+LAPACK routine.  These AST scans stand in for a linter, which the toolchain
+lacks; package ``__init__.py`` files are skipped, as their imports are
+re-exports."""
 
 import ast
 import json
@@ -37,6 +39,43 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = [f"{p.relative_to(ROOT)}:{line} {name}"
               for p in modules for line, name in unused_imports(p.read_text())]
     assert unused == []
+
+
+# NumPy's entry points into BLAS; np.linalg is LAPACK's
+BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
+# README's BLAS-independent outputs: the symbol scan, the weight and the fits
+BLAS_FREE = ("symbols.py", "weight.py", "reports.py")
+
+
+def blas_uses(source: str) -> list:
+    """(line, what) of each matrix product, BLAS call and use of np.linalg."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult):
+            found.append((n.lineno, "@"))
+        elif isinstance(n, ast.Call):
+            f = n.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in BLAS_CALLS:
+                found.append((n.lineno, name))
+        elif (isinstance(n, ast.Attribute) and n.attr == "linalg"
+              or isinstance(n, ast.ImportFrom) and "linalg" in (n.module or "").split(".")):
+            found.append((n.lineno, "linalg"))
+    return sorted(found)
+
+
+def test_the_scan_finds_blas_uses():
+    source = ("import numpy as np\nfrom numpy.linalg import norm\n"
+              "a @ b\na @= b\nnp.dot(a, b)\na.dot(b)\nnp.linalg.lstsq(a, b)\n"
+              "np.einsum('i,i->', a, a)\nnp.multiply(a, b)\n")
+    assert blas_uses(source) == [(2, "linalg"), (3, "@"), (4, "@"), (5, "dot"),
+                                 (6, "dot"), (7, "linalg")]
+
+
+def test_blas_free_modules_call_no_blas():
+    uses = [f"{name}:{line} {what}" for name in BLAS_FREE
+            for line, what in blas_uses((ROOT / "src/carlat" / name).read_text())]
+    assert uses == []
 
 
 # Run in a fresh interpreter, whose sys.modules no other test has touched

@@ -4,8 +4,12 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,59 @@ def test_linear_fit_recovers_exact_line():
 def test_linear_fit_needs_two_points():
     with pytest.raises(ValueError, match="two points"):
         linear_fit([1.0], [2.0])
+
+
+def test_linear_fit_refuses_a_constant_x():
+    with pytest.raises(ValueError, match="constant x"):
+        linear_fit([2.0, 2.0, 2.0], [1.0, 2.0, 4.0])
+
+
+def test_linear_fit_agrees_with_least_squares():
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        k = int(rng.integers(3, 12))
+        x = rng.uniform(1.0, 200.0, k)
+        y = rng.standard_normal(k) - 0.3 * x
+        a = np.stack([x, np.ones_like(x)], axis=1)
+        (slope, intercept), *_ = np.linalg.lstsq(a, y, rcond=None)
+        ss_res = float(((y - a @ [slope, intercept]) ** 2).sum())
+        ss_tot = float(((y - y.mean()) ** 2).sum())
+        got = linear_fit(x, y)
+        assert got[0] == pytest.approx(slope, rel=1e-12)
+        # the intercept is y's mean less slope times x's, compared on that scale
+        assert abs(got[1] - intercept) <= 1e-12 * (abs(intercept) + abs(slope * x.mean()))
+        assert got[2] == pytest.approx(1.0 - ss_res / ss_tot, abs=1e-12)
+        assert got[3] == pytest.approx(math.sqrt(ss_res / k), rel=1e-12)
+
+
+# Run in a fresh interpreter, so that OpenBLAS reads the core type when it loads
+FIT_HASH = """
+import hashlib
+import numpy as np
+from carlat.reports import linear_fit
+rng = np.random.default_rng(0)
+fits = []
+for _ in range(300):
+    k = int(rng.integers(3, 12))
+    x = np.sort(rng.uniform(1.0, 200.0, k))
+    fits.append(np.array(linear_fit(x, rng.standard_normal(k) - 0.3 * x)).tobytes())
+print(hashlib.sha256(b"".join(fits)).hexdigest())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types are x86-64 kernels")
+def test_linear_fit_bits_do_not_depend_on_the_blas_kernel():
+    """300 fits have the same bits under OpenBLAS's default kernel and its
+    oldest x86-64 one; with another BLAS the two runs agree trivially."""
+    root = Path(reports.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root), os.environ.get("PYTHONPATH")]))}
+    env.pop("OPENBLAS_CORETYPE", None)
+    runs = [subprocess.run([sys.executable, "-c", FIT_HASH], env=kernel, capture_output=True,
+                           text=True, check=True).stdout
+            for kernel in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})]
+    assert runs[0] and runs[0] == runs[1]
 
 
 def test_report_roundtrip_and_hash(tmp_path):

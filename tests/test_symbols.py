@@ -379,6 +379,13 @@ def mesh_scan(fp, c0, grid, gamma0=0.05):
 
 
 # want_c1, where given, pins the derived split besides the mesh scan's
+@pytest.mark.parametrize("gamma0", [-1.0, float("nan")])
+def test_scan_refuses_a_negative_or_nan_gamma0(gamma0):
+    fp = frozen()
+    with pytest.raises(ValueError, match="gamma0 must be a nonnegative number"):
+        lower_bound_margin(fp, 0.0025, SymbolGrid(2, fp.h, 64), gamma0=gamma0)
+
+
 @pytest.mark.parametrize("d, x_bar, tau, h, c0, resolution, gamma0, want_c1", [
     (2, (1.0, 0.0), 20.0, 1 / 128, 0.0025, 512, 0.05, None),
     (2, (0.6, 0.5), 20.0, 1 / 128, 0.0025, 256, 0.05, None),
