@@ -5,9 +5,34 @@ hook prints them as single pass/fail lines at the end of the run so they
 are visible regardless of output capturing.
 """
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import carlat
+
 ACCEPTANCE_RESULTS = {}
+
+x86_64_only = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                                 reason="OpenBLAS core types are x86-64 kernels")
+
+
+def output_under_two_blas_kernels(script: str) -> list:
+    """Standard output of ``script`` in two fresh interpreters, so that OpenBLAS
+    reads the core type when it loads: under its default kernel, then under
+    its oldest x86-64 one.  With another BLAS the variable does nothing and
+    the two runs agree trivially."""
+    root = Path(carlat.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root), os.environ.get("PYTHONPATH")]))}
+    env.pop("OPENBLAS_CORETYPE", None)
+    return [subprocess.run([sys.executable, "-c", script], env=kernel, capture_output=True,
+                           text=True, check=True).stdout
+            for kernel in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})]
 
 
 def record_acceptance(number: int, label: str, passed: bool, detail: str = ""):

@@ -4,12 +4,8 @@ import json
 import math
 import multiprocessing
 import os
-import platform
 import signal
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carlat import reports
+from conftest import output_under_two_blas_kernels, x86_64_only
 from carlat.reports import (CSV_BLOCK_ROWS, ExperimentReport, FittedConstant, MeshAxis,
                             _csv_cell, csv_blocks, csv_workers, linear_fit)
 
@@ -73,18 +70,11 @@ print(hashlib.sha256(b"".join(fits)).hexdigest())
 """
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OpenBLAS core types are x86-64 kernels")
+@x86_64_only
 def test_linear_fit_bits_do_not_depend_on_the_blas_kernel():
     """300 fits have the same bits under OpenBLAS's default kernel and its
-    oldest x86-64 one; with another BLAS the two runs agree trivially."""
-    root = Path(reports.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root), os.environ.get("PYTHONPATH")]))}
-    env.pop("OPENBLAS_CORETYPE", None)
-    runs = [subprocess.run([sys.executable, "-c", FIT_HASH], env=kernel, capture_output=True,
-                           text=True, check=True).stdout
-            for kernel in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})]
+    oldest x86-64 one."""
+    runs = output_under_two_blas_kernels(FIT_HASH)
     assert runs[0] and runs[0] == runs[1]
 
 

@@ -1,12 +1,7 @@
 """Symbols of the frozen operators: Parseval cross-checks and margin scans."""
 
 import itertools
-import os
-import platform
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,6 +31,7 @@ from carlat.symbols import (
     empirical_c1,
     margin_denominator,
 )
+from conftest import output_under_two_blas_kernels, x86_64_only
 
 
 def frozen(d=2, tau=20.0, h=1 / 128, c_ps=0.01, x_bar=None):
@@ -378,7 +374,6 @@ def mesh_scan(fp, c0, grid, gamma0=0.05):
     return (*at(margin), c1_split, regions, margin)
 
 
-# want_c1, where given, pins the derived split besides the mesh scan's
 @pytest.mark.parametrize("gamma0", [-1.0, float("nan")])
 def test_scan_refuses_a_negative_or_nan_gamma0(gamma0):
     fp = frozen()
@@ -386,6 +381,7 @@ def test_scan_refuses_a_negative_or_nan_gamma0(gamma0):
         lower_bound_margin(fp, 0.0025, SymbolGrid(2, fp.h, 64), gamma0=gamma0)
 
 
+# want_c1, where given, pins the derived split besides the mesh scan's
 @pytest.mark.parametrize("d, x_bar, tau, h, c0, resolution, gamma0, want_c1", [
     (2, (1.0, 0.0), 20.0, 1 / 128, 0.0025, 512, 0.05, None),
     (2, (0.6, 0.5), 20.0, 1 / 128, 0.0025, 256, 0.05, None),
@@ -601,20 +597,12 @@ print(hashlib.sha256(b"".join(p.grad_phi.tobytes() + p.hess_phi.tobytes()
 """
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OpenBLAS core types are x86-64 kernels")
+@x86_64_only
 def test_scan_bits_do_not_depend_on_the_blas_kernel():
     """The scan, its table and the frozen points have the same bits under
-    OpenBLAS's default kernel and its oldest x86-64 one; with another BLAS
-    the variable does nothing and the two runs agree trivially."""
-    root = Path(symbols.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root), os.environ.get("PYTHONPATH")]))}
-    env.pop("OPENBLAS_CORETYPE", None)
-    runs = [subprocess.run([sys.executable, "-c", SCAN_HASHES], env=kernel, capture_output=True,
-                           text=True, check=True).stdout.splitlines()
-            for kernel in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})]
-    assert len(runs[0]) == 3
+    OpenBLAS's default kernel and its oldest x86-64 one."""
+    runs = output_under_two_blas_kernels(SCAN_HASHES)
+    assert len(runs[0].splitlines()) == 3
     assert runs[0] == runs[1]
 
 
