@@ -202,7 +202,11 @@ def load_config(path: str, sub: str) -> dict:
     """Parse and type-check a flat config file against the subcommand schema."""
     specs = _flag_specs(sub)
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"{path}: cannot read the config file: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

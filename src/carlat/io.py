@@ -25,7 +25,8 @@ HEADER_SCHEMA = "carlat-lattice-function/1"
 
 
 def save_lattice_function(f: LatticeFunction, base: str | Path, fmt: str = "binary"):
-    """Write <base>.json plus <base>.bin or <base>.csv; returns the data path."""
+    """Write <base>.json plus <base>.bin or <base>.csv, each suffix appended
+    to base (a dot in it stays); returns the data path."""
     if fmt not in ("binary", "csv"):
         raise ValueError(f"unknown serialization format {fmt!r}")
     base = Path(base)
@@ -39,16 +40,16 @@ def save_lattice_function(f: LatticeFunction, base: str | Path, fmt: str = "bina
         "format": fmt,
         "byte_order": "little",
     }
-    base.with_suffix(".json").write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
+    Path(f"{base}.json").write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
     vals = f.values.ravel()
     if fmt == "binary":
-        path = base.with_suffix(".bin")
+        path = Path(f"{base}.bin")
         rows = np.empty(vals.size, dtype=[("n", "<i8", (f.spec.d,)), ("value", "<f8")])
         rows["n"] = f.spec.indices().reshape(f.spec.d, -1).T
         rows["value"] = vals
         rows.tofile(path)
     else:
-        path = base.with_suffix(".csv")
+        path = Path(f"{base}.csv")
         sites = [MeshAxis(range(lo, hi + 1), f.spec.shape, a)
                  for a, (lo, hi) in enumerate(zip(f.spec.lo, f.spec.hi))]
         with open(path, "w") as fh:
@@ -59,8 +60,7 @@ def save_lattice_function(f: LatticeFunction, base: str | Path, fmt: str = "bina
 
 def load_lattice_function(base: str | Path) -> LatticeFunction:
     """Read what save_lattice_function wrote: one row per site of the box."""
-    base = Path(base)
-    header = json.loads(base.with_suffix(".json").read_text())
+    header = json.loads(Path(f"{base}.json").read_text())
     if header.get("schema") != HEADER_SCHEMA:
         raise ValueError("unrecognized lattice function header schema")
     if header.get("byte_order") != "little":
@@ -80,7 +80,7 @@ def load_lattice_function(base: str | Path) -> LatticeFunction:
     values = np.zeros(spec.shape)
     fmt = header.get("format")
     if fmt == "binary":
-        path, row = base.with_suffix(".bin"), np.dtype([("n", "<i8", (d,)), ("value", "<f8")])
+        path, row = Path(f"{base}.bin"), np.dtype([("n", "<i8", (d,)), ("value", "<f8")])
         if path.stat().st_size != values.size * row.itemsize:  # fromfile drops a partial row
             raise ValueError(f"expected {values.size} rows of {row.itemsize} bytes, "
                              f"read {path.stat().st_size} bytes")
@@ -88,7 +88,7 @@ def load_lattice_function(base: str | Path) -> LatticeFunction:
         idx = rows["n"]
         vals = rows["value"]
     elif fmt == "csv":
-        data = np.loadtxt(base.with_suffix(".csv"), delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(f"{base}.csv", delimiter=",", skiprows=1, ndmin=2)
         if data.shape != (values.size, spec.d + 1):
             raise ValueError(f"expected {values.size} rows of {spec.d + 1} columns, "
                              f"read {data.shape[0]} of {data.shape[1]}")

@@ -183,11 +183,6 @@ class FieldData:
     def spec(self) -> LatticeSpec:
         return self.V.spec
 
-    @classmethod
-    def zero(cls, spec: LatticeSpec) -> "FieldData":
-        z = LatticeFunction.zeros(spec)
-        return cls(z, (z,) * spec.d)
-
 
 def unit_offset(d: int, j: int) -> np.ndarray:
     """e_j in d dimensions; directions are 1-based, 1 <= j <= d."""

@@ -4,22 +4,22 @@ Solutions of P_h u = 0 on a ball are produced by writing -P_h's rows and
 columns at the interior sites as a sparse matrix and solving it, by one of
 two paths chosen from the problem itself.
 
-Without fields, -P_h = -Lap/h^2 is symmetric positive definite, and the
-system is solved by conjugate gradients preconditioned with one multigrid
-V-cycle: geometric coarsening onto the sites with even indices (the
-sublattice of ``lattice.coarsen(., 2)``), linear interpolation, Galerkin
-coarse operators and damped Jacobi smoothing, with the coarsest level
-factored directly.  The iteration count does not grow as h shrinks, so
-d = 3 solves run past the direct solver's limit.
+Without fields, or with fields that vanish on the problem's box, -P_h =
+-Lap/h^2 is symmetric positive definite, and the system is solved by
+conjugate gradients preconditioned with one multigrid V-cycle: coarsening
+onto the even-index sites (``lattice.coarsen(., 2)``'s sublattice), linear
+interpolation, Galerkin coarse operators, damped Jacobi smoothing and a
+direct solve on the coarsest level.  The iteration count does not grow as
+h shrinks, so d = 3 solves run past the direct solver's limit.
 
-With fields, B != 0 makes P_h non-symmetric and V can make it indefinite,
-so the system is factorized directly (SuperLU through scipy).  P_h's stencil
-is structurally symmetric (B only weights the forward differences), so the
-columns are ordered by minimum degree on A + A^T with diagonal pivots
-preferred: about half the L+U fill of SuperLU's default COLAMD ordering.
-Threshold pivoting stays on for the non-symmetric case, and one step of
-iterative refinement brings the residual back below that of the default
-ordering.
+With other fields, B != 0 makes P_h non-symmetric and V can make it
+indefinite, so the system is factorized directly (SuperLU through scipy).
+P_h's stencil is structurally symmetric (B only weights the forward
+differences), so the columns are ordered by minimum degree on A + A^T with
+diagonal pivots preferred: about half the L+U fill of SuperLU's default
+COLAMD ordering.  Threshold pivoting stays on for the non-symmetric case,
+and one step of iterative refinement brings the residual back below that of
+the default ordering.
 
 Both paths are deterministic and pass the same certificate: sup|P_h u|
 over the interior is held against the float64 floor of evaluating P_h u,
@@ -44,6 +44,7 @@ from .lattice import (
     FieldData,
     LatticeFunction,
     LatticeSpec,
+    _fields_on,
     dilate,
     schrodinger_apply,
     schrodinger_stencil,
@@ -56,7 +57,7 @@ from .lattice import (
 # d >= 3 LU fill grows about as unknowns^1.6.  On B_4 with deg3 data (2-core
 # VM, one BLAS thread): 57,747 unknowns (h = 1/6) factor in 17-18 s with
 # 44.5M L+U nonzeros, and 137k (h = 1/8) did not finish in 120 s.  Only
-# solves with fields take the LU path
+# solves with nonzero fields take the LU path
 LU_MAX_UNKNOWNS_3D = 60_000
 
 # SuperLU's column ordering for P_h's structurally symmetric matrices
@@ -78,7 +79,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DirichletProblem:
-    """Interior/boundary masks, boundary values, and coefficient fields."""
+    """Interior/boundary masks, boundary values, and fields (None if they vanish on the box)."""
 
     spec: LatticeSpec
     interior: np.ndarray
@@ -97,8 +98,12 @@ class DirichletProblem:
             raise ValueError("interior and boundary masks overlap")
         if not np.all(np.isfinite(self.boundary_values[self.boundary])):
             raise ValueError("boundary data must be finite")
-        if self.fields is not None and not self.fields.spec.covers(self.spec):
-            raise ValueError(f"fields on {self.fields.spec} must cover the problem's {self.spec}")
+        if self.fields is not None:
+            if not self.fields.spec.covers(self.spec):
+                raise ValueError(f"fields on {self.fields.spec} must cover the problem's {self.spec}")
+            v, bs = _fields_on(self.fields, self.spec)
+            if not (v.any() or any(b.any() for b in bs)):  # +-0.0 vanish too
+                object.__setattr__(self, "fields", None)
         # every stencil neighbor of an interior site must carry a value; the
         # centre is the site itself, in ``known`` by construction
         known = self.interior | self.boundary
@@ -126,22 +131,22 @@ def dirichlet_solve(p: DirichletProblem, stats: dict | None = None) -> LatticeFu
     The system is -P_h's rows and columns at the interior sites, written by
     ``stencil_rows``, and its right side P_h of the boundary data at the
     interior sites, evaluated by ``schrodinger_apply`` as in ``residual``.
-    Without fields, -P_h = -Lap/h^2 is symmetric positive definite and the
-    system is solved by conjugate gradients preconditioned with one
-    multigrid V-cycle (``_hierarchy``), until sup|b - A x| is below a tenth
-    of the certificate bound or stops decreasing.  With fields it is solved
-    by direct sparse LU, ordered by minimum degree on A + A^T
-    (``MMD_AT_PLUS_A`` in SuperLU's symmetric mode), followed by one step of
-    iterative refinement x += LU^-1 (b - A x).  The result carries the
-    boundary data exactly and zero outside interior and boundary; a residual
-    above the certificate bound FLOOR_MULTIPLE * ``rounding_floor(p, u)``
-    raises SolverError with the residual attached.  A ``stats`` dict
-    receives h, the unknowns, the residual and that ``residual_bound``, and
-    for a multigrid solve the coarse ``levels``, the PCG ``iterations`` and
-    ``solve_s`` (seconds building the levels and iterating), for an LU solve
-    the L+U nonzeros ``fill_nnz`` and ``factor_s``.  For d >= 3 an LU solve
-    of more than ``LU_MAX_UNKNOWNS_3D`` unknowns raises SolverError before
-    anything is written.
+    Without fields, or with fields that vanish on the problem's box, -P_h =
+    -Lap/h^2 is symmetric positive definite, solved by conjugate gradients
+    preconditioned with one multigrid V-cycle (``_hierarchy``) until
+    sup|b - A x| is below a tenth of the certificate bound or stops
+    decreasing.  With other fields it is factored by sparse LU, ordered by
+    minimum degree on A + A^T (``MMD_AT_PLUS_A`` in SuperLU's symmetric
+    mode), with one step of iterative refinement x += LU^-1 (b - A x).  The
+    result carries the boundary data exactly and zero outside interior and
+    boundary; a residual above the certificate bound FLOOR_MULTIPLE *
+    ``rounding_floor(p, u)`` raises SolverError with the residual attached.
+    A ``stats`` dict receives h, the unknowns, the residual and that
+    ``residual_bound``, and for a multigrid solve the coarse ``levels``, the
+    PCG ``iterations`` and ``solve_s`` (seconds building the levels and
+    iterating), for an LU solve the L+U nonzeros ``fill_nnz`` and
+    ``factor_s``.  For d >= 3 an LU solve of more than ``LU_MAX_UNKNOWNS_3D``
+    unknowns raises SolverError before anything is written.
     """
     spec = p.spec
     n = int(np.count_nonzero(p.interior))
@@ -325,7 +330,7 @@ def ball_input(d: int, h: float, kind: str, fields=None):
     kind is measured on the same B_4 problem: the facts are ``h``,
     ``residual``, the sup of P_h u inside B_4, and ``residual_bound``, the
     certificate's bound on it, and a solve adds the facts of its path
-    (multigrid, or LU with fields) as ``dirichlet_solve`` records them.
+    (multigrid, or LU with nonzero fields) as ``dirichlet_solve`` records them.
     """
     spec = LatticeSpec.ball_box(d, h, BALL_RADIUS, pad_sites=2)
     poly = ("deg3" if d >= 2 else "linear_j") if kind == "solve" else kind

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -281,6 +283,25 @@ out = {}
         assert run(["caccioppoli", "--config", str(cfg)]) == 2
         assert "r1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "latin-1"])
+    def test_unreadable_config_file_exits_two(self, kind, tmp_path):
+        # these raised a traceback and exited 1, or exited 1 with the codec's message
+        cfg = tmp_path / "run.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "latin-1":
+            cfg.write_bytes("r1 = 1.0  # r\u00e9glage\n".encode("latin-1"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(carlat.__file__).resolve().parents[1]),
+                          os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "carlat.cli", "caccioppoli", "--config",
+                               str(cfg), "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"config error: {cfg}: ")
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestDeterminism:
     def test_identical_manifests_identical_bytes(self, tmp_path):
@@ -520,6 +541,15 @@ class TestSubcommands:
             assert set(facts) == {"h", "residual", "residual_bound", "unknowns", "fill_nnz",
                                   "factor_s"}
             assert 0 < facts["unknowns"] < facts["fill_nnz"] and 0.0 < facts["factor_s"] < 60.0
+
+    def test_vanishing_fields_solve_d3_past_the_lu_limit(self, tmp_path):
+        # mu0 = 0 draws fields of +-0.0, which the problem drops: the multigrid
+        # solves what the LU limit refused
+        assert run(["singular-potential", "--mu0", "0", "--d", "3", "--h", "1/8",
+                    "--delta0", "2", "--tau0", "1", "--out", str(tmp_path)]) == 0
+        [facts] = self.solve_inputs(tmp_path, [1 / 8])
+        assert facts["unknowns"] == 137059 > solver.LU_MAX_UNKNOWNS_3D
+        assert facts["levels"] >= 1 and 0 < facts["iterations"] < 50 and "fill_nnz" not in facts
 
     @staticmethod
     def solve_inputs(out_dir, hs):
@@ -764,7 +794,7 @@ class TestSubcommands:
 
     def test_singular_potential_refuses_a_large_d3_solve_up_front(self, tmp_path, capsys,
                                                                    monkeypatch):
-        # the limit guards the LU, the path of solves with fields
+        # the limit guards the LU, the path of solves with nonzero fields
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled past the d = 3 limit")
 

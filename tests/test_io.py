@@ -192,3 +192,19 @@ def test_fractional_csv_index_rejected(tmp_path):
     _rewrite_rows(path, "csv", lambda rows: ["0.7" + rows[0][1:]] + rows[1:])
     with pytest.raises(ValueError, match="non-integral site index"):
         load_lattice_function(base)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_dotted_bases_keep_their_own_files(fmt, tmp_path, rng_seed):
+    # with_suffix replaced the text after the last dot: u_h0.5 and u_h0.25 both wrote u_h0.*
+    rng = np.random.default_rng(rng_seed)
+    spec = LatticeSpec(1, 0.5, (-3,), (3,))
+    saved = {name: LatticeFunction(spec, rng.standard_normal(spec.shape))
+             for name in ("u_h0.5", "u_h0.25")}
+    for name, f in saved.items():
+        path = save_lattice_function(f, tmp_path / name, fmt=fmt)
+        assert path.name == f"{name}.{'bin' if fmt == 'binary' else 'csv'}"
+    for name, f in saved.items():
+        np.testing.assert_array_equal(load_lattice_function(tmp_path / name).values, f.values)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}{suffix}" for name in saved for suffix in (".json", path.suffix))

@@ -180,7 +180,8 @@ class TestSchrodinger:
     def test_harmonic_with_zero_fields(self):
         spec = LatticeSpec(2, 0.5, (-5, -5), (5, 5))
         f = harmonic_polynomial(spec, "mixed_jk")
-        out = schrodinger_apply(f, FieldData.zero(spec))
+        zero = LatticeFunction.zeros(spec)
+        out = schrodinger_apply(f, FieldData(zero, (zero,) * 2))
         np.testing.assert_allclose(interior(out.values), 0.0, atol=1e-12)
 
     def test_potential_only(self):
@@ -204,13 +205,15 @@ class TestSchrodinger:
         big = LatticeSpec(1, 0.5, (-6,), (6,))
         small = LatticeSpec(1, 0.5, (-3,), (3,))
         f = LatticeFunction.zeros(big)
+        zero = LatticeFunction.zeros(small)
         with pytest.raises(ValueError, match="field coverage"):
-            schrodinger_apply(f, FieldData.zero(small))
+            schrodinger_apply(f, FieldData(zero, (zero,)))
 
     def test_field_coverage_error_names_both_boxes(self):
         big = LatticeSpec(2, 0.5, (-6, -5), (6, 5))
         small = LatticeSpec(2, 0.5, (-3, -4), (3, 4))
-        fields = FieldData.zero(small)
+        zero = LatticeFunction.zeros(small)
+        fields = FieldData(zero, (zero,) * 2)
         for call in (lambda: schrodinger_apply(LatticeFunction.zeros(big), fields),
                      lambda: schrodinger_stencil(big, fields)):
             with pytest.raises(ValueError, match="field coverage") as err:

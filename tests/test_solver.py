@@ -41,6 +41,13 @@ def ball_spec(d, h, radius=2.0):
     return LatticeSpec.ball_box(d, h, radius, pad_sites=2)
 
 
+def potential(spec):
+    """Fields V = -1, B = 0 on the box: -P_h = -Lap/h^2 + 1 stays symmetric
+    positive definite, and fields that do not vanish take the LU path."""
+    zero = LatticeFunction.zeros(spec)
+    return FieldData(LatticeFunction(spec, np.full(spec.shape, -1.0)), (zero,) * spec.d)
+
+
 def box_matrix(spec, offsets, coeffs):
     """The CSR matrix M on the C-ordered sites of the whole box with
     M @ f.ravel() == apply_stencil_var(f, offsets, coeffs).ravel(), assembled
@@ -231,14 +238,14 @@ class TestBallInput:
             DirichletProblem.on_ball(u.spec, 4.0, harmonic_polynomial(u.spec, "deg3")), u)
 
     def test_large_d3_solve_fails_before_assembly(self, monkeypatch):
-        # the limit guards the LU, the path of solves with fields
+        # the limit guards the LU, the path of solves with nonzero fields
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled past the d = 3 limit")
 
         monkeypatch.setattr(solver, "stencil_rows", no_assembly)
         start = time.perf_counter()
         with pytest.raises(SolverError, match="interior unknowns exceed"):
-            ball_input(3, 1 / 8, "solve", fields=FieldData.zero)
+            ball_input(3, 1 / 8, "solve", fields=potential)
         assert time.perf_counter() - start < 1.0
 
     def test_d3_solve_past_the_lu_limit_meets_its_certificate(self):
@@ -327,15 +334,20 @@ class TestDirichletSolve:
 
     @pytest.mark.parametrize("d, h", [(1, 1 / 12), (2, 1 / 12), (3, 1 / 3)])
     def test_floor_norm_is_the_largest_row_sum(self, d, h, rng_seed):
-        # ||P_h||_inf = 4d/h^2 without fields: the row sums of zero fields
+        # ||P_h||_inf = 4d/h^2 without fields; V = -1 at the centre adds 1 to its row
         spec = ball_spec(d, h)
         u = LatticeFunction(spec, np.random.default_rng(rng_seed).standard_normal(spec.shape))
         plain = DirichletProblem.on_ball(spec, 2.0, u)
-        zero = DirichletProblem.on_ball(spec, 2.0, u, FieldData.zero(spec))
+        v = np.zeros(spec.shape)
+        v[tuple(-n for n in spec.lo)] = -1.0
+        fields = FieldData(LatticeFunction(spec, v), (LatticeFunction.zeros(spec),) * d)
+        one_site = DirichletProblem.on_ball(spec, 2.0, u, fields)
         eps = np.finfo(float).eps
         sup = np.abs(u.values[plain.interior | plain.boundary]).max()
         assert rounding_floor(plain, u) == eps * 4 * d / h ** 2 * sup
-        assert rounding_floor(zero, u) == pytest.approx(rounding_floor(plain, u), rel=1e-15)
+        assert one_site.fields is fields
+        assert rounding_floor(one_site, u) == pytest.approx(eps * (4 * d / h ** 2 + 1) * sup,
+                                                            rel=1e-15)
 
     def test_impossible_tolerance_raises_with_residual(self, monkeypatch):
         # no rounding floor admitted: only an exact zero residual would pass
@@ -370,7 +382,7 @@ class TestDirichletSolve:
     def test_d3_limit_counts_interior_unknowns(self, monkeypatch):
         spec = LatticeSpec.ball_box(3, 1 / 2, 4.0, pad_sites=2)
         data = harmonic_polynomial(spec, "deg3")
-        problem = DirichletProblem.on_ball(spec, 4.0, data, FieldData.zero(spec))
+        problem = DirichletProblem.on_ball(spec, 4.0, data, potential(spec))
         unknowns = int(problem.interior.sum())
         monkeypatch.setattr(solver, "LU_MAX_UNKNOWNS_3D", unknowns - 1)
         with pytest.raises(SolverError, match=f"{unknowns} interior unknowns"):
@@ -385,8 +397,8 @@ class TestDirichletSolve:
         assert stats["unknowns"] == unknowns and "fill_nnz" in stats
         # d = 2 solves never meet the limit
         monkeypatch.setattr(solver, "LU_MAX_UNKNOWNS_3D", 0)
-        _, facts = ball_input(2, 1 / 8, "solve", fields=FieldData.zero)
-        assert facts["unknowns"] > 0
+        _, facts = ball_input(2, 1 / 8, "solve", fields=potential)
+        assert facts["unknowns"] > 0 and "fill_nnz" in facts
 
 
 class TestInteriorRows:
@@ -522,13 +534,15 @@ class TestLuOrdering:
         spec = LatticeSpec.ball_box(d, 1 / 16, 4.0, pad_sites=2)
         data = harmonic_polynomial(spec, "deg3" if d >= 2 else "linear_j")
         # B != 0 makes the matrix non-symmetric, with the same sparsity pattern;
-        # zero fields keep the symmetric matrix on the LU path
-        fields = singular_field_data(spec, 1.0, rng_seed) if singular else FieldData.zero(spec)
+        # a potential alone keeps it symmetric
+        fields = singular_field_data(spec, 1.0, rng_seed) if singular else potential(spec)
         problem = DirichletProblem.on_ball(spec, 4.0, data, fields)
         # dirichlet_solve raises unless its residual certificate holds
-        u = dirichlet_solve(problem)
+        stats, reference_stats = {}, {}
+        u = dirichlet_solve(problem, stats=stats)
         monkeypatch.setattr(solver, "splu", lambda mat, **_: scipy.sparse.linalg.splu(mat))
-        reference = dirichlet_solve(problem)
+        reference = dirichlet_solve(problem, stats=reference_stats)
+        assert "fill_nnz" in stats and "fill_nnz" in reference_stats
         sup = np.abs(reference.values).max()
         assert np.abs(u.values - reference.values).max() <= 1e-10 * sup
 
@@ -569,8 +583,9 @@ class TestLuOrdering:
         # the multigrid factors its coarsest level only
         assert stats["levels"] == 2 and len(shapes) == 1
         assert shapes[0] <= solver.COARSEST_UNKNOWNS < stats["unknowns"]
-        dirichlet_solve(DirichletProblem.on_ball(spec, 4.0, data, FieldData.zero(spec)), stats=stats)
-        assert shapes[1:] == [stats["unknowns"]]
+        stats = {}
+        dirichlet_solve(DirichletProblem.on_ball(spec, 4.0, data, potential(spec)), stats=stats)
+        assert shapes[1:] == [stats["unknowns"]] and "fill_nnz" in stats
 
 
 class TestStencilMemory:
@@ -592,16 +607,16 @@ class TestMultigrid:
     """Field-free solves: conjugate gradients preconditioned with a multigrid V-cycle."""
 
     @pytest.mark.parametrize("d, h, levels", [(1, 1 / 64, 0), (2, 1 / 32, 2), (3, 1 / 4, 1)])
-    def test_matches_the_lu(self, d, h, levels):
+    def test_matches_the_exact_solution(self, d, h, levels):
         spec = LatticeSpec.ball_box(d, h, 4.0, pad_sites=2)
         data = harmonic_polynomial(spec, "deg3" if d >= 2 else "linear_j")
+        problem = DirichletProblem.on_ball(spec, 4.0, data)
         stats = {}
-        u = dirichlet_solve(DirichletProblem.on_ball(spec, 4.0, data), stats=stats)
-        # zero fields give the same operator, solved by the LU
-        reference = dirichlet_solve(DirichletProblem.on_ball(spec, 4.0, data, FieldData.zero(spec)))
+        u = dirichlet_solve(problem, stats=stats)
         assert stats["levels"] == levels and 0 < stats["iterations"] < 20
-        sup = np.abs(reference.values).max()
-        assert np.abs(u.values - reference.values).max() <= 1e-10 * sup
+        # the data are discrete harmonic, so the solution is the data itself
+        sup = np.abs(data.values[problem.boundary]).max()
+        assert np.abs(u.values - data.values)[problem.interior].max() <= 1e-10 * sup
 
     def test_impossible_tolerance_with_levels_raises_with_residual(self, monkeypatch):
         monkeypatch.setattr(solver, "FLOOR_MULTIPLE", 0.0)
@@ -755,11 +770,11 @@ class TestProblemValidation:
         # the solve failed later with the bare message "field coverage"
         spec = LatticeSpec.ball_box(2, 1 / 4, 4.0, pad_sites=2)
         data = harmonic_polynomial(spec, "deg3")
-        fields = FieldData.zero(LatticeSpec(d, h, lo, hi))
+        fields = potential(LatticeSpec(d, h, lo, hi))
         with pytest.raises(ValueError, match=re.escape(
                 f"fields on {fields.spec!r} must cover the problem's {spec!r}")):
             DirichletProblem.on_ball(spec, 4.0, data, fields)
-        big = FieldData.zero(LatticeSpec(2, 1 / 4, (-20, -20), (20, 20)))
+        big = potential(LatticeSpec(2, 1 / 4, (-20, -20), (20, 20)))
         assert DirichletProblem.on_ball(spec, 4.0, data, big).fields is big
 
     def test_masks_must_not_overlap(self):
@@ -791,3 +806,43 @@ class TestProblemValidation:
         DirichletProblem(spec, interior, boundary, np.zeros(spec.shape))
         with pytest.raises(ValueError, match="boundary_values must be a real array on the box"):
             DirichletProblem(spec, interior, boundary, values)
+
+
+class TestVanishingFields:
+    """Fields that vanish on the problem's box are no fields: the problem keeps
+    None, so its solve path, d = 3 limit and floor follow P_h = Lap/h^2."""
+
+    def test_signed_zero_fields_are_dropped(self, rng_seed):
+        spec = ball_spec(2, 1 / 8)
+        fields = singular_field_data(spec, 0.0, rng_seed)
+        assert np.signbit(fields.V.values).any() and not np.signbit(fields.V.values).all()
+        problem = DirichletProblem.on_ball(spec, 2.0, harmonic_polynomial(spec, "deg3"), fields)
+        assert problem.fields is None
+
+    def test_fields_nonzero_only_outside_the_box_are_dropped(self):
+        spec = ball_spec(2, 1 / 8)
+        big = LatticeSpec(2, 1 / 8, tuple(n - 3 for n in spec.lo), tuple(n + 3 for n in spec.hi))
+        v, b = np.zeros(big.shape), np.zeros(big.shape)
+        v[0, 0] = b[-1, -1] = 1.0
+        fields = FieldData(LatticeFunction(big, v),
+                           (LatticeFunction(big, b), LatticeFunction.zeros(big)))
+        problem = DirichletProblem.on_ball(spec, 2.0, harmonic_polynomial(spec, "deg3"), fields)
+        assert problem.fields is None
+
+    @pytest.mark.parametrize("field", ["V", "B_2"])
+    def test_one_nonzero_interior_site_keeps_the_fields_and_the_lu(self, field):
+        spec = ball_spec(2, 1 / 16)
+        data = harmonic_polynomial(spec, "deg3")
+        one = np.zeros(spec.shape)
+        one[16 - spec.lo[0], -spec.lo[1]] = -1.0  # at x = (1, 0), where deg3 is 1
+        zero = LatticeFunction.zeros(spec)
+        fields = (FieldData(LatticeFunction(spec, one), (zero, zero)) if field == "V"
+                  else FieldData(zero, (zero, LatticeFunction(spec, one))))
+        problem = DirichletProblem.on_ball(spec, 2.0, data, fields)
+        assert problem.fields is fields
+        stats = {}
+        u = dirichlet_solve(problem, stats=stats)
+        assert "fill_nnz" in stats and "levels" not in stats
+        # the one site moves the solution off the discrete harmonic data
+        sup = np.abs(data.values[problem.boundary]).max()
+        assert np.abs(u.values - data.values)[problem.interior].max() > 1e-6 * sup
