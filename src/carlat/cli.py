@@ -328,9 +328,9 @@ def cmd_symbol_scan(args) -> tuple:
             [f"xi_{a+1}" for a in range(args.d)] + ["p_r", "p_i", "q", "margin"],
             [*(MeshAxis(table["axis"], shape, a) for a in range(args.d)),
              table["p_r"], table["p_i"], table["q"], table["margin"]]))
-    report.meta["grid_csv"] = {"rows": table["margin"].size, "bytes": path.stat().st_size,
+    report.meta["grid_csv"] = {"rows": len(table["margin"]), "bytes": path.stat().st_size,
                                "write_s": time.perf_counter() - start,
-                               "workers": csv_workers(table["margin"].size)}
+                               "workers": csv_workers(len(table["margin"]))}
     return report, (path,)
 
 

@@ -190,9 +190,11 @@ class MeshAxis:
 def csv_blocks(header, columns, cell=repr):
     """CSV text of equal-length columns, yielded a block of rows at a time.
 
-    A plain column is formatted a block at a time, ``map(cell, ...)``:
-    ``repr`` writes floats round-trip exact and ints plainly.  NumPy columns
-    go through ``tolist()`` first, so cells are Python scalars.  A
+    A plain column is formatted a block at a time, ``map(cell, ...)`` of
+    ``column[start:stop]``: ``repr`` writes floats round-trip exact and ints
+    plainly.  NumPy columns go through ``tolist()`` first, so cells are
+    Python scalars.  A column may compute its rows only when they are read,
+    as ``symbols.scan_table``'s do, in process or in a forked worker.  A
     ``MeshAxis`` column formats its axis values once with ``cell`` and
     looks each row's string up by its index on the axis, so the text is the
     same as that of the materialized mesh column.  Blocks bound the memory

@@ -32,7 +32,9 @@ argument is in notes/decisions.md.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,9 +44,12 @@ from .weight import WeightParams, phi_eval
 FREQUENCY_AXES_MIN = 8
 # Largest grid a SymbolGrid accepts: 4096^2 and 256^3 pass, 512^3 does not.
 MAX_GRID_POINTS = 2 ** 25
-# scan_table, the --grid-csv table, holds five float64 grids at its peak
-# (measured at 4096^2); lower_bound_margin streams and holds none.
-SCAN_BYTES_PER_POINT = 40
+# The one whole-grid array a scan can hold is lower_bound_margin's near-set
+# box, |xi_j| <= |g| + gamma0 tau + one step and |xi_j| < c1 tau, which is the
+# whole grid once both reaches pass pi/h: char_set_distance on it peaks at 56
+# bytes per point at d = 2 (4096^2, x_bar = (1, 0), tau = 40, h = 1/8) and 80
+# at d = 3.  scan_table computes the --grid-csv rows a block at a time.
+SCAN_BYTES_PER_POINT = 80
 # Grid points per tile of lower_bound_margin and empirical_c1, at most: a
 # tile cuts every axis into runs of the same length (_runs), 64 at d = 2 and
 # 16 at d = 3 (tile sizes in notes/decisions.md).
@@ -108,9 +113,9 @@ class SymbolGrid:
         if points > MAX_GRID_POINTS:
             raise ValueError(
                 f"frequency grid {self.resolution}^{self.d} has {points} points, above "
-                f"MAX_GRID_POINTS = {MAX_GRID_POINTS}; its per-frequency table (scan_table, "
-                f"the --grid-csv output) would need about {points * SCAN_BYTES_PER_POINT} "
-                f"bytes")
+                f"MAX_GRID_POINTS = {MAX_GRID_POINTS}; the margin scan's near-set box "
+                f"(lower_bound_margin), which can span the whole grid, would need up to "
+                f"about {points * SCAN_BYTES_PER_POINT} bytes")
 
     def axis(self) -> np.ndarray:
         step = 2 * np.pi / (self.h * self.resolution)
@@ -354,22 +359,71 @@ def _margin_terms(fp: FrozenPoint, parts: dict, c0: float, tile: tuple) -> dict:
             "margin": margin}
 
 
-def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float):
-    """Per-frequency table used by the CSV emitter: the 1-D axis and the
-    flattened (C-order) p_r, p_i, q and margin over ``grid.mesh()``.
+def _row_tiles(start: int, stop: int, shape: tuple) -> list:
+    """Tiles, in order, whose points in C order are the flat indices
+    [start, stop) of a grid of ``shape``: the range's part of the partial
+    block along the first axis at each end, and one tile of the whole blocks
+    between.  So a range of whole lines at d = 2 is one tile, and any range
+    at most 2 len(shape) - 1 of them."""
+    if start >= stop:
+        return []
+    if len(shape) == 1:
+        return [(slice(start, stop),)]
+    inner = math.prod(shape[1:])
+    lo, hi = -(-start // inner), stop // inner
 
-    The values are those ``lower_bound_margin`` minimizes.  This table is
-    the one caller that holds whole grids: five float64 grids at its peak.
+    def part(i, a, b):  # the flat range [a, b) inside block i
+        return [(slice(i, i + 1),) + t
+                for t in _row_tiles(a - i * inner, b - i * inner, shape[1:])]
+
+    if lo > hi:
+        return part(hi, start, stop)
+    whole = [(slice(lo, hi),) + tuple(slice(0, n) for n in shape[1:])] if lo < hi else []
+    return part(lo - 1, start, lo * inner) + whole + part(hi, hi * inner, stop)
+
+
+@dataclass(frozen=True)
+class ScanColumn:
+    """One symbol of ``scan_table`` over the grid's points in C order, as a
+    column computed where it is read: ``column[start:stop]`` is the float64
+    array of those rows."""
+
+    rows: object  # (start, stop) -> {symbol: rows}, shared by a table's columns
+    key: str
+    size: int
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        start, stop, step = span.indices(self.size)
+        if step != 1:
+            raise ValueError("a scan column is read in runs of consecutive rows")
+        return self.rows(start, stop)[self.key]
+
+
+def scan_table(fp: FrozenPoint, grid: SymbolGrid, c0: float) -> dict:
+    """Per-frequency table used by the CSV emitter: the 1-D axis and p_r,
+    p_i, q and the margin over ``grid.mesh()`` flattened in C order, as
+    ``ScanColumn``s.
+
+    The values are those ``lower_bound_margin`` minimizes.  Only the
+    per-axis parts are computed here.  A run of rows is evaluated when it is
+    read, by ``_margin_terms`` on the tiles that cover it (``_row_tiles``),
+    with the whole grid's bits, and once for the four columns when they are
+    read in turn, as ``reports.csv_blocks`` does; no whole grid is held.
     """
     parts = _axis_parts(fp, _axis_trig(fp, grid))
-    t = _margin_terms(fp, parts, c0, (slice(0, grid.resolution),) * fp.d)
-    return {
-        "axis": t["axis"],
-        "p_r": t["p_r"].ravel(),
-        "p_i": t["p_i"].ravel(),
-        "q": t["q"].ravel(),
-        "margin": t["margin"].ravel(),
-    }
+    shape = (grid.resolution,) * fp.d
+    keys = ("p_r", "p_i", "q", "margin")
+
+    @functools.lru_cache(maxsize=1)
+    def rows(start, stop):
+        tiles = [_margin_terms(fp, parts, c0, t) for t in _row_tiles(start, stop, shape)]
+        return {k: np.concatenate([t[k].ravel() for t in tiles]) for k in keys}
+
+    size = math.prod(shape)
+    return {"axis": parts["axis"], **{k: ScanColumn(rows, k, size) for k in keys}}
 
 
 def _worst(pr_parts: list, squares: np.ndarray, tile: tuple) -> float:

@@ -21,8 +21,7 @@ from carlat.cli import main, parse_number
 from carlat.conjugate import CommutatorCoeffs
 from carlat.lattice import MAX_SITES, BallRegion, LatticeSpec
 from carlat.solver import ball_input
-from carlat.symbols import (MAX_GRID_POINTS, SCAN_BYTES_PER_POINT, FrozenPoint, SymbolGrid,
-                            scan_table)
+from carlat.symbols import MAX_GRID_POINTS, SCAN_BYTES_PER_POINT, FrozenPoint, SymbolGrid
 from carlat.weight import WeightParams
 
 
@@ -448,19 +447,60 @@ class TestSubcommands:
                               if p.suffix == ".json"][0].read_text())
         assert "min_margin" in summary["fitted"]
 
-    def test_symbol_scan_grid_csv_matches_the_materialized_mesh(self, tmp_path):
-        assert run(["symbol-scan", *SUBCOMMAND_ARGV["symbol-scan"], "--out", str(tmp_path)]) == 0
-        config = report_json(tmp_path)["config"]
-        fp = FrozenPoint.from_weight(config["x_bar"], WeightParams(config["tau"], config["c_ps"]),
-                                     config["h"])
-        grid = SymbolGrid(2, config["h"], 64)
-        table = scan_table(fp, grid, config["c0"])
-        columns = [*grid.mesh().reshape(2, -1).tolist(),
-                   *(table[k].tolist() for k in ("p_r", "p_i", "q", "margin"))]
-        expected = "xi_1,xi_2,p_r,p_i,q,margin\n" + "".join(
-            ",".join(map(repr, row)) + "\n" for row in zip(*columns))
-        [path] = tmp_path.glob("*_grid.csv")
-        assert path.read_text() == expected
+    def test_symbol_scan_grid_csv_matches_the_materialized_mesh(self, tmp_path, monkeypatch):
+        """The grid CSV's text against the whole grid's arithmetic: the mesh,
+        and ``_margin_terms`` on the one tile of the whole grid, formatted row
+        by row.  Serial blocks of 300 rows and forked chunks of 1000 cut the
+        4096-, 64- and 16-point lines of d = 1, 2 and 3 mid-line, so the rows
+        are read in runs that start and stop inside lines and planes."""
+        monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 300)
+        monkeypatch.setattr(reports, "PARALLEL_CHUNK_ROWS", 1000)
+        monkeypatch.setattr(reports, "PARALLEL_MIN_ROWS", 1024)
+        keys = ("p_r", "p_i", "q", "margin")
+        for d, resolution in ((1, 4096), (2, 64), (3, 16)):
+            argv = ["symbol-scan", "--d", str(d), "--h", "1/64", "--tau", "10", "--c0", "0.0025",
+                    "--resolution", str(resolution)]
+            texts = []
+            for cpus in ({0}, {0, 1}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                    raising=False)
+                out = tmp_path / f"d{d}_{len(cpus)}"
+                assert run(argv + ["--out", str(out)]) == 0
+                [meta_path] = out.glob("*.meta.json")
+                assert json.loads(meta_path.read_text())["grid_csv"]["workers"] == len(cpus)
+                [path] = out.glob("*_grid.csv")
+                texts.append(path.read_text())
+            config = report_json(out)["config"]
+            fp = FrozenPoint.from_weight(config["x_bar"],
+                                         WeightParams(config["tau"], config["c_ps"]), config["h"])
+            grid = SymbolGrid(d, config["h"], resolution)
+            parts = symbols._axis_parts(fp, symbols._axis_trig(fp, grid))
+            terms = symbols._margin_terms(fp, parts, config["c0"], (slice(0, resolution),) * d)
+            columns = [*grid.mesh().reshape(d, -1).tolist(),
+                       *(terms[k].ravel().tolist() for k in keys)]
+            expected = ",".join([f"xi_{a + 1}" for a in range(d)] + list(keys)) + "\n" + "".join(
+                ",".join(map(repr, row)) + "\n" for row in zip(*columns))
+            assert texts == [expected, expected]
+
+    def test_symbol_scan_grid_csv_holds_no_whole_grid(self, tmp_path, monkeypatch):
+        """A serial 512^2 grid CSV holds one block of rows at a time: the
+        run's traced peak, its scan included, stays under three quarters of
+        one 512^2 float64 grid, where a table of five whole grids is 10 MiB."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        tracemalloc.start()
+        try:
+            code = run(["symbol-scan", "--resolution", "512", "--grid-csv", "1",
+                        "--out", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        [meta_path] = tmp_path.glob("*.meta.json")
+        stats = json.loads(meta_path.read_text())["grid_csv"]
+        assert (stats["rows"], stats["workers"]) == (512 ** 2, 1)
+        # measured 0.98 MiB: a block of CSV_BLOCK_ROWS = 1024 rows as cell
+        # strings, or the scan's row of 64 x 512-point tiles
+        assert peak < 512 ** 2 * 8 * 3 // 4
 
     def test_symbol_scan_grid_csv_formatted_by_workers_is_the_same(self, tmp_path, monkeypatch):
         argv = ["symbol-scan", *SUBCOMMAND_ARGV["symbol-scan"], "--out"]
@@ -748,7 +788,8 @@ class TestSubcommands:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{points} points" in err
-        assert f"{points * SCAN_BYTES_PER_POINT} bytes" in err
+        assert f"near-set box (lower_bound_margin), which can span the whole grid, would need " \
+               f"up to about {points * SCAN_BYTES_PER_POINT} bytes" in err
         assert peak < 8 << 20  # one 512^3 float64 grid alone is 1 GiB
         assert not (tmp_path / "out").exists()
 

@@ -459,6 +459,40 @@ def test_scan_computes_the_axis_trig_once_per_pass(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (3, 2, 4), (2, 3, 2, 3)])
+def test_row_tiles_cover_a_flat_range_in_order(shape):
+    """Every flat range of the grid is its tiles' points in C order, in at
+    most 2 d - 1 tiles, and a range of whole blocks along axis 0 is one tile."""
+    index = np.arange(np.prod(shape)).reshape(shape)
+    block = index[0].size
+    for start, stop in itertools.combinations(range(index.size + 1), 2):
+        tiles = symbols._row_tiles(start, stop, shape)
+        assert len(tiles) <= 2 * len(shape) - 1
+        np.testing.assert_array_equal(np.concatenate([index[t].ravel() for t in tiles]),
+                                      np.arange(start, stop))
+        if start % block == 0 and stop % block == 0:
+            assert len(tiles) == 1
+    assert symbols._row_tiles(3, 3, shape) == []
+
+
+def test_scan_columns_share_one_evaluation_per_run(monkeypatch):
+    """The four columns read one run of rows from one pass of
+    ``_margin_terms`` over its tiles, not one pass per column."""
+    fp = frozen(d=2, tau=20.0, h=1 / 128, x_bar=(1.0, 0.0))
+    table = symbols.scan_table(fp, SymbolGrid(2, fp.h, 16), 0.0025)
+    calls = []
+    real = symbols._margin_terms
+    monkeypatch.setattr(symbols, "_margin_terms", lambda *args: calls.append(args) or real(*args))
+    # rows 20..59 of 16-point lines: the end of line 1, line 2, the start of line 3
+    runs = [table[k][20:60] for k in ("p_r", "p_i", "q", "margin")]
+    assert [r.shape for r in runs] == [(40,)] * 4
+    assert [args[3] for args in calls] == [(slice(1, 2), slice(4, 16)), (slice(2, 3), slice(0, 16)),
+                                           (slice(3, 4), slice(0, 12))]
+    assert len(table["q"]) == 256 and table["q"][250:300].shape == (6,)
+    with pytest.raises(ValueError, match="consecutive rows"):
+        table["q"][::2]
+
+
 def whole_grid_c1(fp, grid):
     """``empirical_c1`` as one pass over every grid point, the pass its box replaced."""
     trig = symbols._axis_trig(fp, grid)
@@ -585,7 +619,10 @@ for x_bar, res, tau, h in (((-0.4609070247133709, 0.8874484292452537), 256, 20.0
     scan = lower_bound_margin(fp, 0.0025, grid)
     compared = [getattr(scan, f.name) for f in dataclasses.fields(scan) if f.compare]
     table = scan_table(fp, grid, 0.0025)
-    data = [pickle.dumps(compared)] + [table[k].tobytes() for k in ("p_r", "p_i", "q", "margin")]
+    # the table's rows as the grid CSV reads them, in runs that cut lines mid-line
+    runs = [slice(i, i + 300) for i in range(0, grid.resolution ** len(x_bar), 300)]
+    data = [pickle.dumps(compared)] + [b"".join(table[k][r].tobytes() for r in runs)
+                                       for k in ("p_r", "p_i", "q", "margin")]
     print(len(x_bar), *(hashlib.sha256(b).hexdigest() for b in data))
 # frozen points at the margin_scan benchmark's base points of seeds 0 to 63,
 # some of whose radii np.linalg.norm's BLAS dot rounds by the kernel
@@ -639,7 +676,8 @@ class TestGridGuard:
             tracemalloc.stop()
         message = str(info.value)
         assert f"{points} points" in message
-        assert f"{points * SCAN_BYTES_PER_POINT} bytes" in message
+        assert f"near-set box (lower_bound_margin), which can span the whole grid, would need " \
+               f"up to about {points * SCAN_BYTES_PER_POINT} bytes" in message
         assert peak < 1 << 20
 
     def test_refinement_cannot_pass_the_guard(self):
